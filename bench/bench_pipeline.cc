@@ -30,10 +30,12 @@
 //             bench.socket_failslow.pool_utilization /
 //             bench.failslow.pool_utilization — achieved work/wall ratio of
 //             the costing pool under one latency-amplified shard, over the
-//             socket transport (completion queue, no thread ever parks on
-//             the slow worker) vs the in-process transport. The socket
-//             number is expected to hold at or above the in-process one:
-//             that comparison is what justifies the async transport.
+//             socket transport (an attempt holds only a wire credit, no
+//             thread ever parks on the slow worker) vs the in-process
+//             transport (an attempt prices on the thread that launched
+//             it). The socket number is expected to hold at or above the
+//             in-process one: that comparison is what justifies the
+//             out-of-process transport.
 //             bench.checkpoint.delta_bytes_per_round — bytes the streaming
 //             (continuous tuning service) scenario appends to its delta log
 //             in its final, steady-state round: the capture has fully
@@ -354,11 +356,11 @@ int Run(int argc, char** argv) {
   }
 
   // Socket transport with worker 2 fail-slow (the same latency spec the
-  // in-process failslow scenario injects, applied on the worker side). The
-  // completion queue keeps pool threads submitting instead of parking on
-  // the slow worker, so the pool's work/wall utilization should hold at or
-  // above the in-process fail-slow run's — that comparison is exported as
-  // the pool_utilization gauges below.
+  // in-process failslow scenario injects, applied on the worker side). A
+  // socket attempt holds a wire credit, not a pool thread, so the pool's
+  // work/wall utilization should hold at or above the in-process fail-slow
+  // run's — that comparison is exported as the pool_utilization gauges
+  // below.
   auto socket_failslow = RunSocketScenario(
       4, 4, "latency_ms=0.05,slow_after=5,slow_factor=200", wl);
   if (!socket_failslow.ok()) {

@@ -1,19 +1,19 @@
 // The per-shard execution channel behind ShardRouter.
 //
-// A channel answers one shard's what-if calls. Two families exist:
+// A channel answers one shard's what-if calls through Submit(). Every fleet,
+// whatever its transport, is driven through the router's completion queue
+// (rpc/completion_queue.h); channels differ only in where the pricing runs:
 //
-//   * InprocChannel — wraps a server::Server* in this process. Synchronous:
-//     Call() runs the pricing on the caller's thread. This is the original
-//     sharded-costing mode and stays the default for tests.
+//   * InprocChannel — wraps a server::Server* in this process. Submit()
+//     prices the call on the thread that launches it and completes before
+//     returning.
 //   * SocketChannel (rpc/transport.h) — speaks DTR1 frames to a cost_server
-//     worker over a Unix socket. Asynchronous: Submit() puts the request on
-//     the wire and the channel's reader thread delivers the completion; the
-//     router drives these through its completion queue so no worker thread
-//     ever parks on a slow shard.
+//     worker over a Unix socket. Submit() puts the request on the wire and
+//     the channel's reader thread delivers the completion.
 //
-// A fleet is homogeneous: either every channel is synchronous or every
-// channel is asynchronous (the router checks). Channels never decide
-// routing or health — that stays in ShardRouter — they only execute.
+// Channels never decide routing or health — that stays in ShardRouter — they
+// only execute, and keep their shard's statistics in step with the tuning
+// server's.
 
 #ifndef DTA_DTA_RPC_CHANNEL_H_
 #define DTA_DTA_RPC_CHANNEL_H_
@@ -25,6 +25,7 @@
 #include "common/status.h"
 #include "dta/cost_service.h"
 #include "server/server.h"
+#include "stats/statistics.h"
 
 namespace dta::rpc {
 
@@ -34,42 +35,37 @@ class ShardChannel {
 
   virtual const std::string& name() const = 0;
 
-  // True when completions are delivered asynchronously via Submit();
-  // false when Call() is the only entry point.
-  virtual bool async() const = 0;
-
-  // Synchronous execution on the caller's thread (inproc channels only).
-  virtual Result<server::Server::WhatIfResult> Call(
-      const tuner::WhatIfCall& call) = 0;
-
-  // Asynchronous execution (socket channels only). `done` is invoked
-  // exactly once, from the channel's completion thread — possibly before
-  // Submit returns when the request fails to reach the wire. The borrowed
-  // pointers inside `call` must stay valid until `done` runs.
+  // Prices `call`. `done` is invoked exactly once: on the submitting
+  // thread (an in-process shard, or a request that never reached the wire)
+  // or on the channel's completion thread, possibly before Submit returns.
+  // The borrowed pointers inside `call` must stay valid until Submit
+  // returns.
   using Done = std::function<void(Result<server::Server::WhatIfResult>)>;
   virtual void Submit(const tuner::WhatIfCall& call, Done done) = 0;
+
+  // Brings the shard up to `stat`, a statistic the tuning server holds, so
+  // every shard prices with identical information (a no-op where the shard
+  // already has it). An error means the shard could not be brought up.
+  virtual Status MirrorStatistics(const stats::Statistics& stat) = 0;
 };
 
-// Synchronous channel over an in-process server replica.
+// Channel over an in-process server replica.
 class InprocChannel : public ShardChannel {
  public:
   explicit InprocChannel(server::Server* server)
       : server_(server), name_(server->name()) {}
 
   const std::string& name() const override { return name_; }
-  bool async() const override { return false; }
-
-  Result<server::Server::WhatIfResult> Call(
-      const tuner::WhatIfCall& call) override {
-    return server_->WhatIfCost(*call.stmt, *call.config,
-                               call.simulate_hardware, call.call_key);
-  }
 
   void Submit(const tuner::WhatIfCall& call, Done done) override {
-    done(Call(call));
+    done(server_->WhatIfCost(*call.stmt, *call.config,
+                             call.simulate_hardware, call.call_key));
   }
 
-  server::Server* server() const { return server_; }
+  Status MirrorStatistics(const stats::Statistics& stat) override {
+    if (!server_->HasStatistics(stat.key)) server_->ImportStatistics(stat);
+    return Status::Ok();
+  }
 
  private:
   server::Server* server_;

@@ -1,30 +1,34 @@
-// Event-driven dispatch for asynchronous shard channels.
+// Event-driven dispatch: the one engine ShardRouter prices every call
+// through, for in-process and socket fleets alike.
 //
-// The synchronous router prices a statement by walking its rendezvous
-// ranking and blocking the calling worker thread inside each shard attempt;
-// a slow shard therefore parks a worker for the full attempt. The
-// completion queue replaces that with a state machine per call:
+// Each call is a state machine over its shard ranking:
 //
 //   queued ──credit──▶ in flight ──response──▶ finished
 //      │                   │
 //      └──── timeout ──────┴──failure/timeout──▶ requeued on the next
 //                                                shard in the ranking
 //
-// Each shard has `max_inflight` wire credits. A call holds a credit only
-// while its request is on the wire; when the shard is saturated the call
-// waits in that shard's FIFO — and both waits are bounded by the attempt
-// timeout, so a hung worker can strand at most `max_inflight` credits,
-// never a caller. Timeouts and transport failures requeue the call on the
-// next untried shard (two passes, mirroring the router: pass 0 admitted
-// shards only, pass 1 anything untried) without any worker thread ever
-// sleeping in a backoff. A timed-out attempt leaves its credit with the
-// wire; the late response (or the channel's connection-loss sweep) returns
-// it, and a generation counter on the call discards the stale result.
+// Each shard has `max_inflight` credits. A call holds a credit only while
+// its attempt runs; when the shard is saturated the call waits in that
+// shard's FIFO — and both waits are bounded by the attempt timeout, so a
+// hung shard can strand at most `max_inflight` credits, never a caller.
+// Failures and timeouts requeue the call on the next untried shard (two
+// passes: pass 0 admitted shards only, pass 1 anything untried) without
+// any thread ever sleeping in a backoff. A timed-out attempt leaves its
+// credit with the shard; the late response (or the channel's
+// connection-loss sweep) returns it, and a generation counter on the call
+// discards the stale result.
+//
+// Attempts launch outside the queue lock, on whichever thread made them
+// ready: the caller, a thread whose completion returned a credit (it
+// dispatches the FIFO head), or the timer thread (requeues born from a
+// deadline). An in-process channel therefore prices on that thread.
 //
 // Determinism: which shard answers never affects the cost (replicas are
 // identical — the sharded-costing invariant), so requeue order, timeouts,
-// and late-response discards affect only scheduling. All rpc.* metrics are
-// timing-dependent and excluded from determinism-gated exports.
+// and late-response discards affect only scheduling. All rpc.* metrics and
+// the shard.N.queue_peak gauges are timing-dependent and excluded from
+// determinism-gated exports.
 //
 // Deadlines use the real monotonic clock, never the session clock: under
 // FakeClock a deadline would simply never arrive.
@@ -35,12 +39,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -50,30 +56,32 @@
 namespace dta::rpc {
 
 struct CompletionQueueOptions {
-  // Wire credits per shard: concurrent requests one connection pipelines.
+  // Credits per shard: concurrent attempts one shard runs. Clamped to >= 1.
   int max_inflight_per_shard = 4;
-  // Per-attempt budget, covering both the credit wait and the wire time.
-  // On expiry the call requeues on the next shard.
+  // Per-attempt budget, covering both the credit wait and the attempt
+  // itself. On expiry the call requeues on the next shard.
   double attempt_timeout_ms = 30000;
-  // Optional "rpc." counters/histograms (never determinism-gated).
+  // Clock for attempt latency (the latency hook and rpc.wire_latency_ms);
+  // null means the real monotonic clock. Deadlines ignore it.
+  const Clock* clock = nullptr;
+  // Optional rpc.* counters/histograms and shard.N.queue_peak gauges.
   MetricsRegistry* metrics = nullptr;
 };
 
-// Health/ranking hooks supplied by ShardRouter so queue-driven attempts
-// feed the same admission, demotion, and latency bookkeeping as the
-// synchronous path.
+// Health hooks supplied by ShardRouter. All run under the queue lock.
 struct CompletionQueueHooks {
-  // May shard `i` serve an attempt in `pass` (0 = admitted only)?
-  std::function<bool(size_t, int)> admit;
-  // Attempt outcome for health accounting (timeouts count as failures).
+  // May shard `i` serve a pass-0 attempt? Null admits every shard.
+  std::function<bool(size_t)> admit;
+  // Every attempt's outcome, exactly once: its completion, or the deadline
+  // that abandoned it (a late response reports nothing).
   std::function<void(size_t, bool)> outcome;
-  // Wire latency of a genuine successful completion, in ms.
+  // Latency (ms) of each successful completion, late ones included.
   std::function<void(size_t, double)> latency;
 };
 
 class CompletionQueue {
  public:
-  // `channels` must all be async; borrowed, must outlive the queue.
+  // `channels` are borrowed and must outlive the queue.
   CompletionQueue(std::vector<ShardChannel*> channels,
                   CompletionQueueHooks hooks, CompletionQueueOptions options);
   ~CompletionQueue();
@@ -81,34 +89,44 @@ class CompletionQueue {
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
-  // Prices `call` against the shards of `ranking` (all shard indices, best
+  // Prices `call` against the shards of `ranking` (shard indices, best
   // first). Blocks the caller until a shard answers or every shard has been
-  // tried in both passes; the thread parks on a condvar, never in a
-  // backoff sleep. Thread-safe; any number of concurrent callers.
+  // tried in both passes, then returns that answer or the last failure;
+  // `attempts` (optional) receives the number of shards tried. The thread
+  // parks on a condvar, never in a backoff sleep, and returns only once no
+  // attempt of this call is still inside Submit. Thread-safe; any number of
+  // concurrent callers.
   Result<server::Server::WhatIfResult> Execute(
-      const tuner::WhatIfCall& call, const std::vector<size_t>& ranking)
-      EXCLUDES(mu_);
+      const tuner::WhatIfCall& call, const std::vector<size_t>& ranking,
+      size_t* attempts = nullptr) EXCLUDES(mu_);
 
   size_t shard_count() const { return channels_.size(); }
+  // Peak concurrently running attempts on the shard (never exceeds
+  // max_inflight_per_shard).
+  size_t inflight_peak(size_t shard) const EXCLUDES(mu_);
+  // Deepest (in flight + waiting for a credit) queue seen on the shard.
+  size_t queue_peak(size_t shard) const EXCLUDES(mu_);
 
  private:
   struct Call;  // one Execute invocation's state machine
 
-  // A dispatch prepared under mu_ and launched lock-free: Submit may
+  // One attempt prepared under mu_ and launched lock-free: Submit may
   // complete synchronously, and its completion path takes mu_.
   struct Launch {
     ShardChannel* channel = nullptr;
-    const tuner::WhatIfCall* call = nullptr;
-    ShardChannel::Done done;
+    const tuner::WhatIfCall* what_if = nullptr;
+    uint64_t call_id = 0;
+    uint64_t generation = 0;
+    size_t shard = 0;
   };
 
   // Starts the next attempt for `call`, or finishes it when the plan is
   // exhausted. Appends any ready-to-go dispatch to `launches`.
   void AdvanceLocked(Call* call, Status failure,
                      std::vector<Launch>* launches) REQUIRES(mu_);
-  // Picks the next untried shard honoring the pass policy; returns
-  // channels_.size() when the current pass has nothing left.
-  size_t NextShardLocked(const Call& call) REQUIRES(mu_);
+  // Next untried shard of the current pass, walking the ranking once per
+  // pass; channels_.size() when the pass has nothing left.
+  size_t NextShardLocked(Call* call) REQUIRES(mu_);
   // Begins an attempt on `shard`: dispatches if a credit is free, else
   // queues on the shard FIFO with a deadline.
   void StartAttemptLocked(Call* call, size_t shard,
@@ -117,10 +135,12 @@ class CompletionQueue {
                       std::vector<Launch>* launches) REQUIRES(mu_);
   void FinishLocked(Call* call, Result<server::Server::WhatIfResult> result)
       REQUIRES(mu_);
-  // Wire completion for (call_id, generation) on `shard`. Late completions
-  // only return the credit and feed latency/health.
-  void OnCompletion(uint64_t call_id, uint64_t generation, size_t shard,
-                    double dispatched_at_ms,
+  // Wakes the timer when `deadline_ms` is earlier than the one it sleeps
+  // toward.
+  void ArmDeadlineLocked(double deadline_ms) REQUIRES(mu_);
+  // Completion of `launch`. A late one (its attempt was abandoned) only
+  // returns the credit and feeds latency.
+  void OnCompletion(const Launch& launch, double latency_ms,
                     Result<server::Server::WhatIfResult> result)
       EXCLUDES(mu_);
   // Returns a freed credit to `shard` and dispatches its FIFO head.
@@ -138,10 +158,14 @@ class CompletionQueue {
   CompletionQueueOptions options_;
 
   mutable Mutex mu_;
-  // Broadcast on every state change: finishing calls wake their callers,
-  // deadline changes wake the timer.
+  // Callers wait here for their call to finish.
   CondVar cv_;
+  // The timer waits here for the next deadline.
+  CondVar timer_cv_;
   bool stop_ GUARDED_BY(mu_) = false;
+  // The deadline the timer sleeps toward (infinity while idle).
+  double timer_wake_ms_ GUARDED_BY(mu_) =
+      std::numeric_limits<double>::infinity();
   uint64_t next_call_id_ GUARDED_BY(mu_) = 1;
   // Live Execute invocations by id; values point at caller stack frames,
   // valid exactly while registered.
@@ -149,6 +173,8 @@ class CompletionQueue {
   std::vector<int> credits_ GUARDED_BY(mu_);
   // Calls waiting for a credit, per shard, FIFO.
   std::vector<std::deque<uint64_t>> waiting_ GUARDED_BY(mu_);
+  std::vector<size_t> inflight_peak_ GUARDED_BY(mu_);
+  std::vector<size_t> queue_peak_ GUARDED_BY(mu_);
 
   std::thread timer_;
 
@@ -157,6 +183,7 @@ class CompletionQueue {
   Counter* m_timeouts_ = nullptr;
   Counter* m_late_ = nullptr;
   Histogram* m_latency_ = nullptr;
+  std::vector<Gauge*> m_queue_peak_;
 };
 
 }  // namespace dta::rpc

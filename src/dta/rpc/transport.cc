@@ -89,7 +89,8 @@ SocketChannel::~SocketChannel() {
     MutexLock lock(mu_);
     closed_ = true;
     // Wake the reader out of recv(2); its loss sweep fails any pending
-    // requests (there should be none by the time a channel is destroyed).
+    // requests — abandoned (timed-out) attempts can still be on the wire,
+    // which is why ShardRouter closes its channels before its queue.
     if (fd_.valid()) ShutdownFd(fd_.get());
     reader = std::move(reader_);
   }
@@ -97,16 +98,27 @@ SocketChannel::~SocketChannel() {
 }
 
 Status SocketChannel::ConnectLocked(double deadline_ms) {
-  if (reader_.joinable()) {
-    // The previous reader must finish its loss sweep (which needs mu_)
-    // before it can be joined; Wait releases mu_ while blocked.
-    while (!reader_done_) cv_.Wait(mu_);
-    reader_.join();
-    reader_done_ = false;
+  // Several callers can find the connection dead at once, and every Wait
+  // below releases mu_: re-check after each wake, or a caller that slept
+  // through another's reconnect would wait on the live connection's reader
+  // forever.
+  while (!fd_.valid()) {
+    if (reader_.joinable()) {
+      // The previous reader must finish its loss sweep (which needs mu_)
+      // before it can be joined.
+      if (!reader_done_) {
+        cv_.Wait(mu_);
+        continue;
+      }
+      reader_.join();
+      reader_done_ = false;
+    }
+    // A send racing with the loss may still hold the dead fd's number;
+    // only close it once no send is in flight.
+    if (sends_in_flight_ == 0) break;
+    cv_.Wait(mu_);
   }
-  // A send racing with the loss may still hold the dead fd's number; only
-  // close it once no send is in flight.
-  while (sends_in_flight_ > 0) cv_.Wait(mu_);
+  if (fd_.valid()) return Status::Ok();  // another caller reconnected
   dead_fd_.Close();
   auto fd = ConnectUnix(socket_path_, deadline_ms);
   if (!fd.ok()) return fd.status();
@@ -320,6 +332,16 @@ Status SocketChannel::CreateStatistics(const stats::StatsKey& key) {
   // fails the pending entry — no timeout needed to avoid a hang.
   while (!waiter->ready) waiter->cv.Wait(waiter->mu);
   return waiter->status;
+}
+
+Status SocketChannel::MirrorStatistics(const stats::Statistics& stat) {
+  constexpr int kAttempts = 3;
+  Status s;
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    s = CreateStatistics(stat.key);
+    if (s.ok()) break;
+  }
+  return s;
 }
 
 void SocketChannel::SendShutdown() {

@@ -67,17 +67,22 @@ class SocketChannel : public ShardChannel {
   ~SocketChannel() override;
 
   const std::string& name() const override { return name_; }
-  bool async() const override { return true; }
-
-  // Submit + wait; convenience for callers outside the completion queue.
-  Result<server::Server::WhatIfResult> Call(
-      const tuner::WhatIfCall& call) override;
 
   void Submit(const tuner::WhatIfCall& call, Done done) override;
+
+  // Submit + wait; convenience for callers outside the completion queue.
+  Result<server::Server::WhatIfResult> Call(const tuner::WhatIfCall& call);
 
   // Synchronous admin RPC: build one statistic on the worker (no-op there
   // if it already exists). Fails with Unavailable when the worker is down.
   Status CreateStatistics(const stats::StatsKey& key);
+
+  // CreateStatistics for `stat`'s key, retried: the channel reconnects on
+  // the next request, so a severed connection heals here instead of
+  // leaving this worker pricing with less information than the fleet.
+  // Statistics builds are deterministic in the data, so the worker-built
+  // statistic matches the tuning server's.
+  Status MirrorStatistics(const stats::Statistics& stat) override;
 
   // Best-effort: tells the worker to drain and exit. The worker owns its
   // lifetime; this just delivers the request.
@@ -99,6 +104,7 @@ class SocketChannel : public ShardChannel {
   // connection's reader thread and dead fd first (waiting, lock released,
   // for the reader's loss sweep and any in-flight send to finish — closing
   // an fd another thread is still using invites fd-reuse corruption).
+  // Returns OK at once if another caller reconnected during those waits.
   Status ConnectLocked(double deadline_ms) REQUIRES(mu_);
   // Reader-thread only: fails every pending request and retires the
   // connection. The fd is shut down but NOT closed (a racing send may still

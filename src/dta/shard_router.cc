@@ -83,67 +83,13 @@ std::string ShardFaultSpec::ToString() const {
   return StrJoin(parts, ";");
 }
 
-ShardRouter::ShardRouter(std::vector<server::Server*> servers,
-                         ShardRouterOptions options)
-    : options_(options) {
-  DTA_CHECK(!servers.empty(), "ShardRouter needs at least one server");
-  primary_ = servers[0];
-  std::vector<rpc::ShardChannel*> channels;
-  channels.reserve(servers.size());
-  owned_channels_.reserve(servers.size());
-  for (server::Server* server : servers) {
-    owned_channels_.push_back(std::make_unique<rpc::InprocChannel>(server));
-    channels.push_back(owned_channels_.back().get());
-  }
-  InitShards(channels);
-}
-
-ShardRouter::ShardRouter(server::Server* primary,
-                         std::vector<std::unique_ptr<rpc::ShardChannel>> channels,
-                         ShardRouterOptions options)
-    : options_(options) {
-  DTA_CHECK(!channels.empty(), "ShardRouter needs at least one channel");
-  DTA_CHECK(primary != nullptr, "async ShardRouter needs a primary server");
-  primary_ = primary;
-  owned_channels_ = std::move(channels);
-  std::vector<rpc::ShardChannel*> raw;
-  raw.reserve(owned_channels_.size());
-  for (const auto& channel : owned_channels_) {
-    // Fleets are homogeneous: the event-driven path drives every shard
-    // through Submit; a synchronous channel has no Submit worth queuing.
-    DTA_CHECK(channel->async(),
-              "async ShardRouter requires asynchronous channels");
-    raw.push_back(channel.get());
-  }
-  InitShards(raw);
-  rpc::CompletionQueueOptions queue_options;
-  queue_options.max_inflight_per_shard = options_.max_inflight_per_shard;
-  queue_options.attempt_timeout_ms = options_.attempt_timeout_ms;
-  queue_options.metrics = options_.metrics;
-  rpc::CompletionQueueHooks hooks;
-  hooks.admit = [this](size_t shard, int pass) {
-    return pass != 0 || AdmitForPass(*shards_[shard]);
-  };
-  hooks.outcome = [this](size_t shard, bool ok) {
-    RecordOutcome(*shards_[shard], ok);
-    if (!ok) {
-      // Async accounting counts every failed attempt as a failover hop
-      // (the call moved on without a worker thread waiting in it).
-      failovers_.fetch_add(1, std::memory_order_relaxed);
-      if (m_failovers_ != nullptr) m_failovers_->Increment();
-    }
-  };
-  hooks.latency = [this](size_t shard, double latency_ms) {
-    RecordLatency(*shards_[shard], latency_ms);
-  };
-  queue_ = std::make_unique<rpc::CompletionQueue>(raw, std::move(hooks),
-                                                  queue_options);
-}
-
-ShardRouter::~ShardRouter() = default;
-
-void ShardRouter::InitShards(
-    const std::vector<rpc::ShardChannel*>& channels) {
+ShardRouter::ShardRouter(
+    server::Server* primary,
+    std::vector<std::unique_ptr<rpc::ShardChannel>> channels,
+    ShardRouterOptions options)
+    : primary_(primary), options_(options), channels_(std::move(channels)) {
+  DTA_CHECK(primary_ != nullptr, "ShardRouter needs a primary server");
+  DTA_CHECK(!channels_.empty(), "ShardRouter needs at least one shard");
   // Clamp rather than abort: a zero probe_interval or window means "the
   // most aggressive legal setting", not a crash. The clamped values are
   // visible through options() so callers and tests see what actually runs.
@@ -154,17 +100,17 @@ void ShardRouter::InitShards(
   options_.slow_min_samples = std::max(1, options_.slow_min_samples);
   options_.slow_floor_ms = std::max(0.0, options_.slow_floor_ms);
   if (options_.clock == nullptr) options_.clock = MonotonicClock::Instance();
-  shards_.reserve(channels.size());
-  for (size_t i = 0; i < channels.size(); ++i) {
+  std::vector<rpc::ShardChannel*> raw;
+  raw.reserve(channels_.size());
+  shards_.reserve(channels_.size());
+  for (size_t i = 0; i < channels_.size(); ++i) {
+    raw.push_back(channels_[i].get());
     auto shard = std::make_unique<Shard>();
-    shard->channel = channels[i];
     if (options_.metrics != nullptr) {
       shard->m_calls =
           options_.metrics->GetCounter(StrFormat("shard.%zu.calls", i));
       shard->m_failures =
           options_.metrics->GetCounter(StrFormat("shard.%zu.failures", i));
-      shard->m_queue_peak =
-          options_.metrics->GetGauge(StrFormat("shard.%zu.queue_peak", i));
     }
     shards_.push_back(std::move(shard));
   }
@@ -174,6 +120,31 @@ void ShardRouter::InitShards(
     m_slow_demotions_ =
         options_.metrics->GetCounter("shard.router.slow_demotions");
   }
+  rpc::CompletionQueueOptions queue_options;
+  queue_options.max_inflight_per_shard = options_.max_inflight_per_shard;
+  queue_options.attempt_timeout_ms = options_.attempt_timeout_ms;
+  // Latency on the router's clock: under a FakeClock every sample is 0 and
+  // the slowness detector stays silent, whatever the transport.
+  queue_options.clock = options_.clock;
+  queue_options.metrics = options_.metrics;
+  rpc::CompletionQueueHooks hooks;
+  hooks.admit = [this](size_t shard) { return AdmitForPass(*shards_[shard]); };
+  hooks.outcome = [this](size_t shard, bool ok) {
+    RecordOutcome(*shards_[shard], ok);
+  };
+  hooks.latency = [this](size_t shard, double latency_ms) {
+    RecordLatency(*shards_[shard], latency_ms);
+  };
+  queue_ = std::make_unique<rpc::CompletionQueue>(std::move(raw),
+                                                  std::move(hooks),
+                                                  queue_options);
+}
+
+Status ShardRouter::MirrorStatistics(const stats::Statistics& stat) {
+  for (const auto& channel : channels_) {
+    DTA_RETURN_IF_ERROR(channel->MirrorStatistics(stat));
+  }
+  return Status::Ok();
 }
 
 std::vector<size_t> ShardRouter::RankShards(uint64_t key) const {
@@ -204,29 +175,6 @@ bool ShardRouter::AdmitForPass(Shard& shard) {
     return true;  // recovery probe
   }
   return false;
-}
-
-void ShardRouter::AcquireSlot(Shard& shard) {
-  MutexLock shard_lock(shard.mu);
-  ++shard.waiting;
-  shard.queue_peak = std::max(
-      shard.queue_peak, static_cast<size_t>(shard.inflight + shard.waiting));
-  if (shard.m_queue_peak != nullptr) {
-    shard.m_queue_peak->Set(static_cast<double>(shard.queue_peak));
-  }
-  while (shard.inflight >= options_.max_inflight_per_shard) {
-    shard.cv.Wait(shard.mu);
-  }
-  --shard.waiting;
-  ++shard.inflight;
-  shard.inflight_peak =
-      std::max(shard.inflight_peak, static_cast<size_t>(shard.inflight));
-}
-
-void ShardRouter::ReleaseSlot(Shard& shard) {
-  MutexLock shard_lock(shard.mu);
-  --shard.inflight;
-  shard.cv.NotifyOne();  // exactly one slot freed
 }
 
 void ShardRouter::RecordOutcome(Shard& shard, bool ok) {
@@ -301,81 +249,26 @@ void ShardRouter::RecordLatency(Shard& shard, double latency_ms) {
   }
 }
 
-Result<server::Server::WhatIfResult> ShardRouter::TryShard(
-    Shard& shard, const WhatIfCall& call) {
-  const bool detect = options_.slow_threshold > 0;
-  AcquireSlot(shard);
-  // Latency is measured around the server call alone — queue wait above is
-  // the router's own back-pressure, not the shard's slowness.
-  const double t0 = detect ? options_.clock->NowMs() : 0;
-  auto r = shard.channel->Call(call);
-  const double latency_ms = detect ? options_.clock->NowMs() - t0 : 0;
-  ReleaseSlot(shard);
-  RecordOutcome(shard, r.ok());
-  if (detect && r.ok()) RecordLatency(shard, latency_ms);
-  return r;
-}
-
 Result<server::Server::WhatIfResult> ShardRouter::WhatIfCost(
     const WhatIfCall& call) {
-  if (queue_ != nullptr) {
-    // Event-driven path: the completion queue owns per-shard in-flight
-    // tracking, timeouts, and requeues; this thread parks on a condvar
-    // until its own result is ready, never inside a shard attempt.
-    auto r = queue_->Execute(call, RankShards(call.call_key));
-    if (r.ok()) {
-      successes_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      exhausted_.fetch_add(1, std::memory_order_relaxed);
-      if (m_exhausted_ != nullptr) m_exhausted_->Increment();
-    }
-    return r;
+  // The completion queue walks the ranking in two passes (pass 0 healthy
+  // shards plus due probes, pass 1 whatever pass 0 routed around), owns
+  // per-shard credits and deadlines, and reports how many shards it tried.
+  size_t attempts = 1;
+  auto r = queue_->Execute(call, RankShards(call.call_key), &attempts);
+  // Every attempt but the last moved the call on to another shard.
+  if (attempts > 1) {
+    failovers_.fetch_add(attempts - 1, std::memory_order_relaxed);
+    if (m_failovers_ != nullptr) m_failovers_->Increment(attempts - 1);
   }
-  return WhatIfCostSync(call);
-}
-
-Result<server::Server::WhatIfResult> ShardRouter::WhatIfCostSync(
-    const WhatIfCall& call) {
-  const std::vector<size_t> order = RankShards(call.call_key);
-  std::vector<bool> tried(shards_.size(), false);
-  Status last = Status::Unavailable("no shard available");
-  size_t failed_attempts = 0;
-  // Pass 0 walks the rendezvous order over healthy shards (plus due
-  // probes); pass 1 retries the shards pass 0 routed around — one extra
-  // attempt at a sick shard is cheaper than failing the call up into the
-  // retry/degradation machinery.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t index : order) {
-      Shard& shard = *shards_[index];
-      if (pass == 0 && !AdmitForPass(shard)) continue;
-      if (tried[index]) continue;
-      tried[index] = true;
-      auto r = TryShard(shard, call);
-      if (r.ok()) {
-        successes_.fetch_add(1, std::memory_order_relaxed);
-        if (failed_attempts > 0) {
-          failovers_.fetch_add(failed_attempts, std::memory_order_relaxed);
-          if (m_failovers_ != nullptr) {
-            m_failovers_->Increment(failed_attempts);
-          }
-        }
-        return r;
-      }
-      last = r.status();
-      ++failed_attempts;
-    }
+  if (r.ok()) {
+    successes_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Every shard failed this call; the last failure surfaces.
+    exhausted_.fetch_add(1, std::memory_order_relaxed);
+    if (m_exhausted_ != nullptr) m_exhausted_->Increment();
   }
-  // Every shard failed this call. Surface the last failure; the counters
-  // record failovers that never found a live shard separately.
-  if (failed_attempts > 0) {
-    failovers_.fetch_add(failed_attempts - 1, std::memory_order_relaxed);
-    if (m_failovers_ != nullptr && failed_attempts > 1) {
-      m_failovers_->Increment(failed_attempts - 1);
-    }
-  }
-  exhausted_.fetch_add(1, std::memory_order_relaxed);
-  if (m_exhausted_ != nullptr) m_exhausted_->Increment();
-  return last;
+  return r;
 }
 
 size_t ShardRouter::calls(size_t shard) const {
@@ -386,16 +279,6 @@ size_t ShardRouter::calls(size_t shard) const {
 size_t ShardRouter::failures(size_t shard) const {
   MutexLock shard_lock(shards_[shard]->mu);
   return shards_[shard]->failures;
-}
-
-size_t ShardRouter::queue_peak(size_t shard) const {
-  MutexLock shard_lock(shards_[shard]->mu);
-  return shards_[shard]->queue_peak;
-}
-
-size_t ShardRouter::inflight_peak(size_t shard) const {
-  MutexLock shard_lock(shards_[shard]->mu);
-  return shards_[shard]->inflight_peak;
 }
 
 bool ShardRouter::healthy(size_t shard) const {

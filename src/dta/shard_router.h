@@ -35,19 +35,26 @@
 // threshold. Demotion is routing-only: it moves calls to faster replicas,
 // never changes what any call returns.
 //
-// Back-pressure: a bounded in-flight window per shard; callers block on the
-// shard's condition variable until a slot frees. This caps the concurrent
-// load any one shard absorbs (and any one slow shard can hold hostage).
+// Back-pressure: a bounded in-flight window per shard; calls past the bound
+// wait in the shard's FIFO for a credit. This caps the concurrent load any
+// one shard absorbs (and any one slow shard can hold hostage).
 //
-// Transports: shards are rpc::ShardChannel instances. The original
-// in-process fleet (one server::Server* per shard) wraps each server in a
-// synchronous InprocChannel and keeps the exact blocking two-pass walk
-// above — bit-for-bit the original behavior. A socket fleet (cost_server
-// workers over rpc::SocketChannel) is asynchronous: calls run through an
-// rpc::CompletionQueue that tracks in-flight requests per shard and
-// requeues timeouts/failures onto the next shard in the rendezvous order,
-// so no worker thread ever parks inside a slow shard's attempt. Both paths
-// feed the same health, slowness, and admission bookkeeping.
+// Transports: shards are rpc::ShardChannel instances, and every fleet —
+// in-process replicas behind rpc::InprocChannel or cost_server workers
+// behind rpc::SocketChannel — prices through one rpc::CompletionQueue. The
+// queue owns credits, FIFOs, per-attempt deadlines, and the two-pass
+// requeue walk; the router supplies the ranking and the health, slowness,
+// and admission bookkeeping through the queue's hooks. An in-process
+// attempt runs on whichever thread launches it: the caller; a thread
+// returning a credit, which dispatches the next waiter; or the timer
+// thread, which requeues a call only after its attempt deadline (30 s by
+// default) has passed.
+//
+// Accounting: each call adds its attempts - 1 to failovers, plus one
+// exhausted when no shard answered, so Σ per-shard calls = successes +
+// failovers + exhausted on either transport. An attempt abandoned at its
+// deadline is counted there, once; its late response only returns the
+// credit (and still feeds the latency EWMA).
 //
 // Determinism argument: every shard is a bit-exact replica, so a call
 // returns the same cost on any shard — routing, failover, and slowness
@@ -96,8 +103,8 @@ struct ShardFaultSpec {
 };
 
 struct ShardRouterOptions {
-  // Concurrent what-if calls admitted per shard; further callers block.
-  // Clamped to >= 1 at construction.
+  // Concurrent what-if calls admitted per shard; further calls wait for a
+  // credit. Clamped to >= 1 at construction.
   int max_inflight_per_shard = 8;
   // Consecutive failures before a shard is marked unhealthy. Clamped to
   // >= 1 (1 = demote on the first failure).
@@ -121,10 +128,10 @@ struct ShardRouterOptions {
   // Under a test's FakeClock every measured latency is 0 and the detector
   // never fires — metric exports stay byte-stable.
   const Clock* clock = nullptr;
-  // Asynchronous fleets only: per-attempt budget before the completion
-  // queue abandons the in-flight request (credit stays with the wire) and
-  // requeues the call on the next shard. Always measured on the real
-  // monotonic clock — a FakeClock deadline would never arrive.
+  // Per-attempt budget before the completion queue abandons the attempt
+  // (its credit stays with the shard) and requeues the call on the next
+  // shard. Always measured on the real monotonic clock — a FakeClock
+  // deadline would never arrive.
   double attempt_timeout_ms = 30000;
   // Observability (optional): per-shard call/failure counters and
   // queue-depth gauges, plus router-level failover counters. Per-shard load
@@ -135,29 +142,23 @@ struct ShardRouterOptions {
 
 class ShardRouter : public CostBackend {
  public:
-  // In-process fleet: `servers[0]` is the primary (the tuning server), the
-  // rest are its replicas. Each is wrapped in a synchronous InprocChannel;
-  // all must outlive the router.
-  ShardRouter(std::vector<server::Server*> servers,
-              ShardRouterOptions options);
-
-  // Asynchronous fleet (socket transport): every shard is a remote worker
-  // behind an async channel, driven through a completion queue. `primary`
-  // is the local tuning server — it serves catalog access, heuristic
-  // degradation, and reports, never what-if routing.
+  // `channels` are the shards, in shard-index order. `primary` is the local
+  // tuning server — it serves catalog access, heuristic degradation, and
+  // reports; an in-process fleet also puts it behind channel 0, a socket
+  // fleet routes no what-if call to it. It must outlive the router.
   ShardRouter(server::Server* primary,
               std::vector<std::unique_ptr<rpc::ShardChannel>> channels,
               ShardRouterOptions options);
-
-  ~ShardRouter() override;
 
   Result<server::Server::WhatIfResult> WhatIfCost(
       const WhatIfCall& call) override;
 
   server::Server* primary() const override { return primary_; }
 
-  // True when calls run through the completion queue (async channels).
-  bool event_driven() const { return queue_ != nullptr; }
+  // Brings every shard up to `stat`, a statistic the tuning server holds:
+  // shards must price with identical information or the determinism
+  // argument above breaks. Fails when some shard cannot be brought up.
+  Status MirrorStatistics(const stats::Statistics& stat);
 
   // Rendezvous ranking of all shards for `key`, best first. Pure function
   // of (key, shard index) — exposed for tests and deterministic by design.
@@ -189,9 +190,11 @@ class ShardRouter : public CostBackend {
   size_t calls(size_t shard) const;
   size_t failures(size_t shard) const;
   // Deepest (in-flight + waiting) queue observed on the shard.
-  size_t queue_peak(size_t shard) const;
+  size_t queue_peak(size_t shard) const { return queue_->queue_peak(shard); }
   // Peak concurrently executing calls (never exceeds max_inflight_per_shard).
-  size_t inflight_peak(size_t shard) const;
+  size_t inflight_peak(size_t shard) const {
+    return queue_->inflight_peak(shard);
+  }
   bool healthy(size_t shard) const;
   // True while the slowness detector has the shard demoted.
   bool slow(size_t shard) const;
@@ -199,21 +202,16 @@ class ShardRouter : public CostBackend {
   double latency_ewma_ms(size_t shard) const;
 
   // Test hook: feeds one successful-call latency sample through the same
-  // EWMA/demotion path TryShard uses, without running a call. Lets tests
-  // drive the detector deterministically instead of sleeping.
+  // EWMA/demotion path the queue's latency hook uses, without running a
+  // call. Lets tests drive the detector deterministically instead of
+  // sleeping.
   void RecordLatencyForTest(size_t shard, double latency_ms) {
     RecordLatency(*shards_[shard], latency_ms);
   }
 
  private:
   struct Shard {
-    rpc::ShardChannel* channel = nullptr;
     Mutex mu;
-    CondVar cv;
-    int inflight GUARDED_BY(mu) = 0;
-    int waiting GUARDED_BY(mu) = 0;
-    size_t queue_peak GUARDED_BY(mu) = 0;
-    size_t inflight_peak GUARDED_BY(mu) = 0;
     size_t calls GUARDED_BY(mu) = 0;
     size_t failures GUARDED_BY(mu) = 0;
     int consecutive_failures GUARDED_BY(mu) = 0;
@@ -228,15 +226,11 @@ class ShardRouter : public CostBackend {
     // construction so the hot path never locks the registry.
     Counter* m_calls = nullptr;
     Counter* m_failures = nullptr;
-    Gauge* m_queue_peak = nullptr;
   };
 
   // Whether to try this shard in the healthy-first pass: true when healthy
   // and not slow, or when a demoted shard is due a recovery probe.
   bool AdmitForPass(Shard& shard) EXCLUDES(shard.mu);
-  // Blocks until the shard has a free in-flight slot, then claims it.
-  void AcquireSlot(Shard& shard) EXCLUDES(shard.mu);
-  void ReleaseSlot(Shard& shard) EXCLUDES(shard.mu);
   // Records the attempt's outcome and updates health state.
   void RecordOutcome(Shard& shard, bool ok) EXCLUDES(shard.mu);
   // Feeds a successful call's latency into the shard's EWMA and re-judges
@@ -246,24 +240,11 @@ class ShardRouter : public CostBackend {
   // Fleet-median latency EWMA over shards with enough samples (0 when
   // fewer than two shards qualify — a fleet of one is never "slow").
   double FleetMedianEwma();
-  // One attempt on one shard: slot acquisition, the what-if call, outcome
-  // accounting. Synchronous path only.
-  Result<server::Server::WhatIfResult> TryShard(Shard& shard,
-                                                const WhatIfCall& call);
-  // Shared constructor tail: clamps options, builds Shard records and
-  // metrics handles for `channels`.
-  void InitShards(const std::vector<rpc::ShardChannel*>& channels);
-  // Synchronous two-pass walk over the rendezvous ranking (inproc fleets).
-  Result<server::Server::WhatIfResult> WhatIfCostSync(const WhatIfCall& call);
 
   server::Server* primary_ = nullptr;
-  // Inproc mode: the router owns the channel wrappers (callers hand it raw
-  // server pointers). Socket mode: ownership arrives via the constructor.
-  std::vector<std::unique_ptr<rpc::ShardChannel>> owned_channels_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Event-driven dispatch for async fleets; null for inproc fleets.
-  std::unique_ptr<rpc::CompletionQueue> queue_;
   ShardRouterOptions options_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<rpc::CompletionQueue> queue_;
   std::atomic<size_t> successes_{0};
   std::atomic<size_t> failovers_{0};
   std::atomic<size_t> exhausted_{0};
@@ -271,6 +252,11 @@ class ShardRouter : public CostBackend {
   Counter* m_failovers_ = nullptr;
   Counter* m_exhausted_ = nullptr;
   Counter* m_slow_demotions_ = nullptr;
+  // Declared last so it is destroyed first: closing a SocketChannel sweeps
+  // its still-pending requests (attempts abandoned at their deadline) into
+  // the queue's completion path and the hooks above, which must still be
+  // alive to receive them.
+  std::vector<std::unique_ptr<rpc::ShardChannel>> channels_;
 };
 
 }  // namespace dta::tuner

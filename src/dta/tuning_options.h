@@ -98,8 +98,8 @@ struct TuningOptions {
   // Empty disables per-shard injection.
   std::string shard_fault_spec;
   // Bound on concurrent what-if calls admitted per shard (back-pressure;
-  // callers past the bound block). 0 means "auto": twice the resolved
-  // thread count, at least 4.
+  // calls past the bound wait in the shard's queue for a credit). 0 means
+  // "auto": twice the resolved thread count, at least 4.
   int shard_max_inflight = 0;
   // Latency-based fail-slow isolation: a shard whose successful-call latency
   // EWMA exceeds this multiple of the fleet-median EWMA is demoted to
@@ -110,12 +110,12 @@ struct TuningOptions {
   double shard_slow_threshold = 0;
 
   // ---- Costing transport.
-  // kInproc routes what-if calls to in-process server replicas through
-  // synchronous channels (the original sharded-costing mode). kSocket
+  // kInproc prices what-if calls on in-process server replicas; kSocket
   // connects every shard to a cost_server worker process over a Unix
-  // socket (dta/rpc/transport.h) and drives calls through the event-driven
-  // completion queue — timeouts and worker failures requeue the statement
-  // on another shard instead of parking a worker thread in backoff.
+  // socket (dta/rpc/transport.h). Either way a sharded fleet drives calls
+  // through the router's event-driven completion queue — timeouts and
+  // shard failures requeue the statement on another shard instead of
+  // parking a worker thread in backoff.
   // Transport is pure topology: recommendations are byte-identical under
   // either value (and across transport switches on resume), so, like
   // `shards`, everything in this section is excluded from the checkpoint

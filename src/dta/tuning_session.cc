@@ -44,26 +44,6 @@ struct ServerMetricsGuard {
   }
 };
 
-// Builds one statistic on every socket worker (a no-op on workers that
-// already hold it). A failed RPC is retried: the channel reconnects on the
-// next request, so a severed connection heals here instead of leaving one
-// worker pricing with less information than the fleet — which would break
-// the bit-identity contract. A worker that stays unreachable is fatal for
-// the same reason.
-Status MirrorStatToWorkers(const std::vector<rpc::SocketChannel*>& channels,
-                           const stats::StatsKey& key) {
-  constexpr int kAttempts = 3;
-  for (rpc::SocketChannel* channel : channels) {
-    Status s;
-    for (int attempt = 0; attempt < kAttempts; ++attempt) {
-      s = channel->CreateStatistics(key);
-      if (s.ok()) break;
-    }
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 TuningSession::TuningSession(server::Server* production,
@@ -92,10 +72,8 @@ Status TuningSession::UseTestServer(server::Server* test) {
 }
 
 Status TuningSession::CreateAndImportStats(
-    const std::vector<stats::StatsKey>& keys,
-    const std::vector<server::Server*>& replicas,
-    const std::vector<rpc::SocketChannel*>& channels, TuningResult* result,
-    std::vector<stats::StatsKey>* created_log) {
+    const std::vector<stats::StatsKey>& keys, ShardRouter* fleet,
+    TuningResult* result, std::vector<stats::StatsKey>* created_log) {
   for (const auto& key : keys) {
     if (production_->HasStatistics(key)) {
       // Already on production: only import (free) when in test mode.
@@ -108,8 +86,10 @@ Status TuningSession::CreateAndImportStats(
         // stays in lockstep without a mirror call.
         continue;
       }
-      result->stats_created += 1;
-      result->stats_creation_ms += *duration;
+      if (result != nullptr) {
+        result->stats_created += 1;
+        result->stats_creation_ms += *duration;
+      }
       if (created_log != nullptr) created_log->push_back(key);
     }
     const stats::Statistics* s = production_->stats_manager().Find(key);
@@ -120,34 +100,7 @@ Status TuningSession::CreateAndImportStats(
     // Shard replicas mirror the tuning server's statistics: every shard
     // must price with identical information or the backend's bit-identity
     // contract breaks.
-    for (server::Server* replica : replicas) {
-      if (!replica->HasStatistics(key)) replica->ImportStatistics(*s);
-    }
-    DTA_RETURN_IF_ERROR(MirrorStatToWorkers(channels, key));
-  }
-  return Status::Ok();
-}
-
-Status TuningSession::RestoreStats(
-    const std::vector<stats::StatsKey>& keys,
-    const std::vector<server::Server*>& replicas,
-    const std::vector<rpc::SocketChannel*>& channels) {
-  for (const auto& key : keys) {
-    if (!production_->HasStatistics(key)) {
-      auto duration = production_->CreateStatistics(key);
-      // Same tolerance as the original run: a table that cannot produce
-      // statistics is skipped there too.
-      if (!duration.ok()) continue;
-    }
-    const stats::Statistics* s = production_->stats_manager().Find(key);
-    if (s == nullptr) continue;
-    if (test_ != nullptr && !test_->HasStatistics(key)) {
-      test_->ImportStatistics(*s);
-    }
-    for (server::Server* replica : replicas) {
-      if (!replica->HasStatistics(key)) replica->ImportStatistics(*s);
-    }
-    DTA_RETURN_IF_ERROR(MirrorStatToWorkers(channels, key));
+    if (fleet != nullptr) DTA_RETURN_IF_ERROR(fleet->MirrorStatistics(*s));
   }
   return Status::Ok();
 }
@@ -321,8 +274,7 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   // go out of scope (and stop consulting their injectors) first.
   std::vector<std::unique_ptr<FaultInjector>> shard_injectors;
   std::vector<std::unique_ptr<server::Server>> shard_replicas;
-  std::vector<server::Server*> replica_servers;  // clones only (stats fan-out)
-  std::vector<server::Server*> shard_servers;    // shard 0 + clones (router)
+  std::vector<server::Server*> shard_servers;  // shard 0 + clones (router)
   shard_servers.push_back(tuning_server);
   if (shard_count > 1 && !socket_transport) {
     for (int i = 1; i < shard_count; ++i) {
@@ -334,7 +286,6 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
       // single-server run. (The clones die inside this frame, so no detach
       // guard is needed.)
       if (obs_.metrics != nullptr) (*replica)->SetMetrics(obs_.metrics);
-      replica_servers.push_back(replica->get());
       shard_servers.push_back(replica->get());
       shard_replicas.push_back(std::move(replica).value());
     }
@@ -355,7 +306,6 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   }
   SingleServerBackend single_backend(tuning_server);
   std::unique_ptr<ShardRouter> router;
-  std::vector<rpc::SocketChannel*> socket_channels;  // stats fan-out
   ShardRouterOptions router_options;
   router_options.max_inflight_per_shard =
       options_.shard_max_inflight > 0 ? options_.shard_max_inflight
@@ -366,31 +316,31 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   router_options.slow_threshold = options_.shard_slow_threshold;
   router_options.clock = clock;
   router_options.metrics = obs_.metrics;
+  std::vector<std::unique_ptr<rpc::ShardChannel>> channels;
   if (socket_transport) {
     // Every shard — including shard 0 — is a cost_server worker process;
     // the local tuning server keeps serving catalog access, degradation
-    // estimates, and reports, but never prices a what-if call. The async
-    // router drives all calls through the completion queue, so the
-    // transport swap is also the swap from blocking retry walks to
-    // event-driven requeues.
+    // estimates, and reports, but never prices a what-if call.
     if (options_.rpc_attempt_timeout_ms > 0) {
       router_options.attempt_timeout_ms = options_.rpc_attempt_timeout_ms;
     }
     rpc::SocketChannelOptions channel_options;
     channel_options.metrics = obs_.metrics;
-    std::vector<std::unique_ptr<rpc::ShardChannel>> channels;
     for (int i = 0; i < shard_count; ++i) {
       auto channel = rpc::SocketChannel::Connect(
           StrFormat("worker%d", i), options_.socket_endpoints[i],
           channel_options);
       if (!channel.ok()) return channel.status();
-      socket_channels.push_back(channel->get());
       channels.push_back(std::move(channel).value());
     }
+  } else if (shard_count > 1) {
+    for (server::Server* shard : shard_servers) {
+      channels.push_back(std::make_unique<rpc::InprocChannel>(shard));
+    }
+  }
+  if (!channels.empty()) {
     router = std::make_unique<ShardRouter>(tuning_server, std::move(channels),
                                            router_options);
-  } else if (shard_count > 1) {
-    router = std::make_unique<ShardRouter>(shard_servers, router_options);
   }
   CostBackend* cost_backend =
       router != nullptr ? static_cast<CostBackend*>(router.get())
@@ -450,9 +400,8 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
     // cache: the cached costs were priced under them, and with the
     // statistics already present the stats-creation phases below become
     // no-ops that never clear the imported cache.
-    DTA_RETURN_IF_ERROR(
-        RestoreStats(resume_ckpt.created_stats, replica_servers,
-                     socket_channels));
+    DTA_RETURN_IF_ERROR(CreateAndImportStats(
+        resume_ckpt.created_stats, router.get(), nullptr, nullptr));
     costs.ImportCache(resume_ckpt.cache);
     costs.SeedMissingStats(resume_ckpt.missing_stats);
     costs.SeedDegradedStatements(resume_ckpt.degraded_statements);
@@ -592,36 +541,24 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
 
     // ---- Candidate generation.
     StatsFetcher fetcher =
-        [this, &result, &created_stats_log, &replica_servers,
-         &socket_channels](
+        [this, &result, &created_stats_log, fleet = router.get()](
             const stats::StatsKey& key) -> Result<const stats::Statistics*> {
       server::Server* ts = TuningServer();
       if (const stats::Statistics* s = ts->stats_manager().Find(key);
           s != nullptr) {
         return s;
       }
-      if (!production_->HasStatistics(key)) {
-        auto duration = production_->CreateStatistics(key);
-        if (!duration.ok()) return duration.status();
-        result.stats_created += 1;
-        result.stats_creation_ms += *duration;
-        result.stats_requested += 1;
-        created_stats_log.push_back(key);
+      // A statistic built on demand also counts as requested.
+      const size_t created_before = result.stats_created;
+      DTA_RETURN_IF_ERROR(
+          CreateAndImportStats({key}, fleet, &result, &created_stats_log));
+      result.stats_requested += result.stats_created - created_before;
+      const stats::Statistics* s = ts->stats_manager().Find(key);
+      if (s == nullptr) {
+        return Status::NotFound("no statistics for " +
+                                key.CanonicalString());
       }
-      const stats::Statistics* created =
-          production_->stats_manager().Find(key);
-      if (created == nullptr) return Status::Internal("statistics vanished");
-      // Mirror into the shard replicas: every shard prices with the same
-      // statistics or the backend's bit-identity contract breaks.
-      for (server::Server* replica : replica_servers) {
-        if (!replica->HasStatistics(key)) replica->ImportStatistics(*created);
-      }
-      DTA_RETURN_IF_ERROR(MirrorStatToWorkers(socket_channels, key));
-      if (test_ != nullptr) {
-        test_->ImportStatistics(*created);
-        return test_->stats_manager().Find(key);
-      }
-      return created;
+      return s;
     };
 
     std::vector<std::vector<Candidate>> per_statement(tuned.size());
@@ -683,10 +620,8 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
         plan.naive_count = resolved.size();
       }
       result.stats_requested += plan.naive_count;
-      DTA_RETURN_IF_ERROR(CreateAndImportStats(plan.to_create,
-                                               replica_servers,
-                                               socket_channels, &result,
-                                               &created_stats_log));
+      DTA_RETURN_IF_ERROR(CreateAndImportStats(
+          plan.to_create, router.get(), &result, &created_stats_log));
       if (!plan.to_create.empty()) costs.ClearCache();
     }
 
@@ -831,10 +766,8 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
           plan.naive_count = merged_stats.size();
         }
         result.stats_requested += plan.naive_count;
-        DTA_RETURN_IF_ERROR(CreateAndImportStats(plan.to_create,
-                                                 replica_servers,
-                                                 socket_channels, &result,
-                                                 &created_stats_log));
+        DTA_RETURN_IF_ERROR(CreateAndImportStats(
+            plan.to_create, router.get(), &result, &created_stats_log));
         if (!plan.to_create.empty()) costs.ClearCache();
       }
     }

@@ -34,13 +34,10 @@
 #include "workload/compression.h"
 #include "workload/workload.h"
 
-namespace dta::rpc {
-class SocketChannel;
-}  // namespace dta::rpc
-
 namespace dta::tuner {
 
 class AdmissionController;
+class ShardRouter;
 
 // Identity a session carries when it runs as one tenant of a multi-tenant
 // fleet (dta/tenant_driver.h): its name and the shared admission controller
@@ -231,27 +228,18 @@ class TuningSession {
   server::Server* TuningServer() {
     return test_ != nullptr ? test_ : production_;
   }
-  // Creates statistics on the production server and, in test-server mode,
-  // imports them into the test server. `replicas` (the sharded backend's
-  // clone fleet, possibly empty) receive the same imports so every shard
-  // keeps pricing with identical information; `channels` (the socket
-  // transport's worker fleet, possibly empty) receive the equivalent
-  // CreateStatistics RPC — statistics builds are deterministic in the data,
-  // so the worker-built statistic matches the local one. Accumulates
-  // counters and logs each key it created to `created_log` (checkpointing)
-  // when non-null.
+  // Creates statistics on the production server and brings the test
+  // server (in test-server mode) and every shard of `fleet` (the sharded
+  // backend, null without one) up to each of them, so every shard keeps
+  // pricing with identical information. When non-null, accumulates
+  // `result`'s creation counters and logs each key it created to
+  // `created_log` (checkpointing). Resume passes null for both: statistics
+  // builds are deterministic in the data, so re-creating a checkpointed
+  // run's statistics matches the originals, and the checkpoint carries that
+  // run's counters.
   Status CreateAndImportStats(const std::vector<stats::StatsKey>& keys,
-                              const std::vector<server::Server*>& replicas,
-                              const std::vector<rpc::SocketChannel*>& channels,
-                              TuningResult* result,
+                              ShardRouter* fleet, TuningResult* result,
                               std::vector<stats::StatsKey>* created_log);
-  // Re-creates the statistics a checkpointed run had created (statistics
-  // builds are deterministic in the data, so the rebuilt statistics match
-  // the originals and the restored cost cache stays valid). Counts nothing:
-  // the checkpoint carries the original run's counters.
-  Status RestoreStats(const std::vector<stats::StatsKey>& keys,
-                      const std::vector<server::Server*>& replicas,
-                      const std::vector<rpc::SocketChannel*>& channels);
   // Base configuration: constraint-enforcing indexes of the current design
   // plus the user-specified configuration.
   Result<catalog::Configuration> BaseConfiguration() const;

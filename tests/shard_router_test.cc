@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "dta/cost_service.h"
+#include "dta/rpc/channel.h"
 #include "dta/shard_router.h"
 #include "dta/tuning_session.h"
 #include "dta/xml_schema.h"
@@ -128,6 +129,16 @@ workload::Workload RandomWorkload(uint64_t seed) {
   return std::move(w).value();
 }
 
+// An in-process fleet: shard i prices on servers[i].
+std::vector<std::unique_ptr<rpc::ShardChannel>> InprocFleet(
+    const std::vector<server::Server*>& servers) {
+  std::vector<std::unique_ptr<rpc::ShardChannel>> channels;
+  for (server::Server* server : servers) {
+    channels.push_back(std::make_unique<rpc::InprocChannel>(server));
+  }
+  return channels;
+}
+
 std::string RecommendationXml(const TuningResult& r) {
   return ConfigurationToXml(r.recommendation)->ToString();
 }
@@ -152,7 +163,7 @@ TEST(ShardRouterTest, RendezvousRankingIsDeterministicAndComplete) {
   // Ranking is a pure function of (key, shard index); the servers are never
   // called, so one server can stand in for all shards.
   std::vector<server::Server*> servers(6, prod.get());
-  ShardRouter router(servers, ShardRouterOptions());
+  ShardRouter router(prod.get(), InprocFleet(servers), ShardRouterOptions());
 
   Random rng(99);
   for (int i = 0; i < 200; ++i) {
@@ -174,8 +185,8 @@ TEST(ShardRouterTest, RankingIsStableUnderShardRemoval) {
   auto prod = MakeProduction();
   std::vector<server::Server*> five(5, prod.get());
   std::vector<server::Server*> four(4, prod.get());
-  ShardRouter router5(five, ShardRouterOptions());
-  ShardRouter router4(four, ShardRouterOptions());
+  ShardRouter router5(prod.get(), InprocFleet(five), ShardRouterOptions());
+  ShardRouter router4(prod.get(), InprocFleet(four), ShardRouterOptions());
 
   Random rng(7);
   int rehomed = 0;
@@ -201,7 +212,7 @@ TEST(ShardRouterTest, RankingIsStableUnderShardRemoval) {
 TEST(ShardRouterTest, KeysSpreadAcrossShards) {
   auto prod = MakeProduction();
   std::vector<server::Server*> servers(4, prod.get());
-  ShardRouter router(servers, ShardRouterOptions());
+  ShardRouter router(prod.get(), InprocFleet(servers), ShardRouterOptions());
   std::vector<int> owned(4, 0);
   Random rng(3);
   for (int i = 0; i < 400; ++i) {
@@ -226,7 +237,8 @@ TEST(ShardRouterTest, BoundedInflightWindowHoldsUnderHammering) {
 
   ShardRouterOptions options;
   options.max_inflight_per_shard = 2;
-  ShardRouter router({prod.get(), replica->get()}, options);
+  ShardRouter router(prod.get(), InprocFleet({prod.get(), replica->get()}),
+                     options);
   CostService service(&router, nullptr, &w, CostService::Config());
 
   CostService reference(prod.get(), nullptr, &w);
@@ -305,7 +317,7 @@ TEST(ShardRouterTest, OptionsAreClampedToSaneFloors) {
   raw.slow_min_samples = 0;
   raw.slow_floor_ms = -5;
   raw.clock = nullptr;
-  ShardRouter router(servers, raw);
+  ShardRouter router(prod.get(), InprocFleet(servers), raw);
   EXPECT_EQ(router.options().max_inflight_per_shard, 1);
   EXPECT_EQ(router.options().unhealthy_after, 1);
   EXPECT_EQ(router.options().probe_interval, 1);
@@ -318,7 +330,7 @@ TEST(ShardRouterTest, OptionsAreClampedToSaneFloors) {
   fine.max_inflight_per_shard = 3;
   fine.unhealthy_after = 1;
   fine.probe_interval = 1;
-  ShardRouter router2(servers, fine);
+  ShardRouter router2(prod.get(), InprocFleet(servers), fine);
   EXPECT_EQ(router2.options().max_inflight_per_shard, 3);
   EXPECT_EQ(router2.options().unhealthy_after, 1);
   EXPECT_EQ(router2.options().probe_interval, 1);
@@ -343,7 +355,8 @@ TEST(ShardRouterTest, TightestHealthSettingsStillRecover) {
   ShardRouterOptions options;
   options.unhealthy_after = 1;
   options.probe_interval = 1;
-  ShardRouter router({prod.get(), replica->get()}, options);
+  ShardRouter router(prod.get(), InprocFleet({prod.get(), replica->get()}),
+                     options);
 
   const sql::Statement& stmt = w.statements()[0].stmt;
   const Configuration base_config;
@@ -378,7 +391,7 @@ TEST(ShardRouterTest, SlownessDetectorDemotesAndRecovers) {
   options.slow_threshold = 4;
   options.slow_min_samples = 4;
   options.slow_floor_ms = 1.0;
-  ShardRouter router(servers, options);
+  ShardRouter router(prod.get(), InprocFleet(servers), options);
 
   for (int i = 0; i < 8; ++i) {
     router.RecordLatencyForTest(0, 10);
@@ -417,7 +430,7 @@ TEST(ShardRouterTest, FleetOfOneIsNeverSlow) {
   ShardRouterOptions options;
   options.slow_threshold = 2;
   options.slow_min_samples = 2;
-  ShardRouter router(one, options);
+  ShardRouter router(prod.get(), InprocFleet(one), options);
   for (int i = 0; i < 32; ++i) router.RecordLatencyForTest(0, 1000);
   EXPECT_FALSE(router.slow(0));
   EXPECT_EQ(router.slow_demotions(), 0u);
@@ -432,7 +445,7 @@ TEST(ShardRouterTest, SlowFloorIgnoresMicrosecondJitter) {
   options.slow_threshold = 2;
   options.slow_min_samples = 2;
   options.slow_floor_ms = 1.0;
-  ShardRouter router(servers, options);
+  ShardRouter router(prod.get(), InprocFleet(servers), options);
   for (int i = 0; i < 4; ++i) {
     router.RecordLatencyForTest(0, 0.001);
     router.RecordLatencyForTest(1, 0.001);
@@ -450,7 +463,7 @@ TEST(ShardRouterTest, DetectorWaitsForMinimumSamples) {
   options.slow_threshold = 2;
   options.slow_min_samples = 8;
   options.slow_floor_ms = 1.0;
-  ShardRouter router(servers, options);
+  ShardRouter router(prod.get(), InprocFleet(servers), options);
   for (int i = 0; i < 8; ++i) router.RecordLatencyForTest(0, 10);
   for (int i = 0; i < 7; ++i) router.RecordLatencyForTest(1, 1000);
   EXPECT_FALSE(router.slow(1));  // one sample short of a verdict

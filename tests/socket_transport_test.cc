@@ -15,14 +15,18 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/fault_injector.h"
 #include "common/metrics.h"
+#include "common/mutex.h"
 #include "common/strings.h"
+#include "dta/rpc/transport.h"
 #include "dta/rpc/worker.h"
 #include "dta/tuning_session.h"
 #include "dta/xml_schema.h"
@@ -128,7 +132,8 @@ std::string UniqueSocketPath() {
 
 // One tuning run over the socket transport. Chaos knobs: `sever_victim`
 // severs its connection after `sever_after_calls` what-if responses;
-// `fault_victim` prices through a FaultInjector parsed from `fault_spec`.
+// `fault_victim` prices through a FaultInjector parsed from `fault_spec`;
+// `rpc_timeout_ms` > 0 overrides the per-attempt deadline.
 struct SocketRun {
   int shards = 1;
   int threads = 1;
@@ -136,6 +141,7 @@ struct SocketRun {
   size_t sever_after_calls = 0;
   int fault_victim = -1;
   std::string fault_spec;
+  double rpc_timeout_ms = 0;
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -175,6 +181,9 @@ Result<TuningResult> TuneSocket(const SocketRun& run) {
   opts.num_threads = run.threads;
   opts.transport = TuningOptions::Transport::kSocket;
   opts.socket_endpoints = endpoints;
+  opts.rpc_attempt_timeout_ms = run.rpc_timeout_ms;
+  opts.retry.initial_backoff_ms = 0.01;
+  opts.retry.max_backoff_ms = 0.05;
   TuningSession session(prod.get(), opts);
   if (run.metrics != nullptr) {
     session.SetObservability({run.metrics, nullptr, nullptr});
@@ -294,6 +303,127 @@ TEST(SocketTransportTest, CombinedChaosKeepsRecommendationIdentical) {
   EXPECT_EQ(baseline->whatif_calls, chaos->whatif_calls);
   EXPECT_EQ(chaos->degraded_calls, 0u);
   ExpectCallsConserved(*chaos, "combined chaos");
+}
+
+// A worker slower than the attempt deadline: every attempt on it times
+// out and requeues on the other worker, so responses to abandoned attempts
+// are still pending on its connection when the session tears the router
+// down. Closing the channels before the queue and the shard records lets
+// that sweep land on live state; the run finishes, conserves its calls,
+// and recommends exactly what the in-process run does.
+TEST(SocketTransportTest, TimedOutWorkerTearsDownCleanly) {
+  auto baseline = TuneInproc(1, 1);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  MetricsRegistry metrics;
+  auto slow = TuneSocket({.shards = 2,
+                          .threads = 2,
+                          .fault_victim = 1,
+                          .fault_spec = "latency_ms=40",
+                          .rpc_timeout_ms = 5,
+                          .metrics = &metrics});
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  EXPECT_EQ(RecommendationXml(*baseline), RecommendationXml(*slow));
+  EXPECT_EQ(baseline->whatif_calls, slow->whatif_calls);
+  EXPECT_EQ(slow->degraded_calls, 0u);
+  EXPECT_GT(metrics.CounterValues().at("rpc.timeouts"), 0u);
+  ExpectCallsConserved(*slow, "timed-out worker");
+}
+
+// A fleet whose only worker refuses every call: each pricing exhausts the
+// fleet and degrades, and every attempt is counted exactly once — as the
+// final failure of an exhausted call, never also as a failover hop.
+TEST(SocketTransportTest, DeadFleetDegradesAndConservesCalls) {
+  auto dead = TuneSocket({.shards = 1,
+                          .threads = 2,
+                          .fault_victim = 0,
+                          .fault_spec = "down_after=0"});
+  ASSERT_TRUE(dead.ok()) << dead.status().ToString();
+  EXPECT_GT(dead->whatif_calls, 0u);
+  EXPECT_EQ(dead->degraded_calls, dead->whatif_calls);
+  EXPECT_EQ(dead->shard_successes, 0u);
+  EXPECT_EQ(dead->shard_failovers, 0u);
+  EXPECT_GT(dead->shard_exhausted, 0u);
+  ExpectCallsConserved(*dead, "dead fleet");
+}
+
+// Two callers find a severed connection dead while its reader is still
+// sweeping, and both wait to reconnect. Whichever wakes second must see
+// the other's fresh connection and use it, not wait on its live reader.
+TEST(SocketTransportTest, ConcurrentReconnectsBothComplete) {
+  auto prod = MakeProduction();
+  auto clone = prod->Clone("worker0");
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  rpc::CostWorkerOptions wopts;
+  wopts.threads = 1;
+  wopts.sever_after_calls = 1;
+  rpc::CostWorker worker(clone->get(), wopts);
+  const std::string path = UniqueSocketPath();
+  ASSERT_TRUE(worker.Listen(path).ok());
+  rpc::SocketChannelOptions channel_options;
+  channel_options.reconnect_deadline_ms = 10000;  // a loaded host is slow
+  auto channel = rpc::SocketChannel::Connect("worker0", path, channel_options);
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+
+  const workload::Workload w = SeedWorkload();
+  const Configuration config;
+  WhatIfCall call;
+  call.stmt = &w.statements()[0].stmt;
+  call.text = &w.statements()[0].text;
+  call.config = &config;
+  call.call_key = 1;
+
+  struct Gate {
+    Mutex mu;
+    CondVar cv;
+    bool parked GUARDED_BY(mu) = false;
+    bool open GUARDED_BY(mu) = false;
+    int finished GUARDED_BY(mu) = 0;
+  } gate;
+  // The worker answers the first request and severs; the loss sweep fails
+  // the second, whose completion parks the reader mid-sweep.
+  (*channel)->Submit(call, [](Result<server::Server::WhatIfResult>) {});
+  (*channel)->Submit(call, [&gate](Result<server::Server::WhatIfResult>) {
+    MutexLock lock(gate.mu);
+    gate.parked = true;
+    gate.cv.NotifyAll();
+    while (!gate.open) gate.cv.Wait(gate.mu);
+  });
+  {
+    MutexLock lock(gate.mu);
+    while (!gate.parked) gate.cv.Wait(gate.mu);
+  }
+  std::vector<Result<server::Server::WhatIfResult>> results(
+      2, Status::Internal("unset"));
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 2; ++i) {
+    callers.emplace_back([&, i] {
+      results[i] = (*channel)->Call(call);
+      MutexLock lock(gate.mu);
+      ++gate.finished;
+      gate.cv.NotifyAll();
+    });
+  }
+  // Give both callers time to find the connection dead and start waiting.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  bool both_finished = false;
+  {
+    MutexLock lock(gate.mu);
+    gate.open = true;
+    gate.cv.NotifyAll();
+    while (gate.finished < 2 && gate.cv.WaitForMs(gate.mu, 10000)) {
+    }
+    both_finished = gate.finished == 2;
+  }
+  EXPECT_TRUE(both_finished);
+  // Ending the worker's connection also frees a caller stuck on its reader,
+  // so a failure above still joins.
+  worker.Shutdown();
+  for (auto& t : callers) t.join();
+  ::unlink(path.c_str());
+  if (both_finished) {
+    for (const auto& r : results) EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
 }
 
 // ------------------------------------------------------------- validation

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "optimizer/bound_query.h"
 #include "sql/parser.h"
@@ -14,6 +15,13 @@
 #include "workloads/tpch.h"
 
 namespace dta::workloads {
+
+// Prints a profile by name. Without it gtest dumps the struct's raw bytes,
+// which include a heap pointer, so the listed test names (and the CTest
+// names derived from them) changed from run to run. Found by ADL, so it lives
+// in the profile's namespace rather than the anonymous one.
+void PrintTo(const CustomerProfile& p, std::ostream* os) { *os << p.name; }
+
 namespace {
 
 // Every statement must bind against the server's catalog (no dangling

@@ -37,10 +37,11 @@
 //   --transport   Costing transport: "inproc" (default; shards are
 //                 in-process replicas) or "socket" (each shard is a
 //                 cost_server worker process, spawned by dta_cli and
-//                 reached over a Unix socket; calls run through the async
-//                 completion queue, which requeues timeouts and worker
-//                 failures instead of blocking). The recommendation is
-//                 byte-identical under either transport. Socket mode is
+//                 reached over a Unix socket). Either way a fleet runs its
+//                 calls through the completion queue, which requeues
+//                 timeouts and shard failures on the next shard. The
+//                 recommendation is byte-identical under either
+//                 transport. Socket mode is
 //                 not combinable with --evaluate, --tenants, or
 //                 --fault-spec (use --shard-fault-spec: it becomes each
 //                 worker's own fault injector).
