@@ -163,7 +163,7 @@ uint64_t WorkloadFingerprint(const workload::Workload& workload) {
 
 uint64_t OptionsFingerprint(const TuningOptions& o) {
   // Every option that can change the recommendation, in a fixed order.
-  // num_threads, shards, shard_max_inflight, the transport section
+  // num_threads, shards, shard_slow_threshold, the transport section
   // (transport, socket_endpoints, rpc_attempt_timeout_ms), the checkpoint
   // paths, and checkpoint_budget_pct are excluded on purpose: results are
   // invariant to thread count and shard/transport topology (a 4-shard

@@ -124,50 +124,25 @@ Status TenantDriver::ValidateTenants(
   return Status::Ok();
 }
 
-Result<std::vector<TenantOutcome>> TenantDriver::Run(
-    const std::vector<TenantSpec>& tenants,
-    const std::vector<server::Server*>& servers) {
-  Status valid = ValidateTenants(tenants, servers, /*require_workloads=*/true);
-  if (!valid.ok()) return valid;
-
+void TenantDriver::RunFleet(const std::vector<TenantSpec>& tenants,
+                            const TenantBody& body) {
   AdmissionController admission(options_.admission);
-  std::vector<int> ids;
-  ids.reserve(tenants.size());
-  for (const TenantSpec& spec : tenants) {
-    ids.push_back(admission.RegisterTenant(spec.name, spec.weight));
-  }
-
+  std::vector<TenantContext> contexts;
   // Each tenant profiles into a private registry; the shared registry sees
   // them only after the join below, merged serially in tenant order.
   std::vector<std::unique_ptr<MetricsRegistry>> registries;
-  registries.reserve(tenants.size());
-  for (size_t i = 0; i < tenants.size(); ++i) {
+  for (const TenantSpec& spec : tenants) {
+    const int id = admission.RegisterTenant(spec.name, spec.weight);
+    contexts.push_back({spec.name, &admission, id});
     registries.push_back(options_.metrics != nullptr
                              ? std::make_unique<MetricsRegistry>()
                              : nullptr);
   }
 
-  std::vector<TenantOutcome> outcomes(tenants.size());
   std::vector<std::thread> threads;
   threads.reserve(tenants.size());
   for (size_t i = 0; i < tenants.size(); ++i) {
-    threads.emplace_back([&, i] {
-      const TenantSpec& spec = tenants[i];
-      outcomes[i].name = spec.name;
-      TuningSession session(servers[i], spec.options);
-      TuningSession::Observability obs;
-      obs.metrics = registries[i].get();
-      obs.clock = options_.clock;
-      session.SetObservability(obs);
-      TenantContext ctx;
-      ctx.name = spec.name;
-      ctx.admission = &admission;
-      ctx.tenant_id = ids[i];
-      session.SetTenantContext(ctx);
-      auto result = session.Tune(*spec.workload);
-      outcomes[i].status = result.status();
-      if (result.ok()) outcomes[i].result = std::move(result).value();
-    });
+    threads.emplace_back([&, i] { body(i, contexts[i], registries[i].get()); });
   }
   for (std::thread& t : threads) t.join();
 
@@ -179,6 +154,29 @@ Result<std::vector<TenantOutcome>> TenantDriver::Run(
   }
   admission_waits_ = admission.waits();
   admission_peak_ = admission.peak_inflight();
+}
+
+Result<std::vector<TenantOutcome>> TenantDriver::Run(
+    const std::vector<TenantSpec>& tenants,
+    const std::vector<server::Server*>& servers) {
+  Status valid = ValidateTenants(tenants, servers, /*require_workloads=*/true);
+  if (!valid.ok()) return valid;
+
+  std::vector<TenantOutcome> outcomes(tenants.size());
+  RunFleet(tenants, [&](size_t i, const TenantContext& tenant,
+                        MetricsRegistry* registry) {
+    const TenantSpec& spec = tenants[i];
+    outcomes[i].name = spec.name;
+    TuningSession session(servers[i], spec.options);
+    TuningSession::Observability obs;
+    obs.metrics = registry;
+    obs.clock = options_.clock;
+    session.SetObservability(obs);
+    session.SetTenantContext(tenant);
+    auto result = session.Tune(*spec.workload);
+    outcomes[i].status = result.status();
+    if (result.ok()) outcomes[i].result = std::move(result).value();
+  });
   return outcomes;
 }
 
@@ -194,70 +192,39 @@ Result<std::vector<ContinuousTenantOutcome>> TenantDriver::RunContinuous(
         "continuous fleet needs a retune cadence (events and/or ms)");
   }
 
-  AdmissionController admission(options_.admission);
-  std::vector<int> ids;
-  ids.reserve(tenants.size());
-  for (const TenantSpec& spec : tenants) {
-    ids.push_back(admission.RegisterTenant(spec.name, spec.weight));
-  }
-
-  std::vector<std::unique_ptr<MetricsRegistry>> registries;
-  registries.reserve(tenants.size());
-  for (size_t i = 0; i < tenants.size(); ++i) {
-    registries.push_back(options_.metrics != nullptr
-                             ? std::make_unique<MetricsRegistry>()
-                             : nullptr);
-  }
-
   std::vector<ContinuousTenantOutcome> outcomes(tenants.size());
-  std::vector<std::thread> threads;
-  threads.reserve(tenants.size());
-  for (size_t i = 0; i < tenants.size(); ++i) {
-    threads.emplace_back([&, i] {
-      const TenantSpec& spec = tenants[i];
-      outcomes[i].name = spec.name;
-      stream::ContinuousTuner::Config config;
-      config.server = servers[i];
-      config.options = spec.options;
-      config.retune_interval_events = fleet.retune_interval_events;
-      config.retune_interval_ms = fleet.retune_interval_ms;
-      config.max_templates = fleet.max_templates;
-      config.decay = fleet.decay;
-      config.quarantine_rounds = fleet.quarantine_rounds;
-      if (!fleet.checkpoint_prefix.empty()) {
-        config.checkpoint_path =
-            fleet.checkpoint_prefix + ".tenant." + spec.name;
-      }
-      config.compact_threshold_bytes = fleet.compact_threshold_bytes;
-      config.metrics = registries[i].get();
-      config.clock = options_.clock;
-      config.tenant.name = spec.name;
-      config.tenant.admission = &admission;
-      config.tenant.tenant_id = ids[i];
-      stream::ContinuousTuner service(std::move(config));
-      Status status = service.Init();
-      if (status.ok()) {
-        service.ConsumeFeedback(fleet.feedback);
-        status = service.Feed(fleet.capture);
-      }
-      if (status.ok()) status = service.Finish();
-      outcomes[i].status = status;
-      outcomes[i].delta_text = service.delta_text();
-      outcomes[i].rounds = service.rounds();
-      outcomes[i].resumed = service.resumed();
-      outcomes[i].recommendation = service.recommendation();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  if (options_.metrics != nullptr) {
-    for (size_t i = 0; i < tenants.size(); ++i) {
-      options_.metrics->MergeFrom(*registries[i],
-                                  "tenant." + tenants[i].name + ".");
+  RunFleet(tenants, [&](size_t i, const TenantContext& tenant,
+                        MetricsRegistry* registry) {
+    const TenantSpec& spec = tenants[i];
+    outcomes[i].name = spec.name;
+    stream::ContinuousTuner::Config config;
+    config.server = servers[i];
+    config.options = spec.options;
+    config.retune_interval_events = fleet.retune_interval_events;
+    config.retune_interval_ms = fleet.retune_interval_ms;
+    config.max_templates = fleet.max_templates;
+    config.decay = fleet.decay;
+    config.quarantine_rounds = fleet.quarantine_rounds;
+    if (!fleet.checkpoint_prefix.empty()) {
+      config.checkpoint_path = fleet.checkpoint_prefix + ".tenant." + spec.name;
     }
-  }
-  admission_waits_ = admission.waits();
-  admission_peak_ = admission.peak_inflight();
+    config.compact_threshold_bytes = fleet.compact_threshold_bytes;
+    config.metrics = registry;
+    config.clock = options_.clock;
+    config.tenant = tenant;
+    stream::ContinuousTuner service(std::move(config));
+    Status status = service.Init();
+    if (status.ok()) {
+      service.ConsumeFeedback(fleet.feedback);
+      status = service.Feed(fleet.capture);
+    }
+    if (status.ok()) status = service.Finish();
+    outcomes[i].status = status;
+    outcomes[i].delta_text = service.delta_text();
+    outcomes[i].rounds = service.rounds();
+    outcomes[i].resumed = service.resumed();
+    outcomes[i].recommendation = service.recommendation();
+  });
   return outcomes;
 }
 

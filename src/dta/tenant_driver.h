@@ -29,6 +29,7 @@
 #define DTA_DTA_TENANT_DRIVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -222,10 +223,19 @@ class TenantDriver {
   size_t admission_peak_inflight() const { return admission_peak_; }
 
  private:
-  // Shared validation and admission wiring for Run/RunContinuous.
+  // Shared validation for Run/RunContinuous.
   Status ValidateTenants(const std::vector<TenantSpec>& tenants,
                          const std::vector<server::Server*>& servers,
                          bool require_workloads) const;
+  // The fleet scaffold Run and RunContinuous share: registers every tenant
+  // with a fresh admission controller, runs `body` on one thread per
+  // tenant with the tenant's identity and its private metrics registry
+  // (null without options_.metrics), merges each registry into
+  // options_.metrics under "tenant.<name>.", and records the admission
+  // statistics.
+  using TenantBody =
+      std::function<void(size_t, const TenantContext&, MetricsRegistry*)>;
+  void RunFleet(const std::vector<TenantSpec>& tenants, const TenantBody& body);
 
   TenantDriverOptions options_;
   size_t admission_waits_ = 0;

@@ -97,10 +97,6 @@ struct TuningOptions {
   // server itself (targeting it here conflicts with `fault_spec` below).
   // Empty disables per-shard injection.
   std::string shard_fault_spec;
-  // Bound on concurrent what-if calls admitted per shard (back-pressure;
-  // calls past the bound wait in the shard's queue for a credit). 0 means
-  // "auto": twice the resolved thread count, at least 4.
-  int shard_max_inflight = 0;
   // Latency-based fail-slow isolation: a shard whose successful-call latency
   // EWMA exceeds this multiple of the fleet-median EWMA is demoted to
   // probe-only routing until it recovers (dta/shard_router.h). 0 (default)

@@ -25,24 +25,247 @@ namespace dta::tuner {
 
 namespace {
 
-// Detaches a fault injector from the tuning server on every exit path of
-// Tune (there are many early returns; a dangling injector pointer on the
-// server would outlive the session).
-struct FaultInjectorGuard {
-  server::Server* server = nullptr;
-  ~FaultInjectorGuard() {
-    if (server != nullptr) server->set_fault_injector(nullptr);
-  }
+// How a session prices what-if calls. Tune and EvaluateConfiguration each
+// build one, so exploratory evaluation (paper §6.3) prices through the same
+// what-if interface, test server, fault tolerance, and shard fleet as
+// tuning (§5.3).
+//
+// Shard 0 is the tuning server itself; shards 1..N-1 are bit-exact clones
+// of it. Every statistic the session creates is fanned out to the clones,
+// so any shard answers any what-if call with the same cost — the router
+// only decides *where* a call runs, never *what* it returns, which keeps
+// results byte-identical at every (threads x shards) combination.
+struct CostingSetup {
+  explicit CostingSetup(server::Server* server)
+      : tuning_server(server), single(server) {}
+  CostingSetup(const CostingSetup&) = delete;
+  CostingSetup& operator=(const CostingSetup&) = delete;
+  ~CostingSetup();
+
+  // Fills the report's costing summary: what-if calls, cache hits, derived
+  // answers, retries, degraded pricings (flagging each affected statement,
+  // so `report->statements` must already hold one entry per statement),
+  // and the shard fan-out.
+  void Summarize(Report* report) const;
+
+  server::Server* tuning_server;
+  MetricsRegistry* metrics = nullptr;
+  int num_threads = 1;
+  int shard_count = 1;
+  bool socket_transport = false;
+  // One thread fewer than requested: ParallelFor lets the calling thread
+  // participate, so num_threads == 1 means no pool at all and every fan-out
+  // degenerates to the exact serial code path.
+  std::unique_ptr<ThreadPool> workers;
+  // injectors[i] is shard i's fault injector, null when it has none; entry
+  // 0 is the tuning server's.
+  std::vector<std::unique_ptr<FaultInjector>> injectors;
+  std::vector<std::unique_ptr<server::Server>> replicas;  // shards 1..N-1
+  SingleServerBackend single;
+  std::unique_ptr<ShardRouter> router;  // null when shards == 1
+  std::unique_ptr<AdmittedBackend> admitted;
+  std::unique_ptr<CostService> costs;
 };
 
-// Same discipline for the metrics registry: the server must not keep
-// profiling into a registry that dies with the session.
-struct ServerMetricsGuard {
-  server::Server* server = nullptr;
-  ~ServerMetricsGuard() {
-    if (server != nullptr) server->SetMetrics(nullptr);
+CostingSetup::~CostingSetup() {
+  // Outermost layer first: once the cost service, the admission wrapper,
+  // and the router (which closes its channels) are gone, nothing prices
+  // any more. The replicas die next, before the injectors they consult.
+  // The tuning server outlives the session, so it is detached from its
+  // injector and from the session's registry before either can be freed;
+  // otherwise it would keep pointers to both after the session ends.
+  costs.reset();
+  admitted.reset();
+  router.reset();
+  replicas.clear();
+  if (!injectors.empty() && injectors[0] != nullptr) {
+    tuning_server->set_fault_injector(nullptr);
   }
-};
+  if (metrics != nullptr) tuning_server->SetMetrics(nullptr);
+}
+
+void CostingSetup::Summarize(Report* report) const {
+  report->whatif_calls = costs->whatif_calls();
+  report->whatif_cache_hits = costs->cache_hits();
+  report->derived_answers = costs->derived_answers();
+  report->derivation_fallbacks = costs->derivation_fallbacks();
+  report->whatif_calls_saved = costs->whatif_calls_saved();
+  report->whatif_retries = costs->whatif_retries();
+  report->degraded_calls = costs->degraded_calls();
+  const auto histogram = costs->retry_histogram();
+  report->retry_histogram.assign(histogram.begin(), histogram.end());
+  // Degraded statements' cost columns are estimates of estimates.
+  for (size_t i : costs->degraded_statements()) {
+    if (i < report->statements.size()) report->statements[i].degraded = true;
+  }
+  report->shards = shard_count;
+  if (router != nullptr) {
+    report->shard_failovers = router->failovers();
+    report->shard_slow_demotions = router->slow_demotions();
+  }
+}
+
+// Validates the costing options and builds the session's costing setup for
+// `workload`, which must outlive it. With a test server (§5.3) every what-if
+// call runs there, simulating the production server's hardware. `t_start`
+// (on `clock`) is when the session started: a time limit bounds retry
+// backoff by what remains of it.
+Result<std::unique_ptr<CostingSetup>> BuildCostingSetup(
+    const TuningOptions& options, const TuningSession::Observability& obs,
+    const TenantContext& tenant, server::Server* production,
+    server::Server* test, const workload::Workload* workload,
+    const Clock* clock, double t_start) {
+  server::Server* tuning_server = test != nullptr ? test : production;
+  const optimizer::HardwareParams* simulate =
+      test != nullptr ? &production->hardware() : nullptr;
+  const int shard_count = std::max(1, options.shards);
+  const bool socket_transport =
+      options.transport == TuningOptions::Transport::kSocket;
+  FaultSpec server_faults;
+  if (!options.fault_spec.empty()) {
+    auto spec = FaultSpec::Parse(options.fault_spec);
+    if (!spec.ok()) return spec.status();
+    server_faults = *spec;
+  }
+  if (socket_transport) {
+    // Everything the session would inject into an in-process fleet lives in
+    // the worker processes now: fault injectors attach there (cost_server
+    // --fault-spec), admission would have to gate there. Reject the knobs
+    // that would otherwise silently do nothing.
+    if (tenant.admission != nullptr) {
+      return Status::InvalidArgument(
+          "socket transport cannot run under multi-tenant admission; "
+          "admission gates the in-process what-if path, which socket "
+          "workers bypass");
+    }
+    if (!options.fault_spec.empty() || !options.shard_fault_spec.empty()) {
+      return Status::InvalidArgument(
+          "fault specs attach in-process injectors, which the socket "
+          "transport bypasses; pass --fault-spec to the cost_server "
+          "worker processes instead");
+    }
+    if (options.socket_endpoints.size() != static_cast<size_t>(shard_count)) {
+      return Status::InvalidArgument(StrFormat(
+          "socket transport needs one endpoint per shard: %d shard(s) but "
+          "%d endpoint(s)",
+          shard_count, static_cast<int>(options.socket_endpoints.size())));
+    }
+  }
+  ShardFaultSpec shard_faults;
+  if (!options.shard_fault_spec.empty()) {
+    auto parsed = ShardFaultSpec::Parse(options.shard_fault_spec);
+    if (!parsed.ok()) return parsed.status();
+    shard_faults = std::move(parsed).value();
+  }
+  for (const auto& [shard_index, spec] : shard_faults.per_shard) {
+    if (shard_index >= shard_count) {
+      return Status::InvalidArgument(StrFormat(
+          "shard fault spec targets shard %d but only %d shard(s) exist",
+          shard_index, shard_count));
+    }
+    if (shard_index == 0 && spec.Enabled() && server_faults.Enabled()) {
+      return Status::InvalidArgument(
+          "shard fault spec targets shard 0 but a fault spec already "
+          "attaches an injector to the tuning server; use one or the other");
+    }
+  }
+  if (server_faults.Enabled()) shard_faults.per_shard[0] = server_faults;
+
+  auto setup = std::make_unique<CostingSetup>(tuning_server);
+  setup->metrics = obs.metrics;
+  setup->num_threads = std::max(1, options.ResolvedNumThreads());
+  setup->shard_count = shard_count;
+  setup->socket_transport = socket_transport;
+  setup->injectors.resize(static_cast<size_t>(shard_count));
+  if (setup->num_threads > 1) {
+    setup->workers = std::make_unique<ThreadPool>(setup->num_threads - 1);
+  }
+  // The server (and through it the optimizer) profiles per-call counters
+  // into the session's registry. Clones profile into the same registry:
+  // each logical call is priced on exactly one shard, so counter totals
+  // stay equal to the single-server run.
+  if (obs.metrics != nullptr) tuning_server->SetMetrics(obs.metrics);
+  std::vector<server::Server*> shard_servers = {tuning_server};
+  for (int i = 1; i < shard_count && !socket_transport; ++i) {
+    auto replica = tuning_server->Clone(
+        StrFormat("%s-shard%d", tuning_server->name().c_str(), i));
+    if (!replica.ok()) return replica.status();
+    if (obs.metrics != nullptr) (*replica)->SetMetrics(obs.metrics);
+    shard_servers.push_back(replica->get());
+    setup->replicas.push_back(std::move(replica).value());
+  }
+  for (const auto& [shard_index, spec] : shard_faults.per_shard) {
+    if (!spec.Enabled()) continue;
+    auto& injector = setup->injectors[static_cast<size_t>(shard_index)];
+    injector = std::make_unique<FaultInjector>(spec);
+    shard_servers[static_cast<size_t>(shard_index)]->set_fault_injector(
+        injector.get());
+  }
+
+  ShardRouterOptions router_options;
+  router_options.max_inflight_per_shard = std::max(4, 2 * setup->num_threads);
+  // Fail-slow isolation: the detector measures shard latency on the
+  // session's observability clock, so a test's FakeClock sees every
+  // latency as 0 and the detector stays byte-silent.
+  router_options.slow_threshold = options.shard_slow_threshold;
+  router_options.clock = clock;
+  router_options.metrics = obs.metrics;
+  std::vector<std::unique_ptr<rpc::ShardChannel>> channels;
+  if (socket_transport) {
+    // Every shard — including shard 0 — is a cost_server worker process;
+    // the local tuning server keeps serving catalog access, degradation
+    // estimates, and reports, but never prices a what-if call.
+    if (options.rpc_attempt_timeout_ms > 0) {
+      router_options.attempt_timeout_ms = options.rpc_attempt_timeout_ms;
+    }
+    rpc::SocketChannelOptions channel_options;
+    channel_options.metrics = obs.metrics;
+    for (int i = 0; i < shard_count; ++i) {
+      auto channel = rpc::SocketChannel::Connect(
+          StrFormat("worker%d", i), options.socket_endpoints[i],
+          channel_options);
+      if (!channel.ok()) return channel.status();
+      channels.push_back(std::move(channel).value());
+    }
+  } else if (shard_count > 1) {
+    for (server::Server* shard : shard_servers) {
+      channels.push_back(std::make_unique<rpc::InprocChannel>(shard));
+    }
+  }
+  CostBackend* backend = &setup->single;
+  if (!channels.empty()) {
+    setup->router = std::make_unique<ShardRouter>(
+        tuning_server, std::move(channels), router_options);
+    backend = setup->router.get();
+  }
+  // Multi-tenant admission: every real what-if call first passes the
+  // fleet's shared admission controller.
+  if (tenant.admission != nullptr) {
+    setup->admitted = std::make_unique<AdmittedBackend>(
+        backend, tenant.admission, tenant.tenant_id);
+    backend = setup->admitted.get();
+  }
+
+  // The cost service retries transient what-if failures under the session's
+  // remaining time budget and degrades persistent ones.
+  CostService::Config cost_config;
+  cost_config.retry = options.retry;
+  cost_config.degrade_on_failure = options.degrade_on_failure;
+  cost_config.metrics = obs.metrics;
+  cost_config.clock = clock;
+  cost_config.derived.enabled = options.derived_costing;
+  cost_config.derived.exact = options.exact_costing;
+  cost_config.derived.error_bound_pct = options.derivation_error_bound_pct;
+  if (options.time_limit_ms.has_value()) {
+    const double limit = *options.time_limit_ms;
+    cost_config.remaining_ms = [limit, t_start, clock]() {
+      return limit - (clock->NowMs() - t_start);
+    };
+  }
+  setup->costs = std::make_unique<CostService>(backend, simulate, workload,
+                                               std::move(cost_config));
+  return setup;
+}
 
 }  // namespace
 
@@ -150,18 +373,6 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   TuningResult result;
   result.events_total = input.size();
 
-  // ---- Worker pool for what-if costing fan-out. The pool holds one thread
-  // fewer than requested because ParallelFor lets the calling thread
-  // participate; num_threads == 1 therefore means no pool at all and every
-  // loop below degenerates to the exact serial code path.
-  const int num_threads = std::max(1, options_.ResolvedNumThreads());
-  std::unique_ptr<ThreadPool> workers_storage;
-  ThreadPool* workers = nullptr;
-  if (num_threads > 1) {
-    workers_storage = std::make_unique<ThreadPool>(num_threads - 1);
-    workers = workers_storage.get();
-  }
-  result.threads_used = num_threads;
   // Summed per-task time of the parallel phases vs. their elapsed time.
   std::atomic<double> parallel_work_ms{0};
   auto timed = [&parallel_work_ms, &now_ms](const std::function<void()>& fn) {
@@ -195,180 +406,18 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
     return Status::InvalidArgument("workload is empty");
   }
 
+  // ---- Costing setup: worker pool, fault injectors, shard fleet, admission,
+  // and the cost service, torn down (and detached from the tuning server)
+  // on every exit path.
   server::Server* tuning_server = TuningServer();
-  const optimizer::HardwareParams* simulate =
-      test_ != nullptr ? &production_->hardware() : nullptr;
-
-  // ---- Observability wiring: the server (and through it the optimizer)
-  // profiles per-call counters into the session's registry; detached on
-  // every exit path.
-  ServerMetricsGuard metrics_guard;
-  if (obs_.metrics != nullptr) {
-    tuning_server->SetMetrics(obs_.metrics);
-    metrics_guard.server = tuning_server;
-  }
-
-  // ---- Robustness wiring. A fault injector (tests, benches, CI fault
-  // profile) attaches to the tuning server for the duration of the session;
-  // the cost service retries transient what-if failures under the session's
-  // remaining time budget and degrades persistent ones.
-  std::unique_ptr<FaultInjector> injector;
-  FaultInjectorGuard injector_guard;
-  if (!options_.fault_spec.empty()) {
-    auto spec = FaultSpec::Parse(options_.fault_spec);
-    if (!spec.ok()) return spec.status();
-    if (spec->Enabled()) {
-      injector = std::make_unique<FaultInjector>(*spec);
-      tuning_server->set_fault_injector(injector.get());
-      injector_guard.server = tuning_server;
-    }
-  }
-  // ---- Distributed costing backend (sharded what-if, ISSUE 5). Shard 0
-  // is the tuning server itself; shards 1..N-1 are bit-exact clones of it.
-  // Every statistic created below is fanned out to the clones, so any shard
-  // answers any what-if call with the same cost — the router only decides
-  // *where* a call runs, never *what* it returns, which keeps
-  // recommendations byte-identical at every (threads x shards) combination.
-  const int shard_count = std::max(1, options_.shards);
-  const bool socket_transport =
-      options_.transport == TuningOptions::Transport::kSocket;
-  if (socket_transport) {
-    // Everything the session would inject into an in-process fleet lives in
-    // the worker processes now: fault injectors attach there (cost_server
-    // --fault-spec), admission would have to gate there. Reject the knobs
-    // that would otherwise silently do nothing.
-    if (tenant_.admission != nullptr) {
-      return Status::InvalidArgument(
-          "socket transport cannot run under multi-tenant admission; "
-          "admission gates the in-process what-if path, which socket "
-          "workers bypass");
-    }
-    if (!options_.fault_spec.empty() || !options_.shard_fault_spec.empty()) {
-      return Status::InvalidArgument(
-          "fault specs attach in-process injectors, which the socket "
-          "transport bypasses; pass --fault-spec to the cost_server "
-          "worker processes instead");
-    }
-    if (options_.socket_endpoints.size() !=
-        static_cast<size_t>(shard_count)) {
-      return Status::InvalidArgument(StrFormat(
-          "socket transport needs one endpoint per shard: %d shard(s) but "
-          "%d endpoint(s)",
-          shard_count, static_cast<int>(options_.socket_endpoints.size())));
-    }
-  }
-  ShardFaultSpec shard_faults;
-  if (!options_.shard_fault_spec.empty()) {
-    auto parsed = ShardFaultSpec::Parse(options_.shard_fault_spec);
-    if (!parsed.ok()) return parsed.status();
-    shard_faults = std::move(parsed).value();
-  }
-  for (const auto& [shard_index, spec] : shard_faults.per_shard) {
-    if (shard_index >= shard_count) {
-      return Status::InvalidArgument(StrFormat(
-          "shard fault spec targets shard %d but only %d shard(s) exist",
-          shard_index, shard_count));
-    }
-  }
-  // Injectors are declared before the replicas they attach to: the replicas
-  // go out of scope (and stop consulting their injectors) first.
-  std::vector<std::unique_ptr<FaultInjector>> shard_injectors;
-  std::vector<std::unique_ptr<server::Server>> shard_replicas;
-  std::vector<server::Server*> shard_servers;  // shard 0 + clones (router)
-  shard_servers.push_back(tuning_server);
-  if (shard_count > 1 && !socket_transport) {
-    for (int i = 1; i < shard_count; ++i) {
-      auto replica = tuning_server->Clone(
-          StrFormat("%s-shard%d", tuning_server->name().c_str(), i));
-      if (!replica.ok()) return replica.status();
-      // Clones profile into the same registry as shard 0: each logical call
-      // is priced on exactly one shard, so counter totals stay equal to the
-      // single-server run. (The clones die inside this frame, so no detach
-      // guard is needed.)
-      if (obs_.metrics != nullptr) (*replica)->SetMetrics(obs_.metrics);
-      shard_servers.push_back(replica->get());
-      shard_replicas.push_back(std::move(replica).value());
-    }
-  }
-  for (const auto& [shard_index, spec] : shard_faults.per_shard) {
-    if (!spec.Enabled()) continue;
-    if (shard_index == 0 && injector != nullptr) {
-      return Status::InvalidArgument(
-          "shard fault spec targets shard 0 but a fault spec already "
-          "attaches an injector to the tuning server; use one or the other");
-    }
-    auto shard_injector = std::make_unique<FaultInjector>(spec);
-    shard_servers[static_cast<size_t>(shard_index)]->set_fault_injector(
-        shard_injector.get());
-    // Shard 0 is the long-lived tuning server: detach on every exit path.
-    if (shard_index == 0) injector_guard.server = tuning_server;
-    shard_injectors.push_back(std::move(shard_injector));
-  }
-  SingleServerBackend single_backend(tuning_server);
-  std::unique_ptr<ShardRouter> router;
-  ShardRouterOptions router_options;
-  router_options.max_inflight_per_shard =
-      options_.shard_max_inflight > 0 ? options_.shard_max_inflight
-                                      : std::max(4, 2 * num_threads);
-  // Fail-slow isolation: the detector measures shard latency on the
-  // session's observability clock, so a test's FakeClock sees every
-  // latency as 0 and the detector stays byte-silent.
-  router_options.slow_threshold = options_.shard_slow_threshold;
-  router_options.clock = clock;
-  router_options.metrics = obs_.metrics;
-  std::vector<std::unique_ptr<rpc::ShardChannel>> channels;
-  if (socket_transport) {
-    // Every shard — including shard 0 — is a cost_server worker process;
-    // the local tuning server keeps serving catalog access, degradation
-    // estimates, and reports, but never prices a what-if call.
-    if (options_.rpc_attempt_timeout_ms > 0) {
-      router_options.attempt_timeout_ms = options_.rpc_attempt_timeout_ms;
-    }
-    rpc::SocketChannelOptions channel_options;
-    channel_options.metrics = obs_.metrics;
-    for (int i = 0; i < shard_count; ++i) {
-      auto channel = rpc::SocketChannel::Connect(
-          StrFormat("worker%d", i), options_.socket_endpoints[i],
-          channel_options);
-      if (!channel.ok()) return channel.status();
-      channels.push_back(std::move(channel).value());
-    }
-  } else if (shard_count > 1) {
-    for (server::Server* shard : shard_servers) {
-      channels.push_back(std::make_unique<rpc::InprocChannel>(shard));
-    }
-  }
-  if (!channels.empty()) {
-    router = std::make_unique<ShardRouter>(tuning_server, std::move(channels),
-                                           router_options);
-  }
-  CostBackend* cost_backend =
-      router != nullptr ? static_cast<CostBackend*>(router.get())
-                        : &single_backend;
-  // Multi-tenant admission: wrap whatever backend was chosen so every real
-  // what-if call first passes the fleet's shared admission controller.
-  std::unique_ptr<AdmittedBackend> admitted_backend;
-  if (tenant_.admission != nullptr) {
-    admitted_backend = std::make_unique<AdmittedBackend>(
-        cost_backend, tenant_.admission, tenant_.tenant_id);
-    cost_backend = admitted_backend.get();
-  }
-
-  CostService::Config cost_config;
-  cost_config.retry = options_.retry;
-  cost_config.degrade_on_failure = options_.degrade_on_failure;
-  cost_config.metrics = obs_.metrics;
-  cost_config.clock = clock;
-  cost_config.derived.enabled = options_.derived_costing;
-  cost_config.derived.exact = options_.exact_costing;
-  cost_config.derived.error_bound_pct = options_.derivation_error_bound_pct;
-  if (options_.time_limit_ms.has_value()) {
-    const double limit = *options_.time_limit_ms;
-    cost_config.remaining_ms = [limit, t_start, clock]() {
-      return limit - (clock->NowMs() - t_start);
-    };
-  }
-  CostService costs(cost_backend, simulate, &tuned, std::move(cost_config));
+  auto costing = BuildCostingSetup(options_, obs_, tenant_, production_, test_,
+                                   &tuned, clock, t_start);
+  if (!costing.ok()) return costing.status();
+  CostingSetup& setup = **costing;
+  CostService& costs = *setup.costs;
+  const std::unique_ptr<ShardRouter>& router = setup.router;
+  ThreadPool* workers = setup.workers.get();
+  result.threads_used = setup.num_threads;
 
   // ---- Crash safety: resume a checkpointed session and/or write
   // checkpoints as phases complete.
@@ -455,8 +504,8 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
     ckpt.workload_fingerprint = workload_fp;
     ckpt.options_fingerprint = options_fp;
     ckpt.phase = phase;
-    ckpt.shards = shard_count;
-    ckpt.transport = socket_transport ? "socket" : "inproc";
+    ckpt.shards = setup.shard_count;
+    ckpt.transport = setup.socket_transport ? "socket" : "inproc";
     ckpt.current_costs = current_costs;
     ckpt.missing_stats = costs.missing_stats();
     ckpt.created_stats = created_stats_log;
@@ -561,6 +610,26 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
       return s;
     };
 
+    // A statistics request (§5.2): planned reduced or naive, created on
+    // production and mirrored to the fleet; cached costs priced without the
+    // new statistics are dropped.
+    auto request_stats = [&](const std::set<stats::StatsKey>& keys) -> Status {
+      StatsCreationPlan plan;
+      if (options_.reduced_statistics) {
+        plan = PlanReducedStatistics(keys, production_->ExportStatistics());
+      } else {
+        for (const auto& key : keys) {
+          if (!production_->HasStatistics(key)) plan.to_create.push_back(key);
+        }
+        plan.naive_count = keys.size();
+      }
+      result.stats_requested += plan.naive_count;
+      DTA_RETURN_IF_ERROR(CreateAndImportStats(
+          plan.to_create, router.get(), &result, &created_stats_log));
+      if (!plan.to_create.empty()) costs.ClearCache();
+      return Status::Ok();
+    };
+
     std::vector<std::vector<Candidate>> per_statement(tuned.size());
     std::map<std::string, Candidate> pool_by_name;
     std::set<stats::StatsKey> requested_stats;
@@ -607,22 +676,7 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
                                           key.columns));
         }
       }
-      StatsCreationPlan plan;
-      if (options_.reduced_statistics) {
-        plan = PlanReducedStatistics(resolved,
-                                     production_->ExportStatistics());
-      } else {
-        for (const auto& key : resolved) {
-          if (!production_->HasStatistics(key)) {
-            plan.to_create.push_back(key);
-          }
-        }
-        plan.naive_count = resolved.size();
-      }
-      result.stats_requested += plan.naive_count;
-      DTA_RETURN_IF_ERROR(CreateAndImportStats(
-          plan.to_create, router.get(), &result, &created_stats_log));
-      if (!plan.to_create.empty()) costs.ClearCache();
+      DTA_RETURN_IF_ERROR(request_stats(resolved));
     }
 
     // ---- Candidate selection: per-statement Greedy(m,k) (§2.2). Each
@@ -752,24 +806,7 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
         }
         pool.push_back(c);
       }
-      if (!merged_stats.empty()) {
-        StatsCreationPlan plan;
-        if (options_.reduced_statistics) {
-          plan = PlanReducedStatistics(merged_stats,
-                                       production_->ExportStatistics());
-        } else {
-          for (const auto& key : merged_stats) {
-            if (!production_->HasStatistics(key)) {
-              plan.to_create.push_back(key);
-            }
-          }
-          plan.naive_count = merged_stats.size();
-        }
-        result.stats_requested += plan.naive_count;
-        DTA_RETURN_IF_ERROR(CreateAndImportStats(
-            plan.to_create, router.get(), &result, &created_stats_log));
-        if (!plan.to_create.empty()) costs.ClearCache();
-      }
+      DTA_RETURN_IF_ERROR(request_stats(merged_stats));
     }
 
     // ---- DBA feedback quarantine (semi-automatic mode): rejected
@@ -844,32 +881,32 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   if (!rec_total.ok()) return rec_total.status();
   result.current_cost = *cur_total;
   result.recommended_cost = *rec_total;
-  result.whatif_calls = costs.whatif_calls();
-  result.whatif_cache_hits = costs.cache_hits();
+  // The costing summary counts what the search and the totals above priced;
+  // the per-statement rows below only re-read the cache.
+  result.report.statements.resize(tuned.size());
+  setup.Summarize(&result.report);
+  result.whatif_calls = result.report.whatif_calls;
+  result.whatif_cache_hits = result.report.whatif_cache_hits;
   result.whatif_dedup_waits = costs.dedup_waits();
-  result.derived_answers = costs.derived_answers();
-  result.derivation_fallbacks = costs.derivation_fallbacks();
-  result.whatif_calls_saved = costs.whatif_calls_saved();
+  result.derived_answers = result.report.derived_answers;
+  result.derivation_fallbacks = result.report.derivation_fallbacks;
+  result.whatif_calls_saved = result.report.whatif_calls_saved;
   result.derivation_errors_exceeded = costs.derivation_errors_exceeded();
   result.checkpoint_writes = static_cast<size_t>(checkpoint_ordinal);
   result.parallel_work_ms = parallel_work_ms.load();
 
   // Fault-tolerance accounting.
-  result.whatif_retries = costs.whatif_retries();
-  result.degraded_calls = costs.degraded_calls();
-  if (injector != nullptr) {
-    result.injected_transient_faults = injector->transient_failures();
-    result.injected_permanent_faults = injector->permanent_failures();
-    result.injected_outage_faults = injector->outage_failures();
-  }
-  for (const auto& shard_injector : shard_injectors) {
-    result.injected_transient_faults += shard_injector->transient_failures();
-    result.injected_permanent_faults += shard_injector->permanent_failures();
-    result.injected_outage_faults += shard_injector->outage_failures();
+  result.whatif_retries = result.report.whatif_retries;
+  result.degraded_calls = result.report.degraded_calls;
+  for (const auto& injector : setup.injectors) {
+    if (injector == nullptr) continue;
+    result.injected_transient_faults += injector->transient_failures();
+    result.injected_permanent_faults += injector->permanent_failures();
+    result.injected_outage_faults += injector->outage_failures();
   }
 
   // Distributed costing accounting.
-  result.shards_used = shard_count;
+  result.shards_used = setup.shard_count;
   if (router != nullptr) {
     result.shard_successes = router->successes();
     result.shard_failovers = router->failovers();
@@ -884,22 +921,8 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
 
   result.report.current_total = *cur_total;
   result.report.recommended_total = *rec_total;
-  result.report.threads = num_threads;
+  result.report.threads = setup.num_threads;
   result.report.parallel_speedup = result.ParallelSpeedup();
-  result.report.shards = shard_count;
-  result.report.shard_failovers = result.shard_failovers;
-  result.report.shard_slow_demotions = result.shard_slow_demotions;
-  result.report.whatif_retries = result.whatif_retries;
-  result.report.degraded_calls = result.degraded_calls;
-  {
-    auto histogram = costs.retry_histogram();
-    result.report.retry_histogram.assign(histogram.begin(), histogram.end());
-  }
-  result.report.whatif_calls = result.whatif_calls;
-  result.report.whatif_cache_hits = result.whatif_cache_hits;
-  result.report.derived_answers = result.derived_answers;
-  result.report.derivation_fallbacks = result.derivation_fallbacks;
-  result.report.whatif_calls_saved = result.whatif_calls_saved;
   result.report.checkpoint_writes = result.checkpoint_writes;
   result.report.checkpoint_ms = result.checkpoint_ms;
   if (obs_.tracer != nullptr) {
@@ -912,14 +935,13 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
     }
   }
   for (size_t i = 0; i < tuned.size(); ++i) {
-    StatementReport sr;
+    StatementReport& sr = result.report.statements[i];
     sr.sql = tuned.statements()[i].text;
     sr.weight = tuned.statements()[i].weight;
     auto cc = costs.StatementCost(i, current);
     auto rc = costs.StatementCost(i, result.recommendation);
     sr.current_cost = cc.ok() ? *cc : 0;
     sr.recommended_cost = rc.ok() ? *rc : 0;
-    result.report.statements.push_back(std::move(sr));
     // Structure usage from the recommended plan.
     const auto& stmt = tuned.statements()[i].stmt;
     if (stmt.is_select()) {
@@ -936,14 +958,6 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
       }
     }
   }
-  // Statements whose pricing degraded to the heuristic estimate are flagged
-  // in the report: their cost columns are estimates of estimates.
-  for (size_t i : costs.degraded_statements()) {
-    if (i < result.report.statements.size()) {
-      result.report.statements[i].degraded = true;
-    }
-  }
-
   // Continuous-service state export: the final cache (deterministic
   // ExportCache order) and the statistics this run created, for the next
   // round's seed. Exported only on request — the cache can hold thousands
@@ -977,37 +991,13 @@ Result<EvaluationResult> TuningSession::EvaluateConfiguration(
     const workload::Workload& workload,
     const catalog::Configuration& config) {
   DTA_TRACE_PHASE(obs_.tracer, "evaluate");
-  server::Server* tuning_server = TuningServer();
-  const optimizer::HardwareParams* simulate =
-      test_ != nullptr ? &production_->hardware() : nullptr;
-  ServerMetricsGuard metrics_guard;
-  if (obs_.metrics != nullptr) {
-    tuning_server->SetMetrics(obs_.metrics);
-    metrics_guard.server = tuning_server;
-  }
-  // Evaluation shares the tuning path's fault tolerance: injected faults
-  // (if scripted), retries, and heuristic degradation.
-  std::unique_ptr<FaultInjector> injector;
-  FaultInjectorGuard injector_guard;
-  if (!options_.fault_spec.empty()) {
-    auto spec = FaultSpec::Parse(options_.fault_spec);
-    if (!spec.ok()) return spec.status();
-    if (spec->Enabled()) {
-      injector = std::make_unique<FaultInjector>(*spec);
-      tuning_server->set_fault_injector(injector.get());
-      injector_guard.server = tuning_server;
-    }
-  }
-  CostService::Config cost_config;
-  cost_config.retry = options_.retry;
-  cost_config.degrade_on_failure = options_.degrade_on_failure;
-  cost_config.metrics = obs_.metrics;
-  cost_config.clock = obs_.clock;
-  cost_config.derived.enabled = options_.derived_costing;
-  cost_config.derived.exact = options_.exact_costing;
-  cost_config.derived.error_bound_pct = options_.derivation_error_bound_pct;
-  CostService costs(tuning_server, simulate, &workload,
-                    std::move(cost_config));
+  const Clock* clock =
+      obs_.clock != nullptr ? obs_.clock : MonotonicClock::Instance();
+  auto costing = BuildCostingSetup(options_, obs_, tenant_, production_, test_,
+                                   &workload, clock, clock->NowMs());
+  if (!costing.ok()) return costing.status();
+  CostingSetup& setup = **costing;
+  CostService& costs = *setup.costs;
 
   EvaluationResult out;
   const catalog::Configuration& current =
@@ -1015,17 +1005,10 @@ Result<EvaluationResult> TuningSession::EvaluateConfiguration(
 
   // Statements are priced independently; fan out, then reduce serially in
   // statement order (identical totals at any thread count).
-  const int num_threads = std::max(1, options_.ResolvedNumThreads());
-  std::unique_ptr<ThreadPool> workers_storage;
-  ThreadPool* workers = nullptr;
-  if (num_threads > 1) {
-    workers_storage = std::make_unique<ThreadPool>(num_threads - 1);
-    workers = workers_storage.get();
-  }
   std::vector<double> current_costs(workload.size(), 0.0);
   std::vector<double> evaluated_costs(workload.size(), 0.0);
   std::vector<Status> statuses(workload.size());
-  ParallelFor(workers, workload.size(), [&](size_t i) {
+  ParallelFor(setup.workers.get(), workload.size(), [&](size_t i) {
     auto cc = costs.StatementCost(i, current);
     if (!cc.ok()) {
       statuses[i] = cc.status();
@@ -1053,6 +1036,7 @@ Result<EvaluationResult> TuningSession::EvaluateConfiguration(
   }
   out.report.current_total = out.current_cost;
   out.report.recommended_total = out.evaluated_cost;
+  setup.Summarize(&out.report);
   return out;
 }
 

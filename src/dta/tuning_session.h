@@ -172,7 +172,9 @@ class TuningSession {
   Result<TuningResult> Tune(const workload::Workload& workload);
 
   // Exploratory analysis (paper §6.3): costs the workload under a
-  // user-provided configuration vs. the current one, without tuning.
+  // user-provided configuration vs. the current one, without tuning. Prices
+  // through the same costing setup as Tune (threads, shards, transport,
+  // faults), and the report carries the same costing summary.
   Result<EvaluationResult> EvaluateConfiguration(
       const workload::Workload& workload,
       const catalog::Configuration& config);

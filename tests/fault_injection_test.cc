@@ -572,5 +572,55 @@ TEST(FaultTolerantTuningTest, TableTargetedFaultsDoNotChangeTheRecommendation) {
   EXPECT_EQ(result->degraded_calls, 0u);
 }
 
+// The evaluate-mode proposal: the current design plus an index for the
+// i_part lookup.
+Configuration Proposal(const server::Server& prod) {
+  Configuration proposal = prod.current_configuration();
+  const IndexDef index{.table = "items", .key_columns = {"i_part"}};
+  EXPECT_TRUE(proposal.AddIndex(index).ok());
+  return proposal;
+}
+
+// Evaluate mode shares tuning's fault tolerance: with every optimizer call
+// failing permanently, each statement's pricing degrades to the heuristic
+// estimate and the report says so, exactly as a tuning report does.
+TEST(FaultTolerantTuningTest, EvaluateReportsDegradedPricings) {
+  auto prod = MakeProduction();
+  TuningOptions opts;
+  opts.fault_spec = "seed=13,permanent=1";
+  opts.retry.initial_backoff_ms = 0.01;
+  TuningSession session(prod.get(), opts);
+  auto result = session.EvaluateConfiguration(SeedWorkload(), Proposal(*prod));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_GT(result->report.degraded_calls, 0u);
+  ASSERT_EQ(result->report.statements.size(), 7u);
+  for (const auto& s : result->report.statements) {
+    EXPECT_TRUE(s.degraded) << s.sql;
+  }
+  EXPECT_NE(result->report.ToText().find("degraded"), std::string::npos);
+}
+
+// Evaluate mode prices through the configured shard fleet, not the tuning
+// server alone: when every shard fails permanently, every statement
+// degrades.
+TEST(FaultTolerantTuningTest, EvaluatePricesThroughTheShardFleet) {
+  auto prod = MakeProduction();
+  TuningOptions opts;
+  opts.shards = 2;
+  opts.shard_fault_spec = "0:permanent=1;1:permanent=1";
+  opts.retry.initial_backoff_ms = 0.01;
+  TuningSession session(prod.get(), opts);
+  auto result = session.EvaluateConfiguration(SeedWorkload(), Proposal(*prod));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_EQ(result->report.shards, 2);
+  EXPECT_GT(result->report.degraded_calls, 0u);
+  ASSERT_EQ(result->report.statements.size(), 7u);
+  for (const auto& s : result->report.statements) {
+    EXPECT_TRUE(s.degraded) << s.sql;
+  }
+}
+
 }  // namespace
 }  // namespace dta::tuner

@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -145,7 +146,12 @@ struct SocketRun {
   MetricsRegistry* metrics = nullptr;
 };
 
-Result<TuningResult> TuneSocket(const SocketRun& run) {
+// Runs `fn(prod, session)` on a session over the socket transport, where
+// `prod` is a fresh production server and every worker serves a clone of
+// it.
+template <typename Fn>
+std::invoke_result_t<Fn, server::Server&, TuningSession&> RunSocket(
+    const SocketRun& run, Fn fn) {
   auto prod = MakeProduction();
 
   // Declaration order matters: workers shut down (joining their serve
@@ -188,9 +194,15 @@ Result<TuningResult> TuneSocket(const SocketRun& run) {
   if (run.metrics != nullptr) {
     session.SetObservability({run.metrics, nullptr, nullptr});
   }
-  auto r = session.Tune(SeedWorkload());
+  auto r = fn(*prod, session);
   for (const std::string& path : endpoints) ::unlink(path.c_str());
   return r;
+}
+
+Result<TuningResult> TuneSocket(const SocketRun& run) {
+  return RunSocket(run, [](server::Server&, TuningSession& session) {
+    return session.Tune(SeedWorkload());
+  });
 }
 
 Result<TuningResult> TuneInproc(int shards, int threads) {
@@ -244,6 +256,66 @@ TEST(SocketTransportTest, RpcMetricsCountTheWire) {
   EXPECT_GE(counters.at("rpc.calls"), socket->shard_successes);
   ASSERT_TRUE(counters.count("rpc.connects"));
   EXPECT_GE(counters.at("rpc.connects"), 2u);
+}
+
+// The evaluate-mode proposal: the current design plus an index for the
+// i_part lookup.
+Configuration Proposal(const server::Server& prod) {
+  Configuration proposal = prod.current_configuration();
+  const IndexDef index{.table = "items", .key_columns = {"i_part"}};
+  EXPECT_TRUE(proposal.AddIndex(index).ok());
+  return proposal;
+}
+
+Result<EvaluationResult> EvaluateInproc(int shards) {
+  auto prod = MakeProduction();
+  TuningOptions opts;
+  opts.shards = shards;
+  opts.num_threads = 2;
+  TuningSession session(prod.get(), opts);
+  return session.EvaluateConfiguration(SeedWorkload(), Proposal(*prod));
+}
+
+// Evaluate mode prices through the session's fleet like tuning does: every
+// statement costs the same bits on one server, on three in-process shards,
+// and on two socket workers — and the socket workers really answered.
+TEST(SocketTransportTest, EvaluateIsBitIdenticalAcrossFleets) {
+  auto baseline = EvaluateInproc(1);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  auto sharded = EvaluateInproc(3);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  MetricsRegistry metrics;
+  const SocketRun run{.shards = 2, .threads = 2, .metrics = &metrics};
+  auto socket = RunSocket(run, [](server::Server& prod, TuningSession& s) {
+    return s.EvaluateConfiguration(SeedWorkload(), Proposal(prod));
+  });
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+
+  EXPECT_GT(baseline->ChangePercent(), 0);  // the index helps
+  EXPECT_EQ(sharded->report.shards, 3);
+  EXPECT_EQ(socket->report.shards, 2);
+  // Both workers connected, and every real what-if call went to one.
+  const auto counters = metrics.CounterValues();
+  ASSERT_TRUE(counters.count("rpc.connects"));
+  EXPECT_GE(counters.at("rpc.connects"), 2u);
+  ASSERT_TRUE(counters.count("rpc.calls"));
+  EXPECT_GE(counters.at("rpc.calls"), socket->report.whatif_calls);
+  for (const EvaluationResult* r : {&*sharded, &*socket}) {
+    const std::string label = StrFormat("%d shards", r->report.shards);
+    EXPECT_EQ(r->current_cost, baseline->current_cost) << label;
+    EXPECT_EQ(r->evaluated_cost, baseline->evaluated_cost) << label;
+    EXPECT_EQ(r->report.whatif_calls, baseline->report.whatif_calls) << label;
+    EXPECT_EQ(r->report.degraded_calls, 0u) << label;
+    ASSERT_EQ(r->report.statements.size(), baseline->report.statements.size())
+        << label;
+    for (size_t i = 0; i < r->report.statements.size(); ++i) {
+      const StatementReport& got = r->report.statements[i];
+      const StatementReport& want = baseline->report.statements[i];
+      EXPECT_EQ(got.current_cost, want.current_cost) << label << " #" << i;
+      EXPECT_EQ(got.recommended_cost, want.recommended_cost)
+          << label << " #" << i;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ chaos

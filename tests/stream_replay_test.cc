@@ -414,6 +414,10 @@ TEST(StreamReplayTest, TenantFleetMatchesStandaloneByteForByte) {
     ASSERT_NE(it, counters.end()) << key;
     EXPECT_EQ(it->second, kRounds) << key;
   }
+  // Admission held the fleet-wide cap across every tenant's rounds.
+  EXPECT_GT(driver.admission_peak_inflight(), 0u);
+  EXPECT_LE(driver.admission_peak_inflight(),
+            static_cast<size_t>(driver_options.admission.total_capacity));
 }
 
 // Per-tenant checkpoint logs: kill the whole fleet at a round boundary,

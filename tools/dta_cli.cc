@@ -25,7 +25,8 @@
 //   --output      Where to write the DTAXML output document (default
 //                 stdout).
 //   --evaluate    Do not tune: evaluate the input's user-specified
-//                 configuration against the workload (paper §6.3).
+//                 configuration against the workload (paper §6.3),
+//                 priced through the same fleet and faults as tuning.
 //   --quiet       Suppress the human-readable report on stdout.
 //   --threads     Worker threads for what-if costing (0 = all hardware
 //                 threads, 1 = serial). The recommendation is identical at
@@ -40,11 +41,11 @@
 //                 reached over a Unix socket). Either way a fleet runs its
 //                 calls through the completion queue, which requeues
 //                 timeouts and shard failures on the next shard. The
-//                 recommendation is byte-identical under either
-//                 transport. Socket mode is
-//                 not combinable with --evaluate, --tenants, or
-//                 --fault-spec (use --shard-fault-spec: it becomes each
-//                 worker's own fault injector).
+//                 recommendation (or --evaluate's statement costs) is
+//                 byte-identical under either transport. Socket mode is
+//                 not combinable with --tenants or --fault-spec (use
+//                 --shard-fault-spec: it becomes each worker's own fault
+//                 injector).
 //   --worker-bin  Path to the cost_server executable (required with
 //                 --transport socket). Workers are spawned with this run's
 //                 --metadata, listen on sockets under a private temp
@@ -808,10 +809,9 @@ int main(int argc, char** argv) {
   // whichever path it takes.
   WorkerFleet fleet;
   if (transport == "socket") {
-    if (evaluate || tenants > 1) {
+    if (tenants > 1) {
       std::fprintf(stderr,
-                   "--transport socket cannot be combined with --evaluate "
-                   "or --tenants\n");
+                   "--transport socket cannot be combined with --tenants\n");
       return Usage(argv[0]);
     }
     if (!fault_spec.empty()) {
