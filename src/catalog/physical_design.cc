@@ -48,6 +48,11 @@ std::string PartitionScheme::CanonicalString() const {
   return out;
 }
 
+std::string TablePartitioningName(std::string_view table,
+                                  const PartitionScheme& scheme) {
+  return "tp:" + ToLower(table) + ":" + scheme.CanonicalString();
+}
+
 std::string IndexDef::CanonicalName() const {
   std::string out = clustered ? "cix:" : "ix:";
   if (!database.empty()) out += ToLower(database) + ".";
@@ -203,6 +208,13 @@ bool Configuration::RemoveStructure(const std::string& canonical_name) {
       return true;
     }
   }
+  for (auto it = table_partitioning_.begin(); it != table_partitioning_.end();
+       ++it) {
+    if (TablePartitioningName(it->first, it->second) == canonical_name) {
+      table_partitioning_.erase(it);
+      return true;
+    }
+  }
   return false;
 }
 
@@ -212,6 +224,9 @@ bool Configuration::ContainsStructure(const std::string& canonical_name) const {
   }
   for (const auto& v : views_) {
     if (v.CanonicalName() == canonical_name) return true;
+  }
+  for (const auto& [table, scheme] : table_partitioning_) {
+    if (TablePartitioningName(table, scheme) == canonical_name) return true;
   }
   return false;
 }
@@ -298,7 +313,7 @@ std::string Configuration::Fingerprint() const {
   for (const auto& ix : indexes_) parts.push_back(ix.CanonicalName());
   for (const auto& v : views_) parts.push_back(v.CanonicalName());
   for (const auto& [t, scheme] : table_partitioning_) {
-    parts.push_back("tp:" + t + ":" + scheme.CanonicalString());
+    parts.push_back(TablePartitioningName(t, scheme));
   }
   std::sort(parts.begin(), parts.end());
   return StrJoin(parts, "|");

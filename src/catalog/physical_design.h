@@ -44,6 +44,12 @@ struct PartitionScheme {
   std::string CanonicalString() const;
 };
 
+// Canonical name of a table partitioning, "tp:<lower-cased table>:<scheme>":
+// the one identity candidate pools, cost-cache keys, configuration
+// fingerprints, recommendation deltas and DBA feedback all use.
+std::string TablePartitioningName(std::string_view table,
+                                  const PartitionScheme& scheme);
+
 // An index (clustered or nonclustered, optionally covering via included
 // columns, optionally partitioned).
 struct IndexDef {
@@ -116,7 +122,8 @@ class Configuration {
   void SetTablePartitioning(const std::string& table, PartitionScheme scheme);
   void ClearTablePartitioning(const std::string& table);
 
-  // Removes the structure with the given canonical name (index or view).
+  // Removes the structure with the given canonical name (index, view, or
+  // table partitioning).
   bool RemoveStructure(const std::string& canonical_name);
   bool ContainsStructure(const std::string& canonical_name) const;
 

@@ -37,7 +37,7 @@ Candidate Candidate::MakePartitioning(std::string database, std::string table,
   c.database = ToLower(database);
   c.table = ToLower(table);
   c.scheme = std::move(scheme);
-  c.name = "tp:" + c.table + ":" + c.scheme.CanonicalString();
+  c.name = catalog::TablePartitioningName(c.table, c.scheme);
   c.bytes = 0;  // repartitioning is non-redundant
   return c;
 }

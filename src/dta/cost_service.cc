@@ -6,33 +6,11 @@
 #include <thread>
 
 #include "common/hash.h"
-#include "common/strings.h"
 #include "optimizer/heuristic_cost.h"
 
 namespace dta::tuner {
 
 namespace {
-
-std::set<std::string> TablesOf(const sql::Statement& stmt) {
-  std::set<std::string> out;
-  switch (stmt.kind()) {
-    case sql::StatementKind::kSelect:
-      for (const auto& tr : stmt.select().from) {
-        out.insert(ToLower(tr.table));
-      }
-      break;
-    case sql::StatementKind::kInsert:
-      out.insert(ToLower(stmt.insert().table));
-      break;
-    case sql::StatementKind::kUpdate:
-      out.insert(ToLower(stmt.update().table));
-      break;
-    case sql::StatementKind::kDelete:
-      out.insert(ToLower(stmt.del().table));
-      break;
-  }
-  return out;
-}
 
 // [-1, 1) from a 64-bit hash, for deterministic backoff jitter.
 double HashToSignedUnit(uint64_t h) {
@@ -90,43 +68,12 @@ void CostService::Init() {
   }
   statement_tables_.reserve(workload_->size());
   for (const auto& ws : workload_->statements()) {
-    statement_tables_.push_back(TablesOf(ws.stmt));
+    statement_tables_.push_back(sql::ReferencedTables(ws.stmt));
   }
   shards_.reserve(workload_->size());
   for (size_t i = 0; i < workload_->size(); ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-}
-
-// Allocation-light twin of CollectRelevant + FingerprintOf
-// (dta/derived_cost.cc): lookups (cache hits included) run this on every
-// call, so it builds part strings without copying structure definitions.
-// The relevance conditions must stay identical to CollectRelevant's — the
-// derived path decomposes exactly the structures fingerprinted here.
-std::string CostService::RelevantFingerprint(
-    size_t index, const catalog::Configuration& config) const {
-  const std::set<std::string>& tables = statement_tables_[index];
-  std::vector<std::string> parts;
-  for (const auto& ix : config.indexes()) {
-    if (tables.count(ToLower(ix.table)) > 0) {
-      parts.push_back(ix.CanonicalName());
-    }
-  }
-  for (const auto& v : config.views()) {
-    for (const auto& t : v.referenced_tables) {
-      if (tables.count(ToLower(t)) > 0) {
-        parts.push_back(v.CanonicalName());
-        break;
-      }
-    }
-  }
-  for (const auto& [table, scheme] : config.table_partitioning()) {
-    if (tables.count(table) > 0) {
-      parts.push_back("tp:" + table + ":" + scheme.CanonicalString());
-    }
-  }
-  std::sort(parts.begin(), parts.end());
-  return StrJoin(parts, "|");
 }
 
 void CostService::RecordAttempts(int attempts) {
@@ -229,23 +176,16 @@ Result<CostService::Entry> CostService::PriceWithRetries(
   return Entry{cost, true};
 }
 
-Result<double> CostService::StatementCost(
-    size_t index, const catalog::Configuration& config) {
-  auto entry = CachedEntry(index, config, /*allow_derive=*/true);
-  if (!entry.ok()) return entry.status();
-  return entry->cost;
-}
-
+template <typename PriceFn>
 Result<CostService::Entry> CostService::CachedEntry(
-    size_t index, const catalog::Configuration& config, bool allow_derive) {
+    size_t index, const std::string& fingerprint, const PriceFn& price) {
   if (m_lookups_ != nullptr) m_lookups_->Increment();
-  std::string fp = RelevantFingerprint(index, config);
   Shard& shard = *shards_[index];
   {
     MutexLock lock(shard.mu);
     bool waited = false;
     for (;;) {
-      auto it = shard.cache.find(fp);
+      auto it = shard.cache.find(fingerprint);
       if (it != shard.cache.end()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         if (m_hits_ != nullptr) m_hits_->Increment();
@@ -255,7 +195,7 @@ Result<CostService::Entry> CostService::CachedEntry(
       // First thread to miss claims the pricing; later arrivals wait for
       // the result instead of duplicating the what-if call, which keeps
       // whatif_calls() exact at any thread count.
-      if (shard.inflight.insert(fp).second) break;
+      if (shard.inflight.insert(fingerprint).second) break;
       waited = true;
       shard.cv.Wait(shard.mu);
     }
@@ -264,23 +204,35 @@ Result<CostService::Entry> CostService::CachedEntry(
   // lock across it would serialize enumeration — and the derived path
   // re-enters CachedEntry for its atoms).
   const double t0 = clock_->NowMs();
-  auto priced = PriceOrDerive(index, config, fp, allow_derive);
+  Result<Entry> priced = price();
   if (m_latency_ != nullptr) m_latency_->Observe(clock_->NowMs() - t0);
   {
     MutexLock lock(shard.mu);
-    shard.inflight.erase(fp);
-    if (priced.ok()) shard.cache.emplace(std::move(fp), *priced);
+    shard.inflight.erase(fingerprint);
+    if (priced.ok()) shard.cache.emplace(fingerprint, *priced);
     shard.cv.NotifyAll();
   }
   return priced;
 }
 
+Result<double> CostService::StatementCost(
+    size_t index, const catalog::Configuration& config) {
+  // The one relevance walk of this lookup: its fingerprint is the cache key,
+  // and a miss hands the same set to derivation.
+  const RelevantSet relevant =
+      CollectRelevant(statement_tables_[index], config);
+  auto entry = CachedEntry(index, relevant.fingerprint, [&] {
+    return PriceOrDerive(index, config, relevant);
+  });
+  if (!entry.ok()) return entry.status();
+  return entry->cost;
+}
+
 Result<CostService::Entry> CostService::PriceOrDerive(
     size_t index, const catalog::Configuration& config,
-    const std::string& fingerprint, bool allow_derive) {
-  if (allow_derive && config_.derived.enabled) {
+    const RelevantSet& relevant) {
+  if (config_.derived.enabled) {
     const sql::Statement& stmt = workload_->statements()[index].stmt;
-    RelevantSet relevant = CollectRelevant(statement_tables_[index], config);
     Decomposition decomp = DecomposeConfiguration(
         stmt.kind(), relevant, config_.derived.max_atoms);
     // The bounded singleton approximation is only worth pricing atoms for
@@ -290,14 +242,18 @@ Result<CostService::Entry> CostService::PriceOrDerive(
         (decomp.outcome == Decomposition::Outcome::kTooManyAtoms &&
          config_.derived.error_bound_pct > 0);
     if (derivable) {
-      // Price the atoms through the normal cached path (allow_derive off:
-      // atoms decompose trivially, so this recursion is one level deep and
-      // every atom lands in the cache priced exactly once per session).
+      // Price the atoms through the normal cached path, each keyed by its
+      // own fingerprint. An atom's configuration is built only on a miss
+      // and priced by a real call (atoms decompose trivially), so every
+      // atom lands in the cache priced exactly once per session.
       std::vector<double> atom_costs;
       atom_costs.reserve(decomp.atoms.size());
       bool degraded_atom = false;
       for (const auto& atom : decomp.atoms) {
-        auto atom_entry = CachedEntry(index, atom, /*allow_derive=*/false);
+        auto atom_entry = CachedEntry(index, atom.fingerprint, [&] {
+          return PriceWithRetries(index, BuildAtom(relevant, atom),
+                                  atom.fingerprint);
+        });
         if (!atom_entry.ok()) return atom_entry.status();
         degraded_atom |= atom_entry->degraded;
         atom_costs.push_back(atom_entry->cost);
@@ -321,7 +277,7 @@ Result<CostService::Entry> CostService::PriceOrDerive(
         // Exact mode: make the real call anyway, record the derivation
         // error, and publish the real cost (the derivation is the thing
         // under test, not the answer).
-        auto real = PriceWithRetries(index, config, fingerprint);
+        auto real = PriceWithRetries(index, config, relevant.fingerprint);
         if (!real.ok()) return real.status();
         double error_pct = 0;
         if (real->cost > 0) {
@@ -347,7 +303,7 @@ Result<CostService::Entry> CostService::PriceOrDerive(
       if (m_fallbacks_ != nullptr) m_fallbacks_->Increment();
     }
   }
-  return PriceWithRetries(index, config, fingerprint);
+  return PriceWithRetries(index, config, relevant.fingerprint);
 }
 
 Result<double> CostService::WorkloadCost(const catalog::Configuration& config,

@@ -295,22 +295,19 @@ class CostService {
     std::set<std::string> inflight GUARDED_BY(mu);
   };
 
-  std::string RelevantFingerprint(size_t index,
-                                  const catalog::Configuration& config) const;
   // The cached-entry protocol behind StatementCost: look up / claim
-  // in-flight / price / publish, returning the full entry. Atom pricings
-  // recurse through here with `allow_derive` false, which terminates the
-  // recursion (atoms decompose trivially) and lands every atom in the
-  // ordinary cache, memoized and checkpointed like any entry.
-  Result<Entry> CachedEntry(size_t index, const catalog::Configuration& config,
-                            bool allow_derive)
+  // in-flight / price by calling `price()` (on a miss only) / publish,
+  // returning the full entry. Derivation re-enters it per atom, so atoms
+  // land in the ordinary cache, memoized and checkpointed like any entry.
+  template <typename PriceFn>
+  Result<Entry> CachedEntry(size_t index, const std::string& fingerprint,
+                            const PriceFn& price)
       EXCLUDES(missing_mu_, degraded_mu_);
   // Prices one claimed (statement, fingerprint) pair: by derivation when
   // enabled, eligible, and valid; by a real what-if call otherwise.
   Result<Entry> PriceOrDerive(size_t index,
                               const catalog::Configuration& config,
-                              const std::string& fingerprint,
-                              bool allow_derive)
+                              const RelevantSet& relevant)
       EXCLUDES(missing_mu_, degraded_mu_);
   // Prices one cold (statement, fingerprint) pair: what-if call with
   // retry/backoff/deadline, falling back to the heuristic estimate when the

@@ -9,6 +9,8 @@ namespace dta::tuner {
 
 namespace {
 
+using RelevantIndex = Relevant<catalog::IndexDef>;
+
 // Fixed context: structures that describe the table organization itself and
 // therefore belong in every atom. A clustered index (constraint-enforcing
 // or not) decides heap-vs-clustered access for all paths of its table, and
@@ -18,21 +20,30 @@ bool IsContextIndex(const catalog::IndexDef& ix) {
   return ix.clustered || ix.constraint_enforcing;
 }
 
-catalog::Configuration MakeAtom(
-    const RelevantSet& relevant,
-    const std::vector<const catalog::IndexDef*>& variable_indexes,
-    const catalog::ViewDef* view) {
-  catalog::Configuration atom;
+// Appends one name to a "|"-joined fingerprint (names are never empty).
+void AppendName(const std::string& name, std::string* fingerprint) {
+  if (!fingerprint->empty()) *fingerprint += '|';
+  *fingerprint += name;
+}
+
+// Describes the atom context ∪ `indexes` ∪ {`view`}. Its fingerprint walks
+// the relevant set in order, so the names stay sorted without re-sorting.
+Decomposition::Atom MakeAtom(const RelevantSet& relevant,
+                             std::vector<const RelevantIndex*> indexes,
+                             const Relevant<catalog::ViewDef>* view) {
+  Decomposition::Atom atom;
   for (const auto& ix : relevant.indexes) {
-    if (IsContextIndex(ix)) (void)atom.AddIndex(ix);
+    if (IsContextIndex(*ix.def) ||
+        std::find(indexes.begin(), indexes.end(), &ix) != indexes.end()) {
+      AppendName(ix.name, &atom.fingerprint);
+    }
   }
-  for (const catalog::IndexDef* ix : variable_indexes) {
-    (void)atom.AddIndex(*ix);
+  if (view != nullptr) AppendName(view->name, &atom.fingerprint);
+  for (const auto& tp : relevant.partitioning) {
+    AppendName(tp.name, &atom.fingerprint);
   }
-  if (view != nullptr) (void)atom.AddView(*view);
-  for (const auto& [table, scheme] : relevant.partitioning) {
-    atom.SetTablePartitioning(table, scheme);
-  }
+  atom.indexes = std::move(indexes);
+  atom.view = view;
   return atom;
 }
 
@@ -43,45 +54,34 @@ RelevantSet CollectRelevant(const std::set<std::string>& statement_tables,
   RelevantSet out;
   for (const auto& ix : config.indexes()) {
     if (statement_tables.count(ToLower(ix.table)) > 0) {
-      out.indexes.push_back(ix);
+      out.indexes.push_back({&ix, ix.CanonicalName()});
     }
   }
   for (const auto& v : config.views()) {
     for (const auto& t : v.referenced_tables) {
       if (statement_tables.count(ToLower(t)) > 0) {
-        out.views.push_back(v);
+        out.views.push_back({&v, v.CanonicalName()});
         break;
       }
     }
   }
-  for (const auto& [table, scheme] : config.table_partitioning()) {
-    if (statement_tables.count(table) > 0) {
-      out.partitioning.emplace_back(table, scheme);
+  for (const auto& tp : config.table_partitioning()) {
+    if (statement_tables.count(tp.first) > 0) {
+      out.partitioning.push_back(
+          {&tp, catalog::TablePartitioningName(tp.first, tp.second)});
     }
   }
-  std::sort(out.indexes.begin(), out.indexes.end(),
-            [](const catalog::IndexDef& a, const catalog::IndexDef& b) {
-              return a.CanonicalName() < b.CanonicalName();
-            });
-  std::sort(out.views.begin(), out.views.end(),
-            [](const catalog::ViewDef& a, const catalog::ViewDef& b) {
-              return a.CanonicalName() < b.CanonicalName();
-            });
-  // partitioning arrives from a std::map, already in table order.
-  return out;
-}
-
-std::string FingerprintOf(const RelevantSet& relevant) {
-  std::vector<std::string> parts;
-  parts.reserve(relevant.indexes.size() + relevant.views.size() +
-                relevant.partitioning.size());
-  for (const auto& ix : relevant.indexes) parts.push_back(ix.CanonicalName());
-  for (const auto& v : relevant.views) parts.push_back(v.CanonicalName());
-  for (const auto& [table, scheme] : relevant.partitioning) {
-    parts.push_back("tp:" + table + ":" + scheme.CanonicalString());
+  // Partitionings too sort by name, not map order: "tp:t1:" < "tp:t:".
+  auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
+  std::sort(out.indexes.begin(), out.indexes.end(), by_name);
+  std::sort(out.views.begin(), out.views.end(), by_name);
+  std::sort(out.partitioning.begin(), out.partitioning.end(), by_name);
+  for (const auto& ix : out.indexes) AppendName(ix.name, &out.fingerprint);
+  for (const auto& v : out.views) AppendName(v.name, &out.fingerprint);
+  for (const auto& tp : out.partitioning) {
+    AppendName(tp.name, &out.fingerprint);
   }
-  std::sort(parts.begin(), parts.end());
-  return StrJoin(parts, "|");
+  return out;
 }
 
 Decomposition DecomposeConfiguration(sql::StatementKind statement_kind,
@@ -92,9 +92,9 @@ Decomposition DecomposeConfiguration(sql::StatementKind statement_kind,
   // Per-table groups of variable indexes. relevant.indexes is sorted by
   // canonical name, so group membership order — and with it the atom order
   // below — is a pure function of the relevant set.
-  std::map<std::string, std::vector<const catalog::IndexDef*>> groups;
+  std::map<std::string, std::vector<const RelevantIndex*>> groups;
   for (const auto& ix : relevant.indexes) {
-    if (!IsContextIndex(ix)) groups[ToLower(ix.table)].push_back(&ix);
+    if (!IsContextIndex(*ix.def)) groups[ToLower(ix.def->table)].push_back(&ix);
   }
 
   size_t largest_group = 0;
@@ -138,7 +138,7 @@ Decomposition DecomposeConfiguration(sql::StatementKind statement_kind,
     out.atoms.push_back(MakeAtom(relevant, {}, nullptr));
     for (const auto& [table, members] : groups) {
       std::vector<size_t>& atom_ids = out.variable_group_atoms.emplace_back();
-      for (const catalog::IndexDef* ix : members) {
+      for (const RelevantIndex* ix : members) {
         atom_ids.push_back(out.atoms.size());
         out.atoms.push_back(MakeAtom(relevant, {ix}, nullptr));
       }
@@ -154,18 +154,18 @@ Decomposition DecomposeConfiguration(sql::StatementKind statement_kind,
   // enumeration over the groups; digit 0 means "no index on this table"),
   // then each view as a whole-query alternative over the bare context.
   out.outcome = Decomposition::Outcome::kDerivable;
-  std::vector<const std::vector<const catalog::IndexDef*>*> group_members;
+  std::vector<const std::vector<const RelevantIndex*>*> group_members;
   group_members.reserve(groups.size());
   for (const auto& [table, members] : groups) {
     group_members.push_back(&members);
   }
   std::vector<size_t> digits(group_members.size(), 0);
   for (bool done = false; !done;) {
-    std::vector<const catalog::IndexDef*> chosen;
+    std::vector<const RelevantIndex*> chosen;
     for (size_t g = 0; g < digits.size(); ++g) {
       if (digits[g] > 0) chosen.push_back((*group_members[g])[digits[g] - 1]);
     }
-    out.atoms.push_back(MakeAtom(relevant, chosen, nullptr));
+    out.atoms.push_back(MakeAtom(relevant, std::move(chosen), nullptr));
     size_t g = 0;
     for (; g < digits.size(); ++g) {
       if (++digits[g] <= group_members[g]->size()) break;
@@ -177,6 +177,20 @@ Decomposition DecomposeConfiguration(sql::StatementKind statement_kind,
     out.atoms.push_back(MakeAtom(relevant, {}, &v));
   }
   return out;
+}
+
+catalog::Configuration BuildAtom(const RelevantSet& relevant,
+                                 const Decomposition::Atom& atom) {
+  catalog::Configuration config;
+  for (const auto& ix : relevant.indexes) {
+    if (IsContextIndex(*ix.def)) (void)config.AddIndex(*ix.def);
+  }
+  for (const RelevantIndex* ix : atom.indexes) (void)config.AddIndex(*ix->def);
+  if (atom.view != nullptr) (void)config.AddView(*atom.view->def);
+  for (const auto& tp : relevant.partitioning) {
+    config.SetTablePartitioning(tp.def->first, tp.def->second);
+  }
+  return config;
 }
 
 double CombineAtomCosts(const std::vector<double>& atom_costs) {

@@ -22,12 +22,14 @@
 //     query or is unused, and its replacement cost does not depend on which
 //     indexes exist).
 //
-// Atoms are ordinary configurations: the cost service prices them through
-// its normal cached/deduplicated path, so each atom is priced at most once
-// per session regardless of thread or shard count, and derived answers are
-// a pure function of the (statement, fingerprint) pair — never of arrival
-// order. DML statements are excluded: their cost mixes a min (the locate
-// plan) with additive per-structure maintenance and does not decompose.
+// Atoms are keyed by fingerprints joined from already-rendered names and
+// priced through the cost service's normal cached/deduplicated path (an
+// atom's configuration is built only on a miss), so each atom is priced at
+// most once per session regardless of thread or shard count, and derived
+// answers are a pure function of the (statement, fingerprint) pair — never
+// of arrival order. DML statements are excluded: their cost mixes a min (the
+// locate plan) with additive per-structure maintenance and does not
+// decompose.
 //
 // When the one-per-table combination count explodes, the decomposition
 // reports kTooManyAtoms; the caller either falls back to a real what-if
@@ -67,33 +69,45 @@ struct DerivedCostOptions {
   size_t max_atoms = 64;
 };
 
-// The subset of a configuration relevant to one statement: exactly the
-// structures CostService keys its cache fingerprints on. Collected once per
-// miss and shared by fingerprinting and decomposition so the two can never
-// disagree about relevance.
+// One relevant structure: borrowed from the configuration CollectRelevant
+// walked, plus its canonical name, rendered once.
+template <typename T>
+struct Relevant {
+  const T* def = nullptr;
+  std::string name;
+};
+
+// One entry of Configuration::table_partitioning(): (table, scheme).
+using TablePartitioning =
+    std::pair<const std::string, catalog::PartitionScheme>;
+
+// The structures of a configuration on one statement's tables, collected
+// once per cost lookup: the fingerprint keys the cache, and a miss feeds the
+// same set to decomposition, so the two never disagree about relevance.
+// Borrows from the walked configuration, which must outlive it.
 struct RelevantSet {
-  std::vector<catalog::IndexDef> indexes;  // sorted by CanonicalName
-  std::vector<catalog::ViewDef> views;     // sorted by CanonicalName
-  // (table, scheme) pairs in table order.
-  std::vector<std::pair<std::string, catalog::PartitionScheme>> partitioning;
+  std::vector<Relevant<catalog::IndexDef>> indexes;       // sorted by name
+  std::vector<Relevant<catalog::ViewDef>> views;          // sorted by name
+  std::vector<Relevant<TablePartitioning>> partitioning;  // sorted by name
+  // Every name joined with "|" in the order above, which is fully sorted:
+  // "cix:"/"ix:" < "mv:" < "tp:". Checkpoints and memos embed these bytes.
+  std::string fingerprint;
 };
 
 // Structures of `config` relevant to a statement touching `statement_tables`
 // (lower-cased table names).
 RelevantSet CollectRelevant(const std::set<std::string>& statement_tables,
                             const catalog::Configuration& config);
-
-// Cache fingerprint of a relevant set: the sorted canonical part strings
-// joined with "|". Byte-compatible with checkpoints written by earlier
-// versions (this is the former CostService::RelevantFingerprint).
-std::string FingerprintOf(const RelevantSet& relevant);
+// The set borrows from `config`, so a temporary would leave it dangling.
+RelevantSet CollectRelevant(const std::set<std::string>& statement_tables,
+                            const catalog::Configuration&& config) = delete;
 
 struct Decomposition {
   enum class Outcome {
     // The configuration is its own atom (at most one variable index per
     // table and no view/index mix): derivation would not save anything.
     kTrivial,
-    // Valid decomposition; `atoms` holds the atomic configurations.
+    // Valid decomposition; `atoms` describes the atomic configurations.
     kDerivable,
     // DML statement with a non-trivial variable set: maintenance cost is
     // additive per structure and does not decompose into a min.
@@ -103,10 +117,19 @@ struct Decomposition {
     // variable structure).
     kTooManyAtoms,
   };
+  // The relevant set's context (clustered and constraint-enforcing indexes,
+  // every partitioning) plus `indexes` (at most one variable index per
+  // table, in group order) or one `view`. Points into the decomposed set.
+  struct Atom {
+    std::vector<const Relevant<catalog::IndexDef>*> indexes;
+    const Relevant<catalog::ViewDef>* view = nullptr;
+    // Equals CollectRelevant's fingerprint of BuildAtom's configuration.
+    std::string fingerprint;
+  };
   Outcome outcome = Outcome::kTrivial;
-  // Atomic configurations, in a deterministic order that is a pure function
-  // of the relevant set. For kDerivable the first atom is the bare context.
-  std::vector<catalog::Configuration> atoms;
+  // Atoms in a deterministic order that is a pure function of the relevant
+  // set. For kDerivable the first atom is the bare context.
+  std::vector<Atom> atoms;
   // Index ranges of `atoms` (bounded form): atom 0 is the context and
   // variable_group_atoms[g] lists the atom indexes of group g's singletons
   // (groups are per-table index groups, then each view as its own group).
@@ -118,6 +141,11 @@ struct Decomposition {
 Decomposition DecomposeConfiguration(sql::StatementKind statement_kind,
                                      const RelevantSet& relevant,
                                      size_t max_atoms);
+
+// The atom's configuration as the optimizer prices it: context indexes in
+// name order, then the atom's own indexes, its view and the partitioning.
+catalog::Configuration BuildAtom(const RelevantSet& relevant,
+                                 const Decomposition::Atom& atom);
 
 // The combine rule: the derived cost is the minimum over atom costs.
 double CombineAtomCosts(const std::vector<double>& atom_costs);

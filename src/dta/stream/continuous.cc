@@ -16,18 +16,6 @@ namespace dta::tuner::stream {
 
 namespace {
 
-// Canonical names of a configuration's structures in print order — the
-// vocabulary of recommendation deltas and positional feedback targets.
-std::vector<std::string> StructureNames(const catalog::Configuration& c) {
-  std::vector<std::string> names;
-  for (const auto& ix : c.indexes()) names.push_back(ix.CanonicalName());
-  for (const auto& v : c.views()) names.push_back(v.CanonicalName());
-  for (const auto& [table, scheme] : c.table_partitioning()) {
-    names.push_back("partitioning:" + table);
-  }
-  return names;
-}
-
 size_t StructureCount(const catalog::Configuration& c) {
   return c.indexes().size() + c.views().size() + c.table_partitioning().size();
 }

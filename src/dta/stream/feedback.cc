@@ -17,19 +17,17 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-// Canonical names of `config`'s structures in print order: indexes, views,
-// partitioned tables. Positional feedback targets index into this list.
+}  // namespace
+
 std::vector<std::string> StructureNames(const catalog::Configuration& c) {
   std::vector<std::string> names;
   for (const auto& ix : c.indexes()) names.push_back(ix.CanonicalName());
   for (const auto& v : c.views()) names.push_back(v.CanonicalName());
   for (const auto& [table, scheme] : c.table_partitioning()) {
-    names.push_back("partitioning:" + table);
+    names.push_back(catalog::TablePartitioningName(table, scheme));
   }
   return names;
 }
-
-}  // namespace
 
 void FeedbackState::Consume(const std::string& text) {
   size_t line_no = 0;

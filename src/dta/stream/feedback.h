@@ -14,7 +14,9 @@
 //
 // <target> is either a structure's canonical name or a 1-based position
 // into the previous round's recommendation (indexes first, then views,
-// then partitioned tables — the order the recommendation prints in).
+// then partitioned tables — the order the recommendation prints in). A
+// partitioned table's name is the candidate pool's `tp:<table>:<scheme>`,
+// so rejecting it quarantines exactly that candidate.
 //
 // Determinism under kill/resume is the whole design: directives are
 // *consumed* when read (a growing file re-reads from a consumed-lines
@@ -43,6 +45,11 @@
 #include "catalog/physical_design.h"
 
 namespace dta::tuner::stream {
+
+// Canonical names of `c`'s structures in print order: indexes, views,
+// partitioned tables. The vocabulary of recommendation deltas; positional
+// feedback targets index into this list.
+std::vector<std::string> StructureNames(const catalog::Configuration& c);
 
 struct FeedbackDirective {
   uint64_t round = 0;  // apply before this round; 0 = next opportunity

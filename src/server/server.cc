@@ -170,24 +170,7 @@ Result<Server::WhatIfResult> Server::WhatIfCost(
       // Table-targeted spec: tell the injector which tables this statement
       // touches so it can exempt unrelated calls. Computed only on this
       // path — untargeted specs never pay for the set.
-      std::set<std::string> tables;
-      switch (stmt.kind()) {
-        case sql::StatementKind::kSelect:
-          for (const auto& tr : stmt.select().from) {
-            tables.insert(ToLower(tr.table));
-          }
-          break;
-        case sql::StatementKind::kInsert:
-          tables.insert(ToLower(stmt.insert().table));
-          break;
-        case sql::StatementKind::kUpdate:
-          tables.insert(ToLower(stmt.update().table));
-          break;
-        case sql::StatementKind::kDelete:
-          tables.insert(ToLower(stmt.del().table));
-          break;
-      }
-      outcome = fault_injector_->Decide(fault_key, tables);
+      outcome = fault_injector_->Decide(fault_key, sql::ReferencedTables(stmt));
     } else {
       outcome = fault_injector_->Decide(fault_key);
     }

@@ -1,5 +1,7 @@
 #include "sql/ast.h"
 
+#include "common/strings.h"
+
 namespace dta::sql {
 
 const char* CompareOpSymbol(CompareOp op) {
@@ -72,6 +74,25 @@ Statement Statement::Clone() const {
       break;
     case StatementKind::kDelete:
       out.node = del();
+      break;
+  }
+  return out;
+}
+
+std::set<std::string> ReferencedTables(const Statement& stmt) {
+  std::set<std::string> out;
+  switch (stmt.kind()) {
+    case StatementKind::kSelect:
+      for (const auto& tr : stmt.select().from) out.insert(ToLower(tr.table));
+      break;
+    case StatementKind::kInsert:
+      out.insert(ToLower(stmt.insert().table));
+      break;
+    case StatementKind::kUpdate:
+      out.insert(ToLower(stmt.update().table));
+      break;
+    case StatementKind::kDelete:
+      out.insert(ToLower(stmt.del().table));
       break;
   }
   return out;

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <variant>
@@ -262,6 +263,10 @@ struct Statement {
 
   Statement Clone() const;
 };
+
+// Lower-cased names of the tables a statement reads (FROM list) or writes
+// (INSERT/UPDATE/DELETE target).
+std::set<std::string> ReferencedTables(const Statement& stmt);
 
 }  // namespace dta::sql
 

@@ -1,5 +1,6 @@
-// Derived what-if costing tests: decomposition shape (per-table combination
-// atoms, DML exclusion, the bounded singleton form), the combine rule against
+// Derived what-if costing tests: the pinned cache-key bytes, decomposition
+// shape (per-table combination atoms, view atoms, DML exclusion, the bounded
+// singleton form, atom fingerprints), the combine rule against
 // brute-force what-if pricing, fallback when an atom degraded, checkpoint
 // round-tripping of memoized atoms, and session-level invariance of the
 // recommendation and of the derived counters across threads, shards, and
@@ -124,6 +125,72 @@ std::vector<IndexDef> TestPool() {
           Ix("items", {"i_oid"}, {"i_qty"})};
 }
 
+catalog::ViewDef View(const char* text) {
+  auto parsed = sql::ParseStatement(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  catalog::ViewDef v;
+  v.definition = std::make_shared<sql::SelectStatement>(
+      parsed->select().Clone());
+  for (const auto& tr : v.definition->from) {
+    v.referenced_tables.push_back(tr.table);
+  }
+  return v;
+}
+
+// Each atom's fingerprint must be the cache key a lookup of the atom's
+// built configuration computes: the atom is cached under it, and a later
+// lookup of that configuration must find it.
+void ExpectAtomFingerprintsMatch(const std::set<std::string>& tables,
+                                 const RelevantSet& relevant,
+                                 const Decomposition& d) {
+  for (size_t a = 0; a < d.atoms.size(); ++a) {
+    const Configuration built = BuildAtom(relevant, d.atoms[a]);
+    EXPECT_EQ(d.atoms[a].fingerprint,
+              CollectRelevant(tables, built).fingerprint)
+        << "atom " << a;
+  }
+}
+
+// ---------------------------------------------------------- cache keys
+
+// Pins the cache-key bytes: checkpoints and the continuous tuner's memo
+// embed them, so they must not drift. Index names sort before view names
+// and view names before partitioning names; the partitioning names sort as
+// strings ("tp:t1:" before "tp:t:"), not in table order. Structures on
+// other tables are not relevant.
+TEST(DerivedCostRelevanceTest, FingerprintBytesArePinned) {
+  IndexDef clustered = Ix("t", {"a"});
+  clustered.clustered = true;
+  IndexDef constraint = Ix("T1", {"id"});
+  constraint.constraint_enforcing = true;
+  IndexDef covering = Ix("t", {"B", "a"}, {"z", "C"});
+  covering.database = "Shop";
+  Configuration config;
+  for (const IndexDef& ix : {clustered, constraint, covering, Ix("u", {"x"})}) {
+    ASSERT_TRUE(config.AddIndex(ix).ok());
+  }
+  const catalog::ViewDef view =
+      View("SELECT a, COUNT(*) FROM t, t1 WHERE a = id GROUP BY a");
+  ASSERT_TRUE(config.AddView(view).ok());
+  PartitionScheme by_a;
+  by_a.column = "a";
+  by_a.boundaries = {sql::Value::Int(10), sql::Value::Int(20)};
+  PartitionScheme by_id;
+  by_id.column = "ID";
+  by_id.boundaries = {sql::Value::Int(5)};
+  config.SetTablePartitioning("t", by_a);
+  config.SetTablePartitioning("t1", by_id);
+  config.SetTablePartitioning("u", by_a);
+
+  const RelevantSet relevant = CollectRelevant({"t", "t1"}, config);
+  EXPECT_EQ(relevant.fingerprint,
+            "cix:t:k=a|ix:shop.t:k=b,a:inc=c,z|ix:t1:k=id|"
+            "mv:794eddd0dc515e76-dc515e76|tp:t1:p(id:[5])|tp:t:p(a:[10,20])");
+  EXPECT_EQ(relevant.indexes.size(), 3u);
+  EXPECT_EQ(relevant.views.size(), 1u);
+  EXPECT_EQ(relevant.partitioning.size(), 2u);
+}
+
 // ---------------------------------------------------------- decomposition
 
 TEST(DerivedCostDecompositionTest, SingletonConfigurationsAreTrivial) {
@@ -135,8 +202,9 @@ TEST(DerivedCostDecompositionTest, SingletonConfigurationsAreTrivial) {
   EXPECT_EQ(d.outcome, Decomposition::Outcome::kTrivial);
 
   // The empty configuration is trivially its own atom too.
+  const Configuration empty_config;
   Decomposition empty = DecomposeConfiguration(
-      sql::StatementKind::kSelect, CollectRelevant({"orders"}, Configuration()),
+      sql::StatementKind::kSelect, CollectRelevant({"orders"}, empty_config),
       64);
   EXPECT_EQ(empty.outcome, Decomposition::Outcome::kTrivial);
 }
@@ -164,9 +232,11 @@ TEST(DerivedCostDecompositionTest, EnumeratesOneIndexPerTableCombinations) {
   ASSERT_EQ(d.outcome, Decomposition::Outcome::kDerivable);
   // (2 + 1) orders choices x (1 + 1) items choices.
   ASSERT_EQ(d.atoms.size(), 6u);
-  for (const auto& atom : d.atoms) {
+  ExpectAtomFingerprintsMatch({"orders", "items"}, relevant, d);
+  for (const auto& described : d.atoms) {
     // Every atom carries the full context: the constraint index and the
     // partitioning, plus at most one variable index per table.
+    const Configuration atom = BuildAtom(relevant, described);
     EXPECT_TRUE(atom.table_partitioning().count("orders"));
     size_t constraint = 0, orders_vars = 0, items_vars = 0;
     for (const auto& ix : atom.indexes()) {
@@ -183,8 +253,44 @@ TEST(DerivedCostDecompositionTest, EnumeratesOneIndexPerTableCombinations) {
     EXPECT_LE(items_vars, 1u);
   }
   // The first atom is the bare context.
-  EXPECT_EQ(d.atoms[0].indexes().size(), 1u);
-  EXPECT_TRUE(d.atoms[0].indexes()[0].constraint_enforcing);
+  const Configuration context = BuildAtom(relevant, d.atoms[0]);
+  EXPECT_EQ(context.indexes().size(), 1u);
+  EXPECT_TRUE(context.indexes()[0].constraint_enforcing);
+}
+
+TEST(DerivedCostDecompositionTest, EachViewIsAnAtomOverTheContext) {
+  Configuration config;
+  ASSERT_TRUE(config.AddIndex(Ix("orders", {"o_cust"})).ok());
+  ASSERT_TRUE(config.AddIndex(Ix("orders", {"o_date"})).ok());
+  ASSERT_TRUE(config
+                  .AddIndex(IndexDef{.table = "orders",
+                                     .key_columns = {"o_id"},
+                                     .constraint_enforcing = true})
+                  .ok());
+  const char* view_sql = "SELECT o_cust, COUNT(*) FROM orders GROUP BY o_cust";
+  ASSERT_TRUE(config.AddView(View(view_sql)).ok());
+
+  RelevantSet relevant = CollectRelevant({"orders"}, config);
+  Decomposition d = DecomposeConfiguration(sql::StatementKind::kSelect,
+                                           relevant, 64);
+  ASSERT_EQ(d.outcome, Decomposition::Outcome::kDerivable);
+  // Three one-index choices, then the view over the bare context.
+  ASSERT_EQ(d.atoms.size(), 4u);
+  ExpectAtomFingerprintsMatch({"orders"}, relevant, d);
+  const Configuration view_atom = BuildAtom(relevant, d.atoms.back());
+  ASSERT_EQ(view_atom.views().size(), 1u);
+  EXPECT_EQ(view_atom.views()[0], config.views()[0]);
+  ASSERT_EQ(view_atom.indexes().size(), 1u);
+  EXPECT_TRUE(view_atom.indexes()[0].constraint_enforcing);
+
+  // The bounded form keeps the view as its own singleton group.
+  Decomposition bounded = DecomposeConfiguration(sql::StatementKind::kSelect,
+                                                 relevant, 3);
+  ASSERT_EQ(bounded.outcome, Decomposition::Outcome::kTooManyAtoms);
+  ASSERT_EQ(bounded.atoms.size(), 4u);  // context + 2 indexes + the view
+  ASSERT_EQ(bounded.variable_group_atoms.size(), 2u);
+  EXPECT_EQ(bounded.variable_group_atoms[1], std::vector<size_t>{3});
+  ExpectAtomFingerprintsMatch({"orders"}, relevant, bounded);
 }
 
 TEST(DerivedCostDecompositionTest, DmlWithVariableIndexesIsUnsupported) {
@@ -216,6 +322,7 @@ TEST(DerivedCostDecompositionTest, AtomBudgetYieldsBoundedSingletonForm) {
   for (const auto& group : d.variable_group_atoms) {
     EXPECT_EQ(group.size(), 2u);
   }
+  ExpectAtomFingerprintsMatch({"orders", "items"}, relevant, d);
 }
 
 TEST(DerivedCostCombineTest, CombineIsMinOverAtoms) {

@@ -140,16 +140,27 @@ std::string FirstCandidateName(const Configuration& rec,
 
 bool RecommendationContains(const Configuration& rec,
                             const std::string& name) {
-  for (const auto& ix : rec.indexes()) {
-    if (ix.CanonicalName() == name) return true;
-  }
-  for (const auto& v : rec.views()) {
-    if (v.CanonicalName() == name) return true;
-  }
-  for (const auto& [table, scheme] : rec.table_partitioning()) {
-    if ("partitioning:" + table == name) return true;
-  }
-  return false;
+  return rec.ContainsStructure(name);
+}
+
+// Range scans on orders.o_date and items.i_part: with index and view tuning
+// off, the recommendation partitions both tables.
+std::string RangeWindow() {
+  std::string w;
+  w += "SELECT o_price FROM orders WHERE o_date < '1994-04-01'\n";
+  w += "SELECT o_cust FROM orders WHERE o_date >= '1997-10-01'\n";
+  w += "SELECT o_price FROM orders WHERE o_date BETWEEN '1995-01-01' AND "
+       "'1995-03-01'\n";
+  w += "SELECT i_qty FROM items WHERE i_part < 150\n";
+  w += "SELECT i_qty FROM items WHERE i_part BETWEEN 1700 AND 1800\n";
+  return w;
+}
+
+// True if `rec` partitions `table` by exactly `scheme`.
+bool PartitionsBy(const Configuration& rec, const std::string& table,
+                  const catalog::PartitionScheme& scheme) {
+  const catalog::PartitionScheme* got = rec.FindTablePartitioning(table);
+  return got != nullptr && *got == scheme;
 }
 
 // ------------------------------------------------------------------ accept
@@ -251,6 +262,62 @@ TEST(StreamFeedbackTest, RejectedStructureIsQuarantinedThenReEligible) {
   const size_t round4 = tuner.delta_text().find("== round 4 ==");
   ASSERT_NE(round4, std::string::npos);
   EXPECT_NE(tuner.delta_text().find("+ " + name, round4), std::string::npos);
+}
+
+// A recommended table partitioning rejected by position leaves the
+// candidate pool for the horizon, and a reject after an accept also unpins
+// it. The recommendation names a partitioning the way the pool does, so the
+// quarantine matches the pool candidate.
+TEST(StreamFeedbackTest, RejectedPartitioningIsQuarantined) {
+  for (const bool accept_first : {false, true}) {
+    SCOPED_TRACE(accept_first ? "accept, then reject" : "reject");
+    auto prod = MakeProduction();
+    ContinuousTuner::Config config = BaseConfig();  // quarantine_rounds = 2
+    config.server = prod.get();
+    config.options.tune_indexes = false;
+    config.options.tune_materialized_views = false;
+    ContinuousTuner tuner(std::move(config));
+    ASSERT_TRUE(tuner.Init().ok());
+
+    ASSERT_TRUE(tuner.Feed(RangeWindow()).ok());
+    ASSERT_EQ(tuner.rounds(), 1u);
+    ASSERT_FALSE(tuner.recommendation().table_partitioning().empty());
+    const auto [table, scheme] =
+        *tuner.recommendation().table_partitioning().begin();
+    // Partitioned tables print after every index and view.
+    auto first_partitioning_position = [&] {
+      const Configuration& rec = tuner.recommendation();
+      return std::to_string(rec.indexes().size() + rec.views().size() + 1);
+    };
+
+    // The feedback file only grows; the tuner consumes it by line cursor.
+    std::string feedback_file;
+    if (accept_first) {
+      feedback_file += "accept " + first_partitioning_position() + "\n";
+      tuner.ConsumeFeedback(feedback_file);
+      ASSERT_TRUE(tuner.Feed(RangeWindow()).ok());
+      ASSERT_TRUE(PartitionsBy(tuner.recommendation(), table, scheme));
+      EXPECT_TRUE(PartitionsBy(tuner.feedback().pinned(), table, scheme));
+    }
+    const uint64_t rejecting_round = tuner.rounds() + 1;
+    feedback_file += "reject " + first_partitioning_position() + "\n";
+    tuner.ConsumeFeedback(feedback_file);
+    for (uint64_t round = rejecting_round; round < rejecting_round + 2;
+         ++round) {
+      ASSERT_TRUE(tuner.Feed(RangeWindow()).ok());
+      ASSERT_EQ(tuner.rounds(), round);
+      EXPECT_FALSE(PartitionsBy(tuner.recommendation(), table, scheme))
+          << table << " is still partitioned in round " << round;
+    }
+    EXPECT_TRUE(tuner.feedback().pinned().table_partitioning().empty());
+    const std::string rejecting =
+        "== round " + std::to_string(rejecting_round) + " ==";
+    const size_t at = tuner.delta_text().find(rejecting);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_NE(tuner.delta_text().find("quarantined=1", at), std::string::npos)
+        << tuner.delta_text();
+    ASSERT_TRUE(tuner.Finish().ok());
+  }
 }
 
 // ----------------------------------------------------------------- unknown
