@@ -1,13 +1,17 @@
 // Component micro-benchmarks (google-benchmark): parser, signatures,
-// histogram construction and estimation, what-if optimizer calls, workload
-// compression, Greedy(m,k), XML round trips, and the serial-vs-parallel
-// tuning pipeline.
+// histogram construction and estimation, what-if optimizer calls, the cost
+// lookup path (a cache hit, building a configuration from candidates),
+// workload compression, Greedy(m,k), XML round trips, and the
+// serial-vs-parallel tuning pipeline.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "common/strings.h"
+#include "dta/candidates.h"
+#include "dta/cost_service.h"
+#include "dta/enumeration.h"
 #include "dta/greedy.h"
 #include "dta/tuning_session.h"
 #include "dta/xml_schema.h"
@@ -102,6 +106,105 @@ BENCHMARK_F(WhatIfFixture, WhatIfCostJoinQuery)(benchmark::State& state) {
     auto r = server_->WhatIfCost(*stmt_, config_);
     benchmark::DoNotOptimize(r);
   }
+}
+
+// The cost lookup path on the TPC-H join above (SF 0.25, statistics only):
+// its candidates come from the statement's own candidate generation. Built
+// once and shared by the lookup rows.
+class LookupFixture : public benchmark::Fixture {
+ public:
+  void SetUp(const benchmark::State&) override {
+    if (server_ != nullptr) return;
+    server_ = std::make_unique<server::Server>(
+        "prod", optimizer::HardwareParams());
+    Status st = workloads::AttachTpch(server_.get(), 0.25, false, 7);
+    (void)st;
+    workload_ = std::make_unique<workload::Workload>();
+    workload_->Add(std::move(sql::ParseStatement(kJoinQuery)).value());
+    auto generated = tuner::GenerateCandidatesForStatement(
+        workload_->statements()[0].stmt, server_.get(),
+        tuner::InterestingColumnGroups::Unrestricted(),
+        tuner::TuningOptions());
+    if (generated.ok()) pool_ = std::move(generated).value();
+  }
+  // The first `indexes` nonclustered index candidates, the first `views`
+  // view candidates, and (when `extras`) the first clustered index and
+  // partitioning candidates; none already in the raw design.
+  static std::vector<const tuner::Candidate*> Pick(size_t indexes,
+                                                   size_t views,
+                                                   bool extras) {
+    const catalog::Configuration raw = workloads::TpchRawConfiguration();
+    std::vector<const tuner::Candidate*> out;
+    bool clustered = false, partitioning = false;
+    for (const tuner::Candidate& c : pool_) {
+      if (raw.ContainsStructure(c.name)) continue;
+      switch (c.kind) {
+        case tuner::Candidate::Kind::kIndex:
+          if (!c.index.clustered && indexes > 0) {
+            --indexes;
+            out.push_back(&c);
+          } else if (c.index.clustered && extras && !clustered) {
+            clustered = true;
+            out.push_back(&c);
+          }
+          break;
+        case tuner::Candidate::Kind::kView:
+          if (views > 0) {
+            --views;
+            out.push_back(&c);
+          }
+          break;
+        case tuner::Candidate::Kind::kTablePartitioning:
+          if (extras && !partitioning) {
+            partitioning = true;
+            out.push_back(&c);
+          }
+          break;
+      }
+    }
+    return out;
+  }
+  static std::unique_ptr<server::Server> server_;
+  static std::unique_ptr<workload::Workload> workload_;
+  static std::vector<tuner::Candidate> pool_;
+};
+std::unique_ptr<server::Server> LookupFixture::server_;
+std::unique_ptr<workload::Workload> LookupFixture::workload_;
+std::vector<tuner::Candidate> LookupFixture::pool_;
+
+// One cost-cache hit: the relevance walk, its fingerprint and the cache
+// probe, under the raw design plus 4 candidate indexes and 2 candidate views.
+BENCHMARK_F(LookupFixture, StatementCostCacheHit)(benchmark::State& state) {
+  auto config = tuner::BuildConfiguration(workloads::TpchRawConfiguration(),
+                                          Pick(4, 2, false), false);
+  if (!config.ok()) {
+    state.SkipWithError(config.status().ToString().c_str());
+    return;
+  }
+  tuner::CostService costs(server_.get(), nullptr, workload_.get());
+  auto warm = costs.StatementCost(0, *config);  // the one miss
+  if (!warm.ok()) {
+    state.SkipWithError(warm.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto r = costs.StatementCost(0, *config);
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["structures"] =
+      static_cast<double>(config->StructureCount());
+}
+
+// Building one configuration from the raw design and 8 candidates: 5
+// indexes (one clustered), 2 views and a table partitioning, unaligned.
+BENCHMARK_F(LookupFixture, BuildConfiguration8)(benchmark::State& state) {
+  const catalog::Configuration base = workloads::TpchRawConfiguration();
+  const std::vector<const tuner::Candidate*> chosen = Pick(4, 2, true);
+  for (auto _ : state) {
+    auto config = tuner::BuildConfiguration(base, chosen, false);
+    benchmark::DoNotOptimize(config);
+  }
+  state.counters["candidates"] = static_cast<double>(chosen.size());
 }
 
 void BM_WorkloadCompression(benchmark::State& state) {

@@ -1,8 +1,10 @@
 #include "catalog/physical_design.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/strings.h"
 #include "sql/printer.h"
 #include "sql/signature.h"
@@ -12,7 +14,13 @@ namespace dta::catalog {
 namespace {
 constexpr double kFillFactor = 0.75;  // leaf page utilization
 constexpr int kIndexRowOverhead = 11;  // per leaf-row bookkeeping bytes
+
+std::atomic<uint64_t> g_identity_renders{0};
 }  // namespace
+
+uint64_t IdentityRenders() {
+  return g_identity_renders.load(std::memory_order_relaxed);
+}
 
 int PartitionScheme::PartitionFor(const sql::Value& v) const {
   int lo = 0, hi = static_cast<int>(boundaries.size());
@@ -54,6 +62,7 @@ std::string TablePartitioningName(std::string_view table,
 }
 
 std::string IndexDef::CanonicalName() const {
+  g_identity_renders.fetch_add(1, std::memory_order_relaxed);
   std::string out = clustered ? "cix:" : "ix:";
   if (!database.empty()) out += ToLower(database) + ".";
   out += ToLower(table) + ":k=";
@@ -128,6 +137,7 @@ uint64_t IndexDef::EstimateBytes(const TableSchema& schema) const {
 }
 
 std::string ViewDef::CanonicalName() const {
+  g_identity_renders.fetch_add(1, std::memory_order_relaxed);
   std::string out = "mv:";
   if (definition != nullptr) {
     sql::Statement stmt;
@@ -160,29 +170,38 @@ uint64_t ViewDef::EstimateBytes() const {
 
 Status Configuration::AddIndex(IndexDef index) {
   std::string name = index.CanonicalName();
-  for (const auto& existing : indexes_) {
-    if (existing.CanonicalName() == name) {
+  return AddIndex(std::move(index), std::move(name));
+}
+
+Status Configuration::AddIndex(IndexDef index, std::string name) {
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    if (index_names_[i] == name) {
       return Status::AlreadyExists("index already in configuration: " + name);
     }
-    if (index.clustered && existing.clustered &&
-        EqualsIgnoreCase(existing.table, index.table)) {
+    if (index.clustered && indexes_[i].clustered &&
+        EqualsIgnoreCase(indexes_[i].table, index.table)) {
       return Status::InvalidArgument(
           StrFormat("table '%s' already has a clustered index",
                     ToLower(index.table).c_str()));
     }
   }
   indexes_.push_back(std::move(index));
+  index_names_.push_back(std::move(name));
   return Status::Ok();
 }
 
 Status Configuration::AddView(ViewDef view) {
   std::string name = view.CanonicalName();
-  for (const auto& existing : views_) {
-    if (existing.CanonicalName() == name) {
-      return Status::AlreadyExists("view already in configuration: " + name);
-    }
+  return AddView(std::move(view), std::move(name));
+}
+
+Status Configuration::AddView(ViewDef view, std::string name) {
+  if (std::find(view_names_.begin(), view_names_.end(), name) !=
+      view_names_.end()) {
+    return Status::AlreadyExists("view already in configuration: " + name);
   }
   views_.push_back(std::move(view));
+  view_names_.push_back(std::move(name));
   return Status::Ok();
 }
 
@@ -196,17 +215,17 @@ void Configuration::ClearTablePartitioning(const std::string& table) {
 }
 
 bool Configuration::RemoveStructure(const std::string& canonical_name) {
-  for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
-    if (it->CanonicalName() == canonical_name) {
-      indexes_.erase(it);
-      return true;
-    }
+  auto ix = std::find(index_names_.begin(), index_names_.end(), canonical_name);
+  if (ix != index_names_.end()) {
+    indexes_.erase(indexes_.begin() + (ix - index_names_.begin()));
+    index_names_.erase(ix);
+    return true;
   }
-  for (auto it = views_.begin(); it != views_.end(); ++it) {
-    if (it->CanonicalName() == canonical_name) {
-      views_.erase(it);
-      return true;
-    }
+  auto v = std::find(view_names_.begin(), view_names_.end(), canonical_name);
+  if (v != view_names_.end()) {
+    views_.erase(views_.begin() + (v - view_names_.begin()));
+    view_names_.erase(v);
+    return true;
   }
   for (auto it = table_partitioning_.begin(); it != table_partitioning_.end();
        ++it) {
@@ -219,16 +238,28 @@ bool Configuration::RemoveStructure(const std::string& canonical_name) {
 }
 
 bool Configuration::ContainsStructure(const std::string& canonical_name) const {
-  for (const auto& ix : indexes_) {
-    if (ix.CanonicalName() == canonical_name) return true;
-  }
-  for (const auto& v : views_) {
-    if (v.CanonicalName() == canonical_name) return true;
+  if (std::find(index_names_.begin(), index_names_.end(), canonical_name) !=
+          index_names_.end() ||
+      std::find(view_names_.begin(), view_names_.end(), canonical_name) !=
+          view_names_.end()) {
+    return true;
   }
   for (const auto& [table, scheme] : table_partitioning_) {
     if (TablePartitioningName(table, scheme) == canonical_name) return true;
   }
   return false;
+}
+
+const std::string& Configuration::NameOf(const IndexDef& index) const {
+  const size_t i = static_cast<size_t>(&index - indexes_.data());
+  DTA_CHECK(i < indexes_.size(), "NameOf: index not in this configuration");
+  return index_names_[i];
+}
+
+const std::string& Configuration::NameOf(const ViewDef& view) const {
+  const size_t i = static_cast<size_t>(&view - views_.data());
+  DTA_CHECK(i < views_.size(), "NameOf: view not in this configuration");
+  return view_names_[i];
 }
 
 const IndexDef* Configuration::FindClusteredIndex(
@@ -310,8 +341,8 @@ bool Configuration::IsFullyAligned() const {
 std::string Configuration::Fingerprint() const {
   std::vector<std::string> parts;
   parts.reserve(indexes_.size() + views_.size() + table_partitioning_.size());
-  for (const auto& ix : indexes_) parts.push_back(ix.CanonicalName());
-  for (const auto& v : views_) parts.push_back(v.CanonicalName());
+  parts.insert(parts.end(), index_names_.begin(), index_names_.end());
+  parts.insert(parts.end(), view_names_.begin(), view_names_.end());
   for (const auto& [t, scheme] : table_partitioning_) {
     parts.push_back(TablePartitioningName(t, scheme));
   }

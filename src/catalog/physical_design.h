@@ -44,6 +44,12 @@ struct PartitionScheme {
   std::string CanonicalString() const;
 };
 
+// Number of IndexDef::CanonicalName() and ViewDef::CanonicalName() renders in
+// this process so far. Monotonic and relaxed; there is no reset, so callers
+// take deltas. A cost lookup renders nothing: configurations store their
+// structures' names, so renders follow structures built, not lookups.
+uint64_t IdentityRenders();
+
 // Canonical name of a table partitioning, "tp:<lower-cased table>:<scheme>":
 // the one identity candidate pools, cost-cache keys, configuration
 // fingerprints, recommendation deltas and DBA feedback all use.
@@ -111,6 +117,12 @@ struct ViewDef {
 };
 
 // A complete physical design.
+//
+// A configuration owns its structures' identities: it renders an index's or
+// view's canonical name once, on insertion, and stores it beside the
+// structure. Members are only handed out by const reference, so a stored
+// name cannot go stale; every identity read (duplicate checks, lookups,
+// removal, relevance walks) uses the stored names.
 class Configuration {
  public:
   Configuration() = default;
@@ -119,6 +131,12 @@ class Configuration {
   // second clustered index is added for the same table.
   Status AddIndex(IndexDef index);
   Status AddView(ViewDef view);
+  // The same, for a caller that already holds the structure's name.
+  // Precondition: `name == index.CanonicalName()` (`view.CanonicalName()`),
+  // e.g. a Candidate's `name` or another configuration's stored name for an
+  // equal structure. The name is stored as given, never re-rendered.
+  Status AddIndex(IndexDef index, std::string name);
+  Status AddView(ViewDef view, std::string name);
   void SetTablePartitioning(const std::string& table, PartitionScheme scheme);
   void ClearTablePartitioning(const std::string& table);
 
@@ -129,6 +147,14 @@ class Configuration {
 
   const std::vector<IndexDef>& indexes() const { return indexes_; }
   const std::vector<ViewDef>& views() const { return views_; }
+  // Stored canonical names, parallel to indexes() and views():
+  // index_names()[i] == indexes()[i].CanonicalName().
+  const std::vector<std::string>& index_names() const { return index_names_; }
+  const std::vector<std::string>& view_names() const { return view_names_; }
+  // Stored name of `index` (`view`), which must be an element of indexes()
+  // (views()), e.g. one that IndexesOnTable (ViewsReferencing) returned.
+  const std::string& NameOf(const IndexDef& index) const;
+  const std::string& NameOf(const ViewDef& view) const;
   const std::map<std::string, PartitionScheme>& table_partitioning() const {
     return table_partitioning_;
   }
@@ -148,15 +174,19 @@ class Configuration {
   bool IsAligned(std::string_view table) const;
   bool IsFullyAligned() const;
 
-  // Deterministic content string covering every structure; used as a cache
-  // key component for what-if calls.
+  // Deterministic content string covering every structure: every name,
+  // sorted and joined with "|". Not the what-if cache key, which covers only
+  // a statement's relevant structures (tuner::RelevantSet::fingerprint);
+  // tests and tools use it to compare whole configurations.
   std::string Fingerprint() const;
 
   size_t StructureCount() const { return indexes_.size() + views_.size(); }
 
  private:
   std::vector<IndexDef> indexes_;
+  std::vector<std::string> index_names_;  // parallel to indexes_
   std::vector<ViewDef> views_;
+  std::vector<std::string> view_names_;  // parallel to views_
   std::map<std::string, PartitionScheme> table_partitioning_;
 };
 

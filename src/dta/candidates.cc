@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/strings.h"
 #include "optimizer/bound_query.h"
@@ -62,22 +63,22 @@ Status Candidate::ApplyTo(catalog::Configuration* config,
                           bool aligned) const {
   switch (kind) {
     case Kind::kIndex: {
+      if (!aligned) return config->AddIndex(index, name);
       catalog::IndexDef ix = index;
-      if (aligned) {
-        const catalog::PartitionScheme* scheme =
-            config->FindTablePartitioning(ix.table);
-        // Lazy introduction of the aligned variant: the index inherits the
-        // table's partitioning (or loses its own when the table has none).
-        if (scheme != nullptr) {
-          ix.partitioning = *scheme;
-        } else {
-          ix.partitioning.reset();
-        }
+      const catalog::PartitionScheme* scheme =
+          config->FindTablePartitioning(ix.table);
+      // Lazy introduction of the aligned variant: the index inherits the
+      // table's partitioning (or loses its own when the table has none),
+      // which changes its name, so the configuration renders it.
+      if (scheme != nullptr) {
+        ix.partitioning = *scheme;
+      } else {
+        ix.partitioning.reset();
       }
       return config->AddIndex(std::move(ix));
     }
     case Kind::kView:
-      return config->AddView(view);
+      return config->AddView(view, name);
     case Kind::kTablePartitioning: {
       const catalog::PartitionScheme* existing =
           config->FindTablePartitioning(table);
@@ -86,20 +87,22 @@ Status Candidate::ApplyTo(catalog::Configuration* config,
       }
       config->SetTablePartitioning(table, scheme);
       if (aligned) {
-        // Re-partition the table's indexes already in the configuration.
-        std::vector<catalog::IndexDef> updated;
+        // Re-partition the table's unpartitioned indexes already in the
+        // configuration. An index with a scheme of its own stays until
+        // BuildConfiguration's final alignment pass rewrites it.
+        std::vector<std::pair<std::string, catalog::IndexDef>> updated;
         for (const catalog::IndexDef* ix : config->IndexesOnTable(table)) {
           catalog::IndexDef copy = *ix;
           copy.partitioning = scheme;
-          updated.push_back(std::move(copy));
+          updated.emplace_back(
+              ix->partitioning.has_value() ? "" : config->NameOf(*ix),
+              std::move(copy));
         }
-        for (const auto& ix : updated) {
-          catalog::IndexDef original = ix;
-          original.partitioning.reset();
-          config->RemoveStructure(original.CanonicalName());
+        for (auto& [original, ix] : updated) {
+          if (!original.empty()) config->RemoveStructure(original);
           // Re-add, ignoring duplicates (an identical aligned index may
           // already exist).
-          Status s = config->AddIndex(ix);
+          Status s = config->AddIndex(std::move(ix));
           if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
         }
       }

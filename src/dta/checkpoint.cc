@@ -55,10 +55,10 @@ void CandidateToXml(const Candidate& cand, xml::Element* parent) {
   catalog::Configuration one;
   switch (cand.kind) {
     case Candidate::Kind::kIndex:
-      (void)one.AddIndex(cand.index);
+      (void)one.AddIndex(cand.index, cand.name);
       break;
     case Candidate::Kind::kView:
-      (void)one.AddView(cand.view);
+      (void)one.AddView(cand.view, cand.name);
       // The public configuration schema rounds EstimatedRows for
       // readability; the checkpoint needs the exact value (it feeds cost
       // estimates).

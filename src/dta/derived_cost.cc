@@ -52,15 +52,17 @@ Decomposition::Atom MakeAtom(const RelevantSet& relevant,
 RelevantSet CollectRelevant(const std::set<std::string>& statement_tables,
                             const catalog::Configuration& config) {
   RelevantSet out;
-  for (const auto& ix : config.indexes()) {
-    if (statement_tables.count(ToLower(ix.table)) > 0) {
-      out.indexes.push_back({&ix, ix.CanonicalName()});
+  const auto& indexes = config.indexes();
+  for (size_t i = 0; i < indexes.size(); ++i) {
+    if (statement_tables.count(ToLower(indexes[i].table)) > 0) {
+      out.indexes.push_back({&indexes[i], config.index_names()[i]});
     }
   }
-  for (const auto& v : config.views()) {
-    for (const auto& t : v.referenced_tables) {
+  const auto& views = config.views();
+  for (size_t i = 0; i < views.size(); ++i) {
+    for (const auto& t : views[i].referenced_tables) {
       if (statement_tables.count(ToLower(t)) > 0) {
-        out.views.push_back({&v, v.CanonicalName()});
+        out.views.push_back({&views[i], config.view_names()[i]});
         break;
       }
     }
@@ -183,10 +185,14 @@ catalog::Configuration BuildAtom(const RelevantSet& relevant,
                                  const Decomposition::Atom& atom) {
   catalog::Configuration config;
   for (const auto& ix : relevant.indexes) {
-    if (IsContextIndex(*ix.def)) (void)config.AddIndex(*ix.def);
+    if (IsContextIndex(*ix.def)) (void)config.AddIndex(*ix.def, ix.name);
   }
-  for (const RelevantIndex* ix : atom.indexes) (void)config.AddIndex(*ix->def);
-  if (atom.view != nullptr) (void)config.AddView(*atom.view->def);
+  for (const RelevantIndex* ix : atom.indexes) {
+    (void)config.AddIndex(*ix->def, ix->name);
+  }
+  if (atom.view != nullptr) {
+    (void)config.AddView(*atom.view->def, atom.view->name);
+  }
   for (const auto& tp : relevant.partitioning) {
     config.SetTablePartitioning(tp.def->first, tp.def->second);
   }

@@ -22,14 +22,14 @@
 //     query or is unused, and its replacement cost does not depend on which
 //     indexes exist).
 //
-// Atoms are keyed by fingerprints joined from already-rendered names and
-// priced through the cost service's normal cached/deduplicated path (an
-// atom's configuration is built only on a miss), so each atom is priced at
-// most once per session regardless of thread or shard count, and derived
-// answers are a pure function of the (statement, fingerprint) pair — never
-// of arrival order. DML statements are excluded: their cost mixes a min (the
-// locate plan) with additive per-structure maintenance and does not
-// decompose.
+// Atoms are keyed by fingerprints joined from the configuration's stored
+// names and priced through the cost service's normal cached/deduplicated
+// path (an atom's configuration is built only on a miss, from the same
+// names, so it renders nothing), so each atom is priced at most once per
+// session regardless of thread or shard count, and derived answers are a
+// pure function of the (statement, fingerprint) pair — never of arrival
+// order. DML statements are excluded: their cost mixes a min (the locate
+// plan) with additive per-structure maintenance and does not decompose.
 //
 // When the one-per-table combination count explodes, the decomposition
 // reports kTooManyAtoms; the caller either falls back to a real what-if
@@ -70,7 +70,8 @@ struct DerivedCostOptions {
 };
 
 // One relevant structure: borrowed from the configuration CollectRelevant
-// walked, plus its canonical name, rendered once.
+// walked, plus its canonical name — the configuration's stored name for an
+// index or view, rendered on demand for a partitioning.
 template <typename T>
 struct Relevant {
   const T* def = nullptr;
@@ -144,6 +145,7 @@ Decomposition DecomposeConfiguration(sql::StatementKind statement_kind,
 
 // The atom's configuration as the optimizer prices it: context indexes in
 // name order, then the atom's own indexes, its view and the partitioning.
+// Its indexes and view are inserted with the relevant set's names.
 catalog::Configuration BuildAtom(const RelevantSet& relevant,
                                  const Decomposition::Atom& atom);
 

@@ -40,14 +40,12 @@ Result<catalog::Configuration> BuildConfiguration(
     for (const auto& [table, scheme] : config.table_partitioning()) {
       if (config.IsAligned(table)) continue;
       std::vector<catalog::IndexDef> rewritten;
+      std::vector<std::string> to_remove;
       for (const catalog::IndexDef* ix : config.IndexesOnTable(table)) {
+        to_remove.push_back(config.NameOf(*ix));
         catalog::IndexDef copy = *ix;
         copy.partitioning = scheme;
         rewritten.push_back(std::move(copy));
-      }
-      std::vector<std::string> to_remove;
-      for (const catalog::IndexDef* ix : config.IndexesOnTable(table)) {
-        to_remove.push_back(ix->CanonicalName());
       }
       for (const auto& name : to_remove) config.RemoveStructure(name);
       for (auto& ix : rewritten) {

@@ -243,14 +243,16 @@ Status ContinuousTuner::RunRound() {
     opts.export_session_state = true;
     // DBA feedback: pins join the user-specified configuration (duplicates
     // with the base options tolerated), quarantines filter the pool.
-    for (const auto& ix : feedback_.pinned().indexes()) {
-      (void)opts.user_specified.AddIndex(ix);
+    const catalog::Configuration& pinned = feedback_.pinned();
+    for (size_t i = 0; i < pinned.indexes().size(); ++i) {
+      (void)opts.user_specified.AddIndex(pinned.indexes()[i],
+                                         pinned.index_names()[i]);
     }
-    for (const auto& v : feedback_.pinned().views()) {
-      (void)opts.user_specified.AddView(v);
+    for (size_t i = 0; i < pinned.views().size(); ++i) {
+      (void)opts.user_specified.AddView(pinned.views()[i],
+                                        pinned.view_names()[i]);
     }
-    for (const auto& [table, scheme] :
-         feedback_.pinned().table_partitioning()) {
+    for (const auto& [table, scheme] : pinned.table_partitioning()) {
       opts.user_specified.SetTablePartitioning(table, scheme);
     }
     opts.quarantined_structures = feedback_.QuarantinedAt(round);

@@ -20,9 +20,8 @@ std::string Trim(const std::string& s) {
 }  // namespace
 
 std::vector<std::string> StructureNames(const catalog::Configuration& c) {
-  std::vector<std::string> names;
-  for (const auto& ix : c.indexes()) names.push_back(ix.CanonicalName());
-  for (const auto& v : c.views()) names.push_back(v.CanonicalName());
+  std::vector<std::string> names = c.index_names();
+  names.insert(names.end(), c.view_names().begin(), c.view_names().end());
   for (const auto& [table, scheme] : c.table_partitioning()) {
     names.push_back(catalog::TablePartitioningName(table, scheme));
   }
@@ -145,9 +144,10 @@ void FeedbackState::Apply(const FeedbackDirective& d,
   const size_t index_count = prev.indexes().size();
   const size_t view_count = prev.views().size();
   if (position < index_count) {
-    (void)pinned_.AddIndex(prev.indexes()[position]);
+    (void)pinned_.AddIndex(prev.indexes()[position], names[position]);
   } else if (position < index_count + view_count) {
-    (void)pinned_.AddView(prev.views()[position - index_count]);
+    (void)pinned_.AddView(prev.views()[position - index_count],
+                          names[position]);
   } else {
     size_t i = position - index_count - view_count;
     for (const auto& [table, scheme] : prev.table_partitioning()) {

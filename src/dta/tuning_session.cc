@@ -330,31 +330,34 @@ Status TuningSession::CreateAndImportStats(
 
 Result<catalog::Configuration> TuningSession::BaseConfiguration() const {
   catalog::Configuration base;
-  for (const auto& ix : production_->current_configuration().indexes()) {
+  const catalog::Configuration& current =
+      production_->current_configuration();
+  for (size_t i = 0; i < current.indexes().size(); ++i) {
+    const catalog::IndexDef& ix = current.indexes()[i];
     if (ix.constraint_enforcing || options_.keep_existing_structures) {
-      DTA_RETURN_IF_ERROR(base.AddIndex(ix));
+      DTA_RETURN_IF_ERROR(base.AddIndex(ix, current.index_names()[i]));
     }
   }
   if (options_.keep_existing_structures) {
-    for (const auto& v : production_->current_configuration().views()) {
-      DTA_RETURN_IF_ERROR(base.AddView(v));
+    for (size_t i = 0; i < current.views().size(); ++i) {
+      DTA_RETURN_IF_ERROR(
+          base.AddView(current.views()[i], current.view_names()[i]));
     }
-    for (const auto& [table, scheme] :
-         production_->current_configuration().table_partitioning()) {
+    for (const auto& [table, scheme] : current.table_partitioning()) {
       base.SetTablePartitioning(table, scheme);
     }
   }
   // User-specified configuration (paper §6.2) is honored verbatim.
-  for (const auto& ix : options_.user_specified.indexes()) {
-    Status s = base.AddIndex(ix);
+  const catalog::Configuration& user = options_.user_specified;
+  for (size_t i = 0; i < user.indexes().size(); ++i) {
+    Status s = base.AddIndex(user.indexes()[i], user.index_names()[i]);
     if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
   }
-  for (const auto& v : options_.user_specified.views()) {
-    Status s = base.AddView(v);
+  for (size_t i = 0; i < user.views().size(); ++i) {
+    Status s = base.AddView(user.views()[i], user.view_names()[i]);
     if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
   }
-  for (const auto& [table, scheme] :
-       options_.user_specified.table_partitioning()) {
+  for (const auto& [table, scheme] : user.table_partitioning()) {
     base.SetTablePartitioning(table, scheme);
   }
   return base;

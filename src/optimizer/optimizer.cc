@@ -388,15 +388,15 @@ std::optional<Optimizer::AccessPath> Optimizer::InnerSeekPath(
 // View plans
 // --------------------------------------------------------------------------
 
-const BoundQuery* Optimizer::BoundView(const catalog::ViewDef& view) const {
-  std::string key = view.CanonicalName();
+const BoundQuery* Optimizer::BoundView(const catalog::ViewDef& view,
+                                       const std::string& name) const {
   MutexLock lock(view_bind_mu_);
-  auto it = view_bind_cache_.find(key);
+  auto it = view_bind_cache_.find(name);
   if (it != view_bind_cache_.end()) return it->second.get();
   if (view.definition == nullptr) return nullptr;
   auto bound = BindSelect(*view.definition, catalog_);
   if (!bound.ok()) {
-    view_bind_cache_[key] = nullptr;
+    view_bind_cache_[name] = nullptr;
     return nullptr;
   }
   auto owned = std::make_unique<BoundQuery>(std::move(bound).value());
@@ -405,7 +405,7 @@ const BoundQuery* Optimizer::BoundView(const catalog::ViewDef& view) const {
   // definition alive.
   owned->owned_stmt = view.definition;
   const BoundQuery* out = owned.get();
-  view_bind_cache_[key] = std::move(owned);
+  view_bind_cache_[name] = std::move(owned);
   return out;
 }
 
@@ -413,8 +413,9 @@ std::optional<Optimizer::AccessPath> Optimizer::BestViewPlan(
     const BoundQuery& q, const CardinalityEstimator& est,
     const catalog::Configuration& config) const {
   std::optional<AccessPath> best;
-  for (const catalog::ViewDef& view : config.views()) {
-    const BoundQuery* vq = BoundView(view);
+  for (size_t i = 0; i < config.views().size(); ++i) {
+    const catalog::ViewDef& view = config.views()[i];
+    const BoundQuery* vq = BoundView(view, config.view_names()[i]);
     if (vq == nullptr) continue;
     auto match = MatchView(q, *vq, view);
     if (!match.has_value()) continue;
@@ -1072,7 +1073,7 @@ Result<double> Optimizer::CostDml(const sql::Statement& stmt,
     bool touched = true;
     if (dml.kind == sql::StatementKind::kUpdate) {
       touched = false;
-      const BoundQuery* vq = BoundView(*v);
+      const BoundQuery* vq = BoundView(*v, config.NameOf(*v));
       if (vq != nullptr) {
         std::vector<int> vcols = ViewColumnsOfTable(*vq, table);
         for (int c : dml.updated_columns) {

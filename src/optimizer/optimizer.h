@@ -115,8 +115,10 @@ class Optimizer {
       const BoundQuery& q, const CardinalityEstimator& est,
       const catalog::Configuration& config) const;
 
-  // Binds a view definition (cached by canonical name).
-  const BoundQuery* BoundView(const catalog::ViewDef& view) const
+  // Binds a view definition, cached by `name`: the view's canonical name as
+  // the configuration stored it.
+  const BoundQuery* BoundView(const catalog::ViewDef& view,
+                              const std::string& name) const
       EXCLUDES(view_bind_mu_);
 
   const catalog::Catalog& catalog_;

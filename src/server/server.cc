@@ -154,11 +154,11 @@ Result<Server::WhatIfResult> Server::WhatIfCost(
   if (fault_injector_ != nullptr) {
     if (fault_key == 0) {
       uint64_t h = HashBytes(sql::ToSql(stmt));
-      for (const auto& ix : config.indexes()) {
-        h = HashCombine(h, HashBytes(ix.CanonicalName()));
+      for (const auto& name : config.index_names()) {
+        h = HashCombine(h, HashBytes(name));
       }
-      for (const auto& v : config.views()) {
-        h = HashCombine(h, HashBytes(v.CanonicalName()));
+      for (const auto& name : config.view_names()) {
+        h = HashCombine(h, HashBytes(name));
       }
       for (const auto& [table, scheme] : config.table_partitioning()) {
         h = HashCombine(h, HashBytes(table + scheme.CanonicalString()));

@@ -9,19 +9,23 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "dta/candidates.h"
 #include "dta/checkpoint.h"
 #include "dta/cost_service.h"
 #include "dta/derived_cost.h"
+#include "dta/enumeration.h"
 #include "dta/tuning_session.h"
 #include "dta/xml_schema.h"
 #include "sql/parser.h"
 #include "workload/workload.h"
+#include "workloads/tpch.h"
 
 namespace dta::tuner {
 namespace {
@@ -139,7 +143,10 @@ catalog::ViewDef View(const char* text) {
 
 // Each atom's fingerprint must be the cache key a lookup of the atom's
 // built configuration computes: the atom is cached under it, and a later
-// lookup of that configuration must find it.
+// lookup of that configuration must find it. BuildAtom stores the relevant
+// set's names and CollectRelevant reads them back, so that comparison alone
+// checks the name bytes only against themselves; the same configuration
+// rebuilt through the rendering inserts is the independent witness.
 void ExpectAtomFingerprintsMatch(const std::set<std::string>& tables,
                                  const RelevantSet& relevant,
                                  const Decomposition& d) {
@@ -148,6 +155,19 @@ void ExpectAtomFingerprintsMatch(const std::set<std::string>& tables,
     EXPECT_EQ(d.atoms[a].fingerprint,
               CollectRelevant(tables, built).fingerprint)
         << "atom " << a;
+    Configuration rendered;
+    for (const IndexDef& ix : built.indexes()) {
+      ASSERT_TRUE(rendered.AddIndex(ix).ok());
+    }
+    for (const catalog::ViewDef& v : built.views()) {
+      ASSERT_TRUE(rendered.AddView(v).ok());
+    }
+    for (const auto& [table, scheme] : built.table_partitioning()) {
+      rendered.SetTablePartitioning(table, scheme);
+    }
+    EXPECT_EQ(d.atoms[a].fingerprint,
+              CollectRelevant(tables, rendered).fingerprint)
+        << "atom " << a << " rebuilt by rendering";
   }
 }
 
@@ -596,6 +616,196 @@ TEST(DerivedCostSessionTest, ExactModeVerifiesDerivationsWithoutSavings) {
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(RecommendationXml(*got), RecommendationXml(*plain));
   EXPECT_EQ(got->derived_answers, plain->derived_answers);
+}
+
+// ------------------------------------------------------------ stored names
+
+// A statistics-only TPC-H server with its raw design implemented.
+std::unique_ptr<server::Server> MakeTpch() {
+  auto s = std::make_unique<server::Server>(
+      "prod", optimizer::HardwareParams());
+  EXPECT_TRUE(workloads::AttachTpch(s.get(), 0.05, /*with_data=*/false, 7)
+                  .ok());
+  EXPECT_TRUE(
+      s->ImplementConfiguration(workloads::TpchRawConfiguration()).ok());
+  return s;
+}
+
+// One TPC-H join statement's generated views and indexes, plus its first
+// partitioning candidate on orders (which also has index candidates, so
+// aligned builds re-partition indexes).
+std::vector<Candidate> TpchCandidatePool(server::Server* server) {
+  auto stmt = sql::ParseStatement(
+      "SELECT o_custkey, SUM(l_extendedprice * (1 - l_discount)) FROM "
+      "customer, orders, lineitem WHERE c_custkey = o_custkey AND "
+      "l_orderkey = o_orderkey AND o_orderdate < '1995-03-15' AND "
+      "l_shipdate > '1995-03-15' GROUP BY o_custkey ORDER BY o_custkey");
+  EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto generated = GenerateCandidatesForStatement(
+      *stmt, server, InterestingColumnGroups::Unrestricted(), TuningOptions());
+  EXPECT_TRUE(generated.ok()) << generated.status().ToString();
+  std::vector<Candidate> pool;
+  bool partitioning = false;
+  for (Candidate& c : *generated) {
+    if (c.kind == Candidate::Kind::kTablePartitioning) {
+      if (partitioning || c.table != "orders") continue;
+      partitioning = true;
+    }
+    pool.push_back(std::move(c));
+  }
+  return pool;
+}
+
+// The whole pool as far as one configuration can hold it: the first
+// clustered index candidate per table.
+std::vector<const Candidate*> WholePool(const std::vector<Candidate>& pool) {
+  std::vector<const Candidate*> out;
+  std::set<std::string> clustered_tables;
+  for (const Candidate& c : pool) {
+    if (c.kind == Candidate::Kind::kIndex && c.index.clustered &&
+        !clustered_tables.insert(c.index.table).second) {
+      continue;
+    }
+    out.push_back(&c);
+  }
+  return out;
+}
+
+// Number of stored names that differ from a fresh render.
+size_t StaleNames(const Configuration& c) {
+  size_t stale = 0;
+  for (size_t i = 0; i < c.indexes().size(); ++i) {
+    if (c.index_names()[i] != c.indexes()[i].CanonicalName()) ++stale;
+  }
+  for (size_t i = 0; i < c.views().size(); ++i) {
+    if (c.view_names()[i] != c.views()[i].CanonicalName()) ++stale;
+  }
+  return stale;
+}
+
+// Every configuration BuildConfiguration makes from the pool — each
+// singleton, each pair and the whole pool, aligned and unaligned — stores
+// names equal to fresh renders, including the aligned variants whose
+// inherited partitioning changed their names.
+TEST(StoredNameTest, TpchCandidateSweepStoresFreshNames) {
+  auto server = MakeTpch();
+  const std::vector<Candidate> pool = TpchCandidatePool(server.get());
+  std::map<Candidate::Kind, size_t> kinds;
+  for (const Candidate& c : pool) ++kinds[c.kind];
+  ASSERT_GT(kinds[Candidate::Kind::kIndex], 0u);
+  ASSERT_GT(kinds[Candidate::Kind::kView], 0u);
+  ASSERT_EQ(kinds[Candidate::Kind::kTablePartitioning], 1u);
+
+  std::vector<std::vector<const Candidate*>> subsets;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    subsets.push_back({&pool[i]});
+    for (size_t j = i + 1; j < pool.size(); ++j) {
+      subsets.push_back({&pool[i], &pool[j]});
+    }
+  }
+  subsets.push_back(WholePool(pool));
+
+  const Configuration base = workloads::TpchRawConfiguration();
+  size_t built = 0;
+  size_t partitioned_indexes = 0;
+  for (bool aligned : {false, true}) {
+    for (const auto& chosen : subsets) {
+      auto config = BuildConfiguration(base, chosen, aligned);
+      // Two clustered candidates on one table conflict; nothing to check.
+      if (!config.ok()) continue;
+      ++built;
+      std::string names;
+      for (const Candidate* c : chosen) names += " " + c->name;
+      EXPECT_EQ(StaleNames(*config), 0u)
+          << (aligned ? "aligned:" : "unaligned:") << names;
+      for (const IndexDef& ix : config->indexes()) {
+        if (aligned && ix.partitioning.has_value()) ++partitioned_indexes;
+      }
+    }
+  }
+  EXPECT_EQ(StaleNames(base), 0u);
+  EXPECT_GT(built, pool.size());
+  // The aligned sweep re-partitioned indexes, the path that renders.
+  EXPECT_GT(partitioned_indexes, 0u);
+}
+
+// ------------------------------------------------------ identity renders
+
+// Nothing on the lookup path renders a name: the relevance walk, building
+// atoms, copying, membership, removal, fingerprints and an unaligned build
+// all read stored names.
+TEST(IdentityRenderTest, LookupPathRendersNothing) {
+  auto server = MakeTpch();
+  const std::vector<Candidate> pool = TpchCandidatePool(server.get());
+  const std::vector<const Candidate*> chosen = WholePool(pool);
+  const Configuration base = workloads::TpchRawConfiguration();
+  auto config = BuildConfiguration(base, chosen, /*aligned=*/false);
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  ASSERT_FALSE(config->views().empty());
+  const std::string index_name = config->index_names().back();
+  const std::string view_name = config->view_names().front();
+
+  const uint64_t before = catalog::IdentityRenders();
+  const RelevantSet relevant =
+      CollectRelevant({"customer", "orders", "lineitem"}, *config);
+  const Decomposition d = DecomposeConfiguration(
+      sql::StatementKind::kSelect, relevant, /*max_atoms=*/64);
+  ASSERT_FALSE(d.atoms.empty());
+  size_t atom_structures = 0;
+  for (const auto& atom : d.atoms) {
+    atom_structures += BuildAtom(relevant, atom).StructureCount();
+  }
+  Configuration copy = *config;
+  EXPECT_TRUE(copy.ContainsStructure(index_name));
+  EXPECT_TRUE(copy.RemoveStructure(index_name));
+  EXPECT_TRUE(copy.RemoveStructure(view_name));
+  EXPECT_FALSE(copy.ContainsStructure(view_name));
+  EXPECT_NE(copy.Fingerprint(), config->Fingerprint());
+  auto rebuilt = BuildConfiguration(base, chosen, /*aligned=*/false);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(catalog::IdentityRenders() - before, 0u);
+
+  EXPECT_GT(atom_structures, 0u);
+  EXPECT_EQ(rebuilt->Fingerprint(), config->Fingerprint());
+}
+
+// Renders follow the structures a session builds, not its lookups: with
+// derived costing on and off a session looks up different configurations
+// (and makes a different number of what-if calls), yet builds the same
+// candidates and recommendation, so it renders the same number of names.
+TEST(IdentityRenderTest, SessionRendersFollowStructuresNotLookups) {
+  struct Run {
+    uint64_t renders = 0;
+    uint64_t lookups = 0;
+    size_t whatif_calls = 0;
+    std::string recommendation;
+  };
+  auto tune = [](bool derived) {
+    auto server = MakeTpch();
+    const workload::Workload w = workloads::TpchQueriesPrefix(8, 42);
+    TuningOptions opts;
+    opts.derived_costing = derived;
+    TuningSession session(server.get(), opts);
+    MetricsRegistry metrics;
+    session.SetObservability({&metrics, nullptr, nullptr});
+    Run run;
+    const uint64_t before = catalog::IdentityRenders();
+    auto r = session.Tune(w);
+    run.renders = catalog::IdentityRenders() - before;
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return run;
+    run.lookups = metrics.CounterValues().at("whatif.lookups");
+    run.whatif_calls = r->whatif_calls;
+    run.recommendation = RecommendationXml(*r);
+    return run;
+  };
+  const Run derived = tune(true);
+  const Run underived = tune(false);
+  EXPECT_NE(derived.lookups, underived.lookups);
+  EXPECT_LT(derived.whatif_calls, underived.whatif_calls);
+  EXPECT_EQ(derived.recommendation, underived.recommendation);
+  EXPECT_GT(derived.renders, 0u);
+  EXPECT_EQ(derived.renders, underived.renders);
 }
 
 }  // namespace

@@ -99,6 +99,21 @@ workload::Workload SeedWorkload() {
   return std::move(w).value();
 }
 
+// Another workload over the same tables, whose aggregates yield view
+// candidates other than the seed workload's.
+workload::Workload OtherViewWorkload() {
+  const char* script =
+      "SELECT i_part, SUM(i_qty) FROM items WHERE i_part < 500 "
+      "GROUP BY i_part;"
+      "SELECT o_date, MAX(o_price) FROM orders WHERE o_cust < 100 "
+      "GROUP BY o_date;"
+      "SELECT o_date, SUM(i_qty) FROM orders, items WHERE o_id = i_oid "
+      "AND i_part < 50 GROUP BY o_date";
+  auto w = workload::Workload::FromScript(script);
+  EXPECT_TRUE(w.ok()) << w.status().ToString();
+  return std::move(w).value();
+}
+
 struct ObservedRun {
   std::string json;
   std::vector<Tracer::SpanView> spans;
@@ -107,14 +122,18 @@ struct ObservedRun {
   TuningResult result;
 };
 
-// Tunes the seed workload with full observability attached: a FakeClock
-// (frozen — never advanced — so every duration is exactly 0.000), a span
-// tracer, and a metrics registry, optionally with checkpointing on.
-ObservedRun TuneObserved(int threads, const std::string& checkpoint_path) {
+// Tunes the seed workload (or `workload`) with full observability attached:
+// a FakeClock (frozen — never advanced — so every duration is exactly
+// 0.000), a span tracer, and a metrics registry, optionally with
+// checkpointing on.
+ObservedRun TuneObserved(int threads, const std::string& checkpoint_path,
+                         bool derived_costing = true,
+                         const workload::Workload& workload = SeedWorkload()) {
   auto prod = MakeProduction();
   TuningOptions opts;
   opts.num_threads = threads;
   opts.checkpoint_path = checkpoint_path;
+  opts.derived_costing = derived_costing;
   TuningSession session(prod.get(), opts);
 
   MetricsRegistry metrics;
@@ -122,7 +141,7 @@ ObservedRun TuneObserved(int threads, const std::string& checkpoint_path) {
   Tracer tracer(&clock);
   session.SetObservability({&metrics, &tracer, &clock});
 
-  auto result = session.Tune(SeedWorkload());
+  auto result = session.Tune(workload);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
 
   ObservedRun run;
@@ -154,10 +173,18 @@ TEST(ObservabilityGoldenTest, ExportIsByteIdenticalAtOneAndEightThreads) {
             std::string::npos);
 }
 
+// Between the compared runs, a session over other view candidates builds
+// and frees its own view definitions. Nothing may carry over into the second
+// run — e.g. a memo keyed on a freed definition's address, which a new
+// definition can reuse — with derived costing on or off.
 TEST(ObservabilityGoldenTest, RepeatedRunsAreByteIdentical) {
-  ObservedRun a = TuneObserved(2, "");
-  ObservedRun b = TuneObserved(2, "");
-  EXPECT_EQ(a.json, b.json);
+  for (bool derived : {true, false}) {
+    ObservedRun a = TuneObserved(2, "", derived);
+    ObservedRun other = TuneObserved(2, "", derived, OtherViewWorkload());
+    ObservedRun b = TuneObserved(2, "", derived);
+    EXPECT_EQ(a.json, b.json) << "derived_costing=" << derived;
+    EXPECT_NE(other.json, a.json) << "derived_costing=" << derived;
+  }
 }
 
 // ------------------------------------------------------- span coverage

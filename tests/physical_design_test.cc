@@ -227,5 +227,101 @@ TEST(ConfigurationTest, ViewsReferencing) {
   EXPECT_EQ(c.ViewsReferencing("orders").size(), 0u);
 }
 
+// An index with every optional part of its name: a database qualifier,
+// included columns (a set) and partitioning.
+IndexDef QualifiedPartitionedIndex() {
+  PartitionScheme monthly;
+  monthly.column = "L_ShipDate";
+  monthly.boundaries = {sql::Value::String("1993-01-01"),
+                        sql::Value::String("1994-01-01")};
+  return IndexDef{.database = "Sales",
+                  .table = "LineItem",
+                  .key_columns = {"L_ShipDate", "l_orderkey"},
+                  .included_columns = {"l_quantity", "L_Discount"},
+                  .partitioning = monthly};
+}
+
+// A view with a clustered key and partitioning.
+ViewDef KeyedPartitionedView() {
+  ViewDef v;
+  v.definition = ParseView("SELECT l_orderkey, COUNT(*) FROM lineitem "
+                           "WHERE l_shipdate < '1995-01-01' GROUP BY "
+                           "l_orderkey");
+  v.referenced_tables = {"lineitem"};
+  v.clustered_key = {"l_orderkey"};
+  PartitionScheme by_key;
+  by_key.column = "l_orderkey";
+  by_key.boundaries = {sql::Value::Int(1000), sql::Value::Int(2000)};
+  v.partitioning = by_key;
+  return v;
+}
+
+// Cache keys, checkpoints and the XML schema embed canonical names, and a
+// configuration stores them: the render's bytes must never drift.
+TEST(IdentityTest, CanonicalNameBytesArePinned) {
+  EXPECT_EQ(QualifiedPartitionedIndex().CanonicalName(),
+            "ix:sales.lineitem:k=l_shipdate,l_orderkey:inc=l_discount,"
+            "l_quantity:p(l_shipdate:['1993-01-01','1994-01-01'])");
+  EXPECT_EQ(KeyedPartitionedView().CanonicalName(),
+            "mv:c2b90c8cb613ed91-a3b6809e:ck=l_orderkey:"
+            "p(l_orderkey:[1000,2000])");
+}
+
+// Every stored name equals a fresh render of its structure.
+void ExpectStoredNamesFresh(const Configuration& c) {
+  ASSERT_EQ(c.index_names().size(), c.indexes().size());
+  ASSERT_EQ(c.view_names().size(), c.views().size());
+  for (size_t i = 0; i < c.indexes().size(); ++i) {
+    EXPECT_EQ(c.index_names()[i], c.indexes()[i].CanonicalName()) << i;
+    EXPECT_EQ(&c.NameOf(c.indexes()[i]), &c.index_names()[i]) << i;
+  }
+  for (size_t i = 0; i < c.views().size(); ++i) {
+    EXPECT_EQ(c.view_names()[i], c.views()[i].CanonicalName()) << i;
+    EXPECT_EQ(&c.NameOf(c.views()[i]), &c.view_names()[i]) << i;
+  }
+}
+
+TEST(ConfigurationTest, StoredNamesSurviveCopyRemoveAndReAdd) {
+  const IndexDef first{.table = "lineitem", .key_columns = {"l_orderkey"}};
+  const IndexDef middle = QualifiedPartitionedIndex();
+  const IndexDef last{.table = "lineitem",
+                      .key_columns = {"l_partkey"},
+                      .clustered = true};
+  ViewDef plain;
+  plain.definition = ParseView("SELECT l_orderkey FROM lineitem");
+  plain.referenced_tables = {"lineitem"};
+  const ViewDef keyed = KeyedPartitionedView();
+
+  Configuration c;
+  ASSERT_TRUE(c.AddIndex(first).ok());
+  ASSERT_TRUE(c.AddIndex(middle, middle.CanonicalName()).ok());
+  ASSERT_TRUE(c.AddIndex(last).ok());
+  ASSERT_TRUE(c.AddView(keyed).ok());
+  ASSERT_TRUE(c.AddView(plain, plain.CanonicalName()).ok());
+  c.SetTablePartitioning("lineitem", MonthlyScheme());
+  ExpectStoredNamesFresh(c);
+
+  Configuration copy = c;
+  ExpectStoredNamesFresh(copy);
+  EXPECT_EQ(copy.Fingerprint(), c.Fingerprint());
+
+  ASSERT_TRUE(copy.RemoveStructure(middle.CanonicalName()));
+  ASSERT_TRUE(copy.RemoveStructure(keyed.CanonicalName()));
+  ExpectStoredNamesFresh(copy);
+  EXPECT_FALSE(copy.ContainsStructure(middle.CanonicalName()));
+  EXPECT_TRUE(copy.ContainsStructure(last.CanonicalName()));
+  EXPECT_TRUE(copy.ContainsStructure(plain.CanonicalName()));
+  ExpectStoredNamesFresh(c);  // the original is untouched
+  EXPECT_TRUE(c.ContainsStructure(middle.CanonicalName()));
+
+  ASSERT_TRUE(copy.AddIndex(middle).ok());
+  ASSERT_TRUE(copy.AddView(keyed, keyed.CanonicalName()).ok());
+  ExpectStoredNamesFresh(copy);
+  EXPECT_EQ(copy.Fingerprint(), c.Fingerprint());
+  EXPECT_EQ(copy.AddIndex(middle).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(copy.AddView(keyed).code(), StatusCode::kAlreadyExists);
+  ExpectStoredNamesFresh(copy);
+}
+
 }  // namespace
 }  // namespace dta::catalog
