@@ -15,39 +15,24 @@
 
 namespace dta::tuner {
 
-namespace {
-
-// Costs must survive serialization bit-exactly (resume promises the
-// identical recommendation); C99 hex-float notation round-trips doubles
-// without rounding and strtod parses it back.
-std::string HexDouble(double v) { return StrFormat("%a", v); }
 double ParseDouble(const std::string& s) {
   return std::strtod(s.c_str(), nullptr);
-}
-
-const char* BoolStr(bool b) { return b ? "true" : "false"; }
-bool ParseBool(const std::string& s) {
-  return EqualsIgnoreCase(s, "true") || s == "1";
 }
 
 uint64_t ParseU64(const std::string& s) {
   return std::strtoull(s.c_str(), nullptr, 10);
 }
 
-void StatsKeyToXml(const stats::StatsKey& key, xml::Element* parent) {
-  xml::Element* e = parent->AddChild("Stats");
-  e->SetAttr("Database", key.database);
-  e->SetAttr("Table", key.table);
-  for (const auto& c : key.columns) e->AddTextChild("Column", c);
-}
+namespace {
 
-stats::StatsKey StatsKeyFromXml(const xml::Element& e) {
-  std::vector<std::string> columns;
-  for (const xml::Element* c : e.FindChildren("Column")) {
-    columns.push_back(c->text());
-  }
-  return stats::StatsKey(e.Attr("Database"), e.Attr("Table"),
-                         std::move(columns));
+// Costs must survive serialization bit-exactly (resume promises the
+// identical recommendation); C99 hex-float notation round-trips doubles
+// without rounding and strtod parses it back.
+std::string HexDouble(double v) { return StrFormat("%a", v); }
+
+const char* BoolStr(bool b) { return b ? "true" : "false"; }
+bool ParseBool(const std::string& s) {
+  return EqualsIgnoreCase(s, "true") || s == "1";
 }
 
 void CandidateToXml(const Candidate& cand, xml::Element* parent) {
@@ -152,10 +137,85 @@ void AppendHexDouble(std::string* out, double v) {
   AppendU64(out, static_cast<uint64_t>(e < 0 ? -e : e));
 }
 
+void StatsKeyToXml(const stats::StatsKey& key, xml::Element* parent) {
+  xml::Element* e = parent->AddChild("Stats");
+  e->SetAttr("Database", key.database);
+  e->SetAttr("Table", key.table);
+  for (const auto& c : key.columns) e->AddTextChild("Column", c);
+}
+
+stats::StatsKey StatsKeyFromXml(const xml::Element& e) {
+  std::vector<std::string> columns;
+  for (const xml::Element* c : e.FindChildren("Column")) {
+    columns.push_back(c->text());
+  }
+  return stats::StatsKey(e.Attr("Database"), e.Attr("Table"),
+                         std::move(columns));
+}
+
+void CostBlobWriter::Add(uint64_t key, const std::string& fingerprint,
+                         double cost, bool degraded, bool derived) {
+  size_t shared = 0;
+  if (prev_ != nullptr) {
+    const size_t limit = std::min(prev_->size(), fingerprint.size());
+    while (shared < limit && (*prev_)[shared] == fingerprint[shared]) {
+      ++shared;
+    }
+  }
+  AppendU64(&blob_, key);
+  blob_.push_back(' ');
+  AppendHexDouble(&blob_, cost);
+  blob_.push_back(' ');
+  AppendU64(&blob_, (degraded ? 1u : 0u) | (derived ? 2u : 0u));
+  blob_.push_back(' ');
+  AppendU64(&blob_, shared);
+  blob_.push_back(' ');
+  blob_.append(fingerprint, shared, std::string::npos);
+  blob_.push_back('\n');
+  prev_ = &fingerprint;
+}
+
+std::string CostBlobWriter::Finish() {
+  if (!blob_.empty()) blob_.pop_back();
+  prev_ = nullptr;
+  return std::move(blob_);
+}
+
+Status DecodeCostBlob(const std::string& blob, const char* section,
+                      std::vector<CostService::CacheEntry>* lines) {
+  const char* p = blob.c_str();
+  const char* end = p + blob.size();
+  std::string prev_fp;
+  while (p < end) {
+    char* q = nullptr;
+    CostService::CacheEntry line;
+    line.key = std::strtoull(p, &q, 10);
+    line.cost = std::strtod(q, &q);
+    const unsigned long flags = std::strtoul(q, &q, 10);
+    line.degraded = (flags & 1) != 0;
+    line.derived = (flags & 2) != 0;
+    const size_t shared = static_cast<size_t>(std::strtoull(q, &q, 10));
+    if (q < end && *q == ' ') ++q;
+    const char* nl = static_cast<const char*>(
+        std::memchr(q, '\n', static_cast<size_t>(end - q)));
+    if (nl == nullptr) nl = end;
+    if (q > nl || shared > prev_fp.size()) {
+      return Status::InvalidArgument(std::string(section) +
+                                     " has a malformed line");
+    }
+    line.fingerprint.assign(prev_fp, 0, shared);
+    line.fingerprint.append(q, static_cast<size_t>(nl - q));
+    prev_fp = line.fingerprint;
+    lines->push_back(std::move(line));
+    p = nl + 1;
+  }
+  return Status::Ok();
+}
+
 uint64_t WorkloadFingerprint(const workload::Workload& workload) {
   uint64_t h = HashBytes("dta-workload");
   for (const auto& ws : workload.statements()) {
-    h = HashCombine(h, HashBytes(ws.text));
+    h = HashCombine(h, ws.id);
     h = HashCombine(h, HashBytes(StrFormat("%a", ws.weight)));
   }
   return h;
@@ -176,8 +236,7 @@ uint64_t OptionsFingerprint(const TuningOptions& o) {
   // which cache entries hold derived costs); exact_costing is not — exact
   // mode publishes real costs, which any mode can safely resume from.
   // quarantined_structures IS included (a quarantine filters the candidate
-  // pool and so changes the recommendation); export_session_state is not —
-  // it only adds output fields to the result.
+  // pool and so changes the recommendation).
   std::ostringstream out;
   out << o.tune_indexes << '|' << o.tune_materialized_views << '|'
       << o.tune_partitioning << '|' << o.require_alignment << '|'
@@ -236,56 +295,16 @@ std::string CheckpointToXml(const SessionCheckpoint& ckpt) {
   xml::Element* created = root.AddChild("CreatedStats");
   for (const auto& key : ckpt.created_stats) StatsKeyToXml(key, created);
 
-  // Entries arrive from CostService::ExportCache already in deterministic
-  // (statement index, fingerprint) order — per-shard std::map iteration,
-  // shards walked in statement order — so the checkpoint document is
-  // byte-identical across runs and thread counts. Keep that contract if the
-  // cache container ever changes (dta_lint's unordered-output rule guards
-  // this file against unordered-container iteration).
-  //
-  // The cache dominates the document (thousands of entries; everything else
-  // is tens of elements) and a checkpoint lands after every phase and
-  // enumeration round, so this section is bulk-encoded as one text blob —
-  // one "statement cost flags shared suffix" line per entry — instead of
-  // an element per entry (format version 2). `flags` is bit 0 = degraded,
-  // bit 1 = derived (documents written before derived costing carry plain
-  // 0/1 degraded values, which decode identically). Fingerprints are
-  // front-coded:
-  // `shared` is the prefix length reused from the previous line's decoded
-  // fingerprint, and `suffix` is the remainder. Consecutive fingerprints
-  // sort together and share long configuration prefixes, so this shrinks
-  // the document severalfold and keeps a full checkpoint write in the
-  // low-millisecond range — which is what lets the checkpoint_budget_pct
-  // amortization hold checkpoint overhead under 1% of tuning wall-clock.
-  // The suffix is the final field and runs to end-of-line, so any
-  // characters short of a newline are safe; an empty suffix may leave a
-  // space the parser's outer trim eats on the last line, which decodes
-  // identically (empty either way).
-  std::string cache_blob;
-  cache_blob.reserve(ckpt.cache.size() * 48);
-  const std::string* prev = nullptr;
-  for (const auto& entry : ckpt.cache) {
-    const std::string& fp = entry.fingerprint;
-    size_t shared = 0;
-    if (prev != nullptr) {
-      const size_t limit = std::min(prev->size(), fp.size());
-      while (shared < limit && (*prev)[shared] == fp[shared]) ++shared;
-    }
-    AppendU64(&cache_blob, entry.statement);
-    cache_blob.push_back(' ');
-    AppendHexDouble(&cache_blob, entry.cost);
-    cache_blob.push_back(' ');
-    AppendU64(&cache_blob, (entry.degraded ? 1u : 0u) |
-                               (entry.derived ? 2u : 0u));
-    cache_blob.push_back(' ');
-    AppendU64(&cache_blob, shared);
-    cache_blob.push_back(' ');
-    cache_blob.append(fp.data() + shared, fp.size() - shared);
-    cache_blob.push_back('\n');
-    prev = &fp;
+  // Entries arrive from CostService::ExportCache in deterministic
+  // (statement index, fingerprint) order, so the document is byte-identical
+  // across runs and thread counts (dta_lint's unordered-output rule guards
+  // this file). The cache dominates the document, so it is one front-coded
+  // blob (format version 2): a full write stays in the low milliseconds.
+  CostBlobWriter cache_blob;
+  for (const auto& e : ckpt.cache) {
+    cache_blob.Add(e.key, e.fingerprint, e.cost, e.degraded, e.derived);
   }
-  if (!cache_blob.empty()) cache_blob.pop_back();
-  root.AddTextChild("CostCache", std::move(cache_blob));
+  root.AddTextChild("CostCache", cache_blob.Finish());
 
   if (!ckpt.degraded_statements.empty()) {
     // std::set iteration order makes this deterministic.
@@ -373,38 +392,8 @@ Result<SessionCheckpoint> CheckpointFromXml(const std::string& xml_text,
     }
   }
   if (const xml::Element* cache = root.FindChild("CostCache")) {
-    // Inverse of the front-coded bulk encoding above: one entry per line,
-    // the fingerprint reassembled from the previous entry's prefix plus the
-    // suffix running from the fourth space to end-of-line (possibly empty —
-    // the base configuration fingerprints to the empty string).
-    const std::string& blob = cache->text();
-    const char* p = blob.c_str();
-    const char* end = p + blob.size();
-    std::string prev_fp;
-    while (p < end) {
-      char* q = nullptr;
-      CostService::CacheEntry entry;
-      entry.statement = static_cast<size_t>(std::strtoull(p, &q, 10));
-      entry.cost = std::strtod(q, &q);
-      const long flags = std::strtol(q, &q, 10);
-      entry.degraded = (flags & 1) != 0;
-      entry.derived = (flags & 2) != 0;
-      const size_t shared =
-          static_cast<size_t>(std::strtoull(q, &q, 10));
-      if (q < end && *q == ' ') ++q;
-      const char* nl = static_cast<const char*>(
-          std::memchr(q, '\n', static_cast<size_t>(end - q)));
-      if (nl == nullptr) nl = end;
-      if (q > nl || shared > prev_fp.size()) {
-        return Status::InvalidArgument("DTACheckpoint has a malformed "
-                                       "CostCache line");
-      }
-      entry.fingerprint.assign(prev_fp, 0, shared);
-      entry.fingerprint.append(q, static_cast<size_t>(nl - q));
-      prev_fp = entry.fingerprint;
-      ckpt.cache.push_back(std::move(entry));
-      p = nl + 1;
-    }
+    DTA_RETURN_IF_ERROR(
+        DecodeCostBlob(cache->text(), "DTACheckpoint CostCache", &ckpt.cache));
   }
   // Absent on documents written before degraded-statement carry-over (and
   // on fault-free sessions).

@@ -40,6 +40,10 @@
 #include "stats/statistics.h"
 #include "workload/workload.h"
 
+namespace dta::xml {
+class Element;
+}  // namespace dta::xml
+
 namespace dta::tuner {
 
 // Phase markers, ordered by pipeline progress.
@@ -150,11 +154,46 @@ Status AppendDeltaSegment(const std::string& path, const std::string& segment,
 // file is unreadable or its base record is invalid.
 Result<DeltaLogContents> ReadDeltaLog(const std::string& path);
 
-// Bulk-encoding helpers shared by the v2 cost-cache blob and the stream
-// checkpoint's memo blob: locale-free integer formatting and a C99
-// hex-float encoder whose output strtod round-trips bit-exactly.
+// Bulk-encoding helpers shared by the cost blobs below and the stream
+// checkpoint: locale-free integer formatting and a C99 hex-float encoder
+// whose output strtod round-trips bit-exactly.
 void AppendU64(std::string* out, uint64_t v);
 void AppendHexDouble(std::string* out, double v);
+// Their inverses for a whole attribute (hex floats included).
+uint64_t ParseU64(const std::string& s);
+double ParseDouble(const std::string& s);
+
+// A statistics key as both checkpoint formats carry it:
+// <Stats Database= Table=><Column>name</Column>...</Stats>.
+void StatsKeyToXml(const stats::StatsKey& key, xml::Element* parent);
+stats::StatsKey StatsKeyFromXml(const xml::Element& e);
+
+// ---- Front-coded cost blobs -----------------------------------------------
+//
+// The v2 checkpoint's CostCache section and the stream checkpoint's Memo
+// section share one encoding, a "key cost flags shared suffix" line per
+// entry: `key` is a statement index in the first, a statement id in the
+// second, `flags` is bit 0 = degraded, bit 1 = derived, and the fingerprint
+// is front-coded — `shared` bytes of the previous line's fingerprint, then
+// `suffix` to end-of-line (empty for the base configuration's fingerprint).
+class CostBlobWriter {
+ public:
+  // `fingerprint` must stay alive until the next Add: the next line is
+  // front-coded against it.
+  void Add(uint64_t key, const std::string& fingerprint, double cost,
+           bool degraded, bool derived);
+  // The blob, without the final line's newline.
+  std::string Finish();
+
+ private:
+  std::string blob_;
+  const std::string* prev_ = nullptr;
+};
+
+// Appends a blob's lines to `lines`. A truncated line, or one reusing more
+// prefix than the previous fingerprint has, fails naming `section`.
+Status DecodeCostBlob(const std::string& blob, const char* section,
+                      std::vector<CostService::CacheEntry>* lines);
 
 }  // namespace dta::tuner
 

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <thread>
 
 #include "common/hash.h"
+#include "common/strings.h"
 #include "optimizer/heuristic_cost.h"
 
 namespace dta::tuner {
@@ -23,6 +25,58 @@ double HashToSignedUnit(uint64_t h) {
 
 }  // namespace
 
+Result<CostCache::Shard*> CostCache::Bind(uint64_t id,
+                                          const std::string& text) {
+  Shard& shard = shards_[id];
+  if (shard.text.empty()) {
+    shard.text = text;
+  } else if (shard.text != text) {
+    return Status::AlreadyExists(StrFormat(
+        "statement id %llu is already bound to another statement's text",
+        static_cast<unsigned long long>(id)));
+  }
+  return &shard;
+}
+
+size_t CostCache::size() const {
+  size_t n = 0;
+  for (const auto& kv : shards_) {
+    const Shard& shard = kv.second;
+    MutexLock lock(shard.mu);
+    n += shard.entries.size();
+  }
+  return n;
+}
+
+void CostCache::Clear() {
+  for (auto& kv : shards_) {
+    Shard& shard = kv.second;
+    MutexLock lock(shard.mu);
+    shard.entries.clear();
+  }
+}
+
+void CostCache::Retain(const std::set<uint64_t>& ids) {
+  for (auto it = shards_.begin(); it != shards_.end();) {
+    it = ids.count(it->first) != 0 ? std::next(it) : shards_.erase(it);
+  }
+}
+
+void CostCache::Restore(uint64_t id, const std::string& fingerprint,
+                        const Entry& entry) {
+  Shard& shard = shards_[id];
+  MutexLock lock(shard.mu);
+  shard.entries.insert_or_assign(fingerprint, entry);
+}
+
+void CostCache::ForEach(const EntryVisitor& fn) const {
+  for (const auto& kv : shards_) {
+    const Shard& shard = kv.second;
+    MutexLock lock(shard.mu);
+    for (const auto& [fp, entry] : shard.entries) fn(kv.first, fp, entry);
+  }
+}
+
 CostService::CostService(server::Server* server,
                          const optimizer::HardwareParams* simulate_hardware,
                          const workload::Workload* workload, Config config)
@@ -31,20 +85,21 @@ CostService::CostService(server::Server* server,
       simulate_hardware_(simulate_hardware),
       workload_(workload),
       config_(std::move(config)) {
-  Init();
+  Init(nullptr);
 }
 
 CostService::CostService(CostBackend* backend,
                          const optimizer::HardwareParams* simulate_hardware,
-                         const workload::Workload* workload, Config config)
+                         const workload::Workload* workload, Config config,
+                         CostCache* cache)
     : backend_(backend),
       simulate_hardware_(simulate_hardware),
       workload_(workload),
       config_(std::move(config)) {
-  Init();
+  Init(cache);
 }
 
-void CostService::Init() {
+void CostService::Init(CostCache* cache) {
   clock_ = config_.clock != nullptr ? config_.clock
                                     : MonotonicClock::Instance();
   if (config_.metrics != nullptr) {
@@ -66,13 +121,24 @@ void CostService::Init() {
       }
     }
   }
+  cache_ = cache != nullptr ? cache : &owned_cache_;
   statement_tables_.reserve(workload_->size());
   for (const auto& ws : workload_->statements()) {
     statement_tables_.push_back(sql::ReferencedTables(ws.stmt));
   }
+  // A separate pass: interleaving the session-long table sets with the
+  // shards and their texts fragments the heap (higher peak RSS).
   shards_.reserve(workload_->size());
-  for (size_t i = 0; i < workload_->size(); ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+  std::set<uint64_t> seen;
+  for (const auto& ws : workload_->statements()) {
+    auto bound = cache_->Bind(ws.id, ws.text);
+    if (!bound.ok() && bind_status_.ok()) bind_status_ = bound.status();
+    shards_.push_back(bound.ok() ? *bound : nullptr);
+    if (bound.ok() && seen.insert(ws.id).second) {
+      CostCache::Shard& shard = **bound;
+      MutexLock lock(shard.mu);
+      seeded_entries_ += shard.entries.size();
+    }
   }
 }
 
@@ -89,12 +155,12 @@ void CostService::RecordAttempts(int attempts) {
 Result<CostService::Entry> CostService::PriceWithRetries(
     size_t index, const catalog::Configuration& config,
     const std::string& fingerprint) {
-  const sql::Statement& stmt = workload_->statements()[index].stmt;
+  const workload::WorkloadStatement& ws = workload_->statements()[index];
+  const sql::Statement& stmt = ws.stmt;
   // The fault key identifies the *logical* call — statement plus relevant
   // fingerprint — so injected outcomes are independent of which full
   // configuration races a given shard entry first and of the thread count.
-  uint64_t fault_key = HashCombine(
-      HashBytes(workload_->statements()[index].text), HashBytes(fingerprint));
+  uint64_t fault_key = HashCombine(ws.id, HashBytes(fingerprint));
   if (fault_key == 0) fault_key = 1;
 
   const RetryPolicy& retry = config_.retry;
@@ -103,7 +169,7 @@ Result<CostService::Entry> CostService::PriceWithRetries(
   if (m_calls_ != nullptr) m_calls_->Increment();
   WhatIfCall call;
   call.stmt = &stmt;
-  call.text = &workload_->statements()[index].text;
+  call.text = &ws.text;
   call.config = &config;
   call.simulate_hardware = simulate_hardware_;
   call.call_key = fault_key;
@@ -166,7 +232,7 @@ Result<CostService::Entry> CostService::PriceWithRetries(
   if (m_degraded_ != nullptr) m_degraded_->Increment();
   {
     MutexLock lock(degraded_mu_);
-    degraded_statements_.insert(index);
+    degraded_ids_.insert(ws.id);
   }
   const optimizer::HardwareParams& hw =
       simulate_hardware_ != nullptr ? *simulate_hardware_
@@ -180,13 +246,13 @@ template <typename PriceFn>
 Result<CostService::Entry> CostService::CachedEntry(
     size_t index, const std::string& fingerprint, const PriceFn& price) {
   if (m_lookups_ != nullptr) m_lookups_->Increment();
-  Shard& shard = *shards_[index];
+  CostCache::Shard& shard = *shards_[index];
   {
     MutexLock lock(shard.mu);
     bool waited = false;
     for (;;) {
-      auto it = shard.cache.find(fingerprint);
-      if (it != shard.cache.end()) {
+      auto it = shard.entries.find(fingerprint);
+      if (it != shard.entries.end()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         if (m_hits_ != nullptr) m_hits_->Increment();
         if (waited) dedup_waits_.fetch_add(1, std::memory_order_relaxed);
@@ -209,7 +275,11 @@ Result<CostService::Entry> CostService::CachedEntry(
   {
     MutexLock lock(shard.mu);
     shard.inflight.erase(fingerprint);
-    if (priced.ok()) shard.cache.emplace(fingerprint, *priced);
+    if (priced.ok()) {
+      Entry entry = *priced;
+      entry.round = cache_->round();
+      shard.entries.emplace(fingerprint, entry);
+    }
     shard.cv.NotifyAll();
   }
   return priced;
@@ -217,6 +287,7 @@ Result<CostService::Entry> CostService::CachedEntry(
 
 Result<double> CostService::StatementCost(
     size_t index, const catalog::Configuration& config) {
+  if (shards_[index] == nullptr) return bind_status_;
   // The one relevance walk of this lookup: its fingerprint is the cache key,
   // and a miss hands the same set to derivation.
   const RelevantSet relevant =
@@ -225,6 +296,10 @@ Result<double> CostService::StatementCost(
     return PriceOrDerive(index, config, relevant);
   });
   if (!entry.ok()) return entry.status();
+  if (entry->degraded) {  // hits too: a copy or an earlier round priced it
+    MutexLock lock(degraded_mu_);
+    degraded_ids_.insert(workload_->statements()[index].id);
+  }
   return entry->cost;
 }
 
@@ -345,13 +420,21 @@ void CostService::SeedMissingStats(const std::set<stats::StatsKey>& keys) {
 }
 
 std::set<size_t> CostService::degraded_statements() const {
+  std::set<size_t> out;
   MutexLock lock(degraded_mu_);
-  return degraded_statements_;
+  for (size_t i = 0; i < workload_->size(); ++i) {
+    if (degraded_ids_.count(workload_->statements()[i].id) != 0) out.insert(i);
+  }
+  return out;
 }
 
 void CostService::SeedDegradedStatements(const std::set<size_t>& statements) {
   MutexLock lock(degraded_mu_);
-  degraded_statements_.insert(statements.begin(), statements.end());
+  for (size_t i : statements) {
+    if (i < workload_->size()) {
+      degraded_ids_.insert(workload_->statements()[i].id);
+    }
+  }
 }
 
 std::array<size_t, kRetryHistogramBuckets> CostService::retry_histogram()
@@ -368,10 +451,15 @@ std::vector<CostService::CacheEntry> CostService::ExportCache() const {
   // Deterministic export order — shards in statement order, entries in the
   // shard map's (ordered) fingerprint order — so a checkpoint written from
   // the same cache state is byte-identical at any thread count.
+  std::set<uint64_t> exported;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
+    if (shards_[i] == nullptr ||
+        !exported.insert(workload_->statements()[i].id).second) {
+      continue;
+    }
+    CostCache::Shard& shard = *shards_[i];
     MutexLock lock(shard.mu);
-    for (const auto& [fp, entry] : shard.cache) {
+    for (const auto& [fp, entry] : shard.entries) {
       out.push_back(
           CacheEntry{i, fp, entry.cost, entry.degraded, entry.derived});
     }
@@ -381,23 +469,11 @@ std::vector<CostService::CacheEntry> CostService::ExportCache() const {
 
 void CostService::ImportCache(const std::vector<CacheEntry>& entries) {
   for (const auto& e : entries) {
-    if (e.statement >= shards_.size()) continue;
-    Shard& shard = *shards_[e.statement];
+    if (e.key >= shards_.size() || shards_[e.key] == nullptr) continue;
+    CostCache::Shard& shard = *shards_[e.key];
     MutexLock lock(shard.mu);
-    shard.cache.insert_or_assign(e.fingerprint,
-                                 Entry{e.cost, e.degraded, e.derived});
-    if (e.degraded) {
-      MutexLock dlock(degraded_mu_);
-      degraded_statements_.insert(e.statement);
-    }
-  }
-}
-
-void CostService::ClearCache() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    shard.cache.clear();
+    shard.entries.insert_or_assign(
+        e.fingerprint, Entry{e.cost, e.degraded, e.derived, cache_->round()});
   }
 }
 

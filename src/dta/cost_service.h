@@ -3,19 +3,19 @@
 //
 // DTA makes thousands of what-if calls during search; most configurations
 // differ from previously priced ones only in structures irrelevant to a
-// given statement. The cost service keys each statement's cached cost by
-// the fingerprint of the *relevant* subset of the configuration (structures
-// touching the statement's tables), so adding a candidate re-prices only
-// affected statements.
+// given statement. The cost cache keys each statement's cached cost by its
+// id (the hash of its text) and the fingerprint of the *relevant* subset of
+// the configuration (structures touching the statement's tables), so adding
+// a candidate re-prices only affected statements.
 //
-// The service is thread-safe: the cache is sharded per statement with a
+// The service is thread-safe: the cache is sharded per statement id with a
 // per-shard mutex, counters are atomic, and the missing-statistics set is
 // mutex-guarded, so the tuner's worker pool can hammer StatementCost
 // concurrently. What-if calls run outside any lock; a cold (statement,
 // fingerprint) pair is priced exactly once — the first thread to miss marks
 // the pair in-flight and later arrivals block on the shard's condition
 // variable until the price lands, so whatif_calls() is identical at any
-// thread count.
+// thread count. Statements repeated verbatim share an id, hence a shard.
 //
 // Robustness (production servers fail): each what-if call runs under a
 // retry policy — transient failures (Unavailable/DeadlineExceeded) retry
@@ -116,6 +116,76 @@ class SingleServerBackend : public CostBackend {
   server::Server* server_;
 };
 
+// Priced what-if costs keyed by (statement id, relevant fingerprint), one
+// shard per id. A one-shot session prices into a private cache; the
+// continuous tuner lends one long-lived cache to every round's session. An
+// id is bound to the first text bound under it; binding another text (a
+// hash collision) fails instead of handing one statement the other's costs.
+// The id -> shard map changes only in Bind, Retain and Restore, which must
+// not run concurrently with pricing; a shard stays valid until Retain drops
+// it.
+class CostCache {
+ public:
+  struct Entry {
+    double cost = 0;
+    bool degraded = false;
+    // Cost was derived from atomic-configuration results instead of a real
+    // what-if call (the atoms themselves are ordinary entries).
+    bool derived = false;
+    // The round that inserted the entry (set_round). It fills the struct's
+    // padding, so an entry stays 16 bytes.
+    uint32_t round = 0;
+  };
+  static_assert(sizeof(Entry) == 16, "the round stamp must fit the padding");
+
+  // Selection work for a statement stays on one thread, so per-statement
+  // shards confine lock contention to enumeration, where different subsets
+  // price the same statement concurrently.
+  //
+  // Protocol (statically checked under clang -Wthread-safety): `entries`
+  // and `inflight` are only touched under `mu`; the first thread to miss a
+  // (statement, fingerprint) pair inserts it into `inflight`, prices it
+  // *outside* the lock, then re-locks to publish the entry, clear the
+  // in-flight mark, and NotifyAll the waiters parked on `cv`.
+  struct Shard {
+    mutable Mutex mu;
+    CondVar cv;
+    std::map<std::string, Entry> entries GUARDED_BY(mu);
+    std::set<std::string> inflight GUARDED_BY(mu);
+    std::string text;  // bound statement text; empty until Bind
+  };
+
+  // The shard for `id`, created on first use and bound to `text`. Fails
+  // with AlreadyExists when `id` is bound to another text. A shard that
+  // Restore created binds to the first text asked.
+  Result<Shard*> Bind(uint64_t id, const std::string& text);
+
+  // Stamp for entries published from now on. A stamp that wraps past 2^32
+  // rounds can only make a later round re-send an unchanged entry.
+  void set_round(uint32_t round) { round_ = round; }
+  uint32_t round() const { return round_; }
+
+  // Entries across all shards.
+  size_t size() const;
+  // Drops every entry (statistics changed). Shards and bindings stay, so
+  // pointers returned by Bind remain valid.
+  void Clear();
+  // Drops every shard, binding included, whose id is not in `ids`.
+  void Retain(const std::set<uint64_t>& ids);
+  // Upserts one entry (checkpoint restore).
+  void Restore(uint64_t id, const std::string& fingerprint,
+               const Entry& entry);
+  // Visits every entry in (id, fingerprint) order.
+  using EntryVisitor =
+      std::function<void(uint64_t id, const std::string& fp, const Entry&)>;
+  void ForEach(const EntryVisitor& fn) const;
+
+ private:
+  // Map nodes never move, so a Shard* stays valid until its erase.
+  std::map<uint64_t, Shard> shards_;
+  uint32_t round_ = 0;
+};
+
 class CostService {
  public:
   // Fault-tolerance knobs; the default is retry-with-degradation and no
@@ -156,15 +226,20 @@ class CostService {
               const workload::Workload* workload)
       : CostService(server, simulate_hardware, workload, Config()) {}
   // Pluggable-backend form: what-if calls go wherever `backend` routes them
-  // (e.g. a ShardRouter fleet). The backend must outlive the service.
+  // (e.g. a ShardRouter fleet). The backend must outlive the service. When
+  // `cache` is set, the service prices into that borrowed cache instead of
+  // a private one; it must outlive the service.
   CostService(CostBackend* backend,
               const optimizer::HardwareParams* simulate_hardware,
-              const workload::Workload* workload, Config config);
+              const workload::Workload* workload, Config config,
+              CostCache* cache = nullptr);
 
   // Optimizer-estimated cost of statement i under the configuration
-  // (cached; weight NOT applied). Safe to call from many threads.
+  // (cached; weight NOT applied). Safe to call from many threads. Fails for
+  // a statement whose id the cache has bound to another text.
   Result<double> StatementCost(size_t index,
-                               const catalog::Configuration& config);
+                               const catalog::Configuration& config)
+      EXCLUDES(missing_mu_, degraded_mu_);
 
   // Sum over statements of weight * cost. When `pool` is given, statements
   // are priced in parallel; the reduction is performed serially in
@@ -236,7 +311,9 @@ class CostService {
   size_t degraded_calls() const {
     return degraded_.load(std::memory_order_relaxed);
   }
-  // Statement indexes with at least one degraded pricing (snapshot).
+  // Statement indexes whose cost came from a degraded entry (snapshot). The
+  // flag follows the statement id, so it covers every copy of a repeated
+  // statement.
   std::set<size_t> degraded_statements() const EXCLUDES(degraded_mu_);
   // Pre-populates the degraded-statement set (checkpoint resume). Needed
   // because the flag outlives the cache entries that caused it: ClearCache
@@ -244,15 +321,21 @@ class CostService {
   // answer the same misses by derivation without re-firing the fault.
   void SeedDegradedStatements(const std::set<size_t>& statements)
       EXCLUDES(degraded_mu_);
+  // Entries the cache held for this workload's statements when the service
+  // was built (what earlier stream rounds priced).
+  size_t seeded_entries() const { return seeded_entries_; }
   // retry_histogram()[n] = pricings that needed n + 1 attempts.
   std::array<size_t, kRetryHistogramBuckets> retry_histogram() const;
 
   // ---- Checkpointing ----------------------------------------------------
   // Snapshot/restore of the cache for crash-safe session checkpoints. Must
   // not run concurrently with StatementCost. Entries are keyed by statement
-  // index + fingerprint; callers guarantee the workload matches.
+  // index + fingerprint; callers guarantee the workload matches. Repeated
+  // statements' shared entries export once, under the first copy's index.
   struct CacheEntry {
-    size_t statement = 0;
+    // The statement index here and in session checkpoints; the statement
+    // id in the stream checkpoint's memo (dta/checkpoint.h cost blobs).
+    uint64_t key = 0;
     std::string fingerprint;
     double cost = 0;
     bool degraded = false;
@@ -261,39 +344,17 @@ class CostService {
     bool derived = false;
   };
   std::vector<CacheEntry> ExportCache() const;
-  void ImportCache(const std::vector<CacheEntry>& entries)
-      EXCLUDES(degraded_mu_);
+  void ImportCache(const std::vector<CacheEntry>& entries);
 
-  // Invalidate everything (e.g. after statistics changed). Must not run
-  // concurrently with StatementCost.
-  void ClearCache();
+  // Invalidate everything (e.g. after statistics changed), a borrowed
+  // cache's other statements included. Must not run concurrently with
+  // StatementCost.
+  void ClearCache() { cache_->Clear(); }
 
-  const workload::Workload& workload() const { return *workload_; }
   server::Server* server() { return backend_->primary(); }
-  CostBackend* backend() { return backend_; }
 
  private:
-  struct Entry {
-    double cost = 0;
-    bool degraded = false;
-    bool derived = false;
-  };
-  // One cache shard per statement: selection work for a statement stays on
-  // one thread, so shards keep lock contention confined to enumeration,
-  // where different subsets price the same statement concurrently. The
-  // in-flight set + condition variable deduplicate racing cold misses.
-  //
-  // Protocol (statically checked under clang -Wthread-safety): `cache` and
-  // `inflight` are only touched under `mu`; the first thread to miss a
-  // (statement, fingerprint) pair inserts it into `inflight`, prices it
-  // *outside* the lock, then re-locks to publish the entry, clear the
-  // in-flight mark, and NotifyAll the waiters parked on `cv`.
-  struct Shard {
-    Mutex mu;
-    CondVar cv;
-    std::map<std::string, Entry> cache GUARDED_BY(mu);
-    std::set<std::string> inflight GUARDED_BY(mu);
-  };
+  using Entry = CostCache::Entry;
 
   // The cached-entry protocol behind StatementCost: look up / claim
   // in-flight / price by calling `price()` (on a miss only) / publish,
@@ -319,7 +380,7 @@ class CostService {
                                  const std::string& fingerprint)
       EXCLUDES(missing_mu_, degraded_mu_);
   void RecordAttempts(int attempts);
-  void Init();
+  void Init(CostCache* cache);
 
   // Declared before backend_ so the Server* constructors can point backend_
   // at the owned wrapper in the member-init list.
@@ -331,11 +392,17 @@ class CostService {
 
   // Lower-cased table names referenced by each statement.
   std::vector<std::set<std::string>> statement_tables_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  CostCache owned_cache_;  // unless one is borrowed
+  CostCache* cache_ = nullptr;
+  // Each statement's shard in cache_; null when its id is bound to another
+  // text, and bind_status_ says so.
+  std::vector<CostCache::Shard*> shards_;
+  Status bind_status_;
+  size_t seeded_entries_ = 0;
   mutable Mutex missing_mu_;
   std::set<stats::StatsKey> missing_ GUARDED_BY(missing_mu_);
   mutable Mutex degraded_mu_;
-  std::set<size_t> degraded_statements_ GUARDED_BY(degraded_mu_);
+  std::set<uint64_t> degraded_ids_ GUARDED_BY(degraded_mu_);
   std::atomic<size_t> calls_{0};
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> dedup_waits_{0};

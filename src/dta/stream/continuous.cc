@@ -1,8 +1,7 @@
 #include "dta/stream/continuous.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <map>
 #include <set>
 
 #include "common/hash.h"
@@ -34,14 +33,6 @@ uint64_t StreamFingerprint(const ContinuousTuner::Config& config) {
           config.max_templates, config.decay)));
 }
 
-double ParseHexDouble(const std::string& s) {
-  return std::strtod(s.c_str(), nullptr);
-}
-
-uint64_t ParseU64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
-}
-
 std::string U64Str(uint64_t v) {
   std::string out;
   AppendU64(&out, v);
@@ -52,22 +43,6 @@ std::string HexStr(double v) {
   std::string out;
   AppendHexDouble(&out, v);
   return out;
-}
-
-void StatsKeyToXml(const stats::StatsKey& key, xml::Element* parent) {
-  xml::Element* e = parent->AddChild("Stats");
-  e->SetAttr("Database", key.database);
-  e->SetAttr("Table", key.table);
-  for (const auto& c : key.columns) e->AddTextChild("Column", c);
-}
-
-stats::StatsKey StatsKeyFromXml(const xml::Element& e) {
-  std::vector<std::string> columns;
-  for (const xml::Element* c : e.FindChildren("Column")) {
-    columns.push_back(c->text());
-  }
-  return stats::StatsKey(e.Attr("Database"), e.Attr("Table"),
-                         std::move(columns));
 }
 
 void TemplateToXml(const TemplateEntry& entry, xml::Element* parent) {
@@ -84,7 +59,7 @@ TemplateEntry TemplateFromXml(const xml::Element& t) {
   entry.signature = ParseU64(t.Attr("Sig"));
   entry.first_seen = ParseU64(t.Attr("First"));
   entry.touch_round = ParseU64(t.Attr("Touch"));
-  entry.weight = ParseHexDouble(t.Attr("W"));
+  entry.weight = ParseDouble(t.Attr("W"));
   if (const xml::Element* text = t.FindChild("Text")) entry.text = text->text();
   return entry;
 }
@@ -225,9 +200,7 @@ Status ContinuousTuner::RunRound() {
   AppendU64(&delta, feedback_.unknown());
   delta += ")\n";
 
-  memo_dirty_last_round_.clear();
-  created_stats_last_round_.clear();
-  memo_cleared_last_round_ = false;
+  created_stats_before_round_ = created_stats_.size();
 
   if (wl.empty()) {
     delta += "= no templates; tuning skipped\n";
@@ -240,7 +213,6 @@ Status ContinuousTuner::RunRound() {
     // its own v2 checkpoints.
     opts.checkpoint_path.clear();
     opts.resume_path.clear();
-    opts.export_session_state = true;
     // DBA feedback: pins join the user-specified configuration (duplicates
     // with the base options tolerated), quarantines filter the pool.
     const catalog::Configuration& pinned = feedback_.pinned();
@@ -262,27 +234,10 @@ Status ContinuousTuner::RunRound() {
         {config_.metrics, config_.tracer, config_.clock});
     session.SetTenantContext(config_.tenant);
 
-    // Seed the session from the cross-round memo: map text hashes onto this
-    // round's statement indexes (indexes shift as templates arrive and
-    // evict; text hashes do not). Memo order is deterministic, so the seed
-    // vector — and everything downstream — is too.
-    std::map<uint64_t, size_t> index_by_hash;
-    for (size_t i = 0; i < wl.statements().size(); ++i) {
-      index_by_hash[HashBytes(wl.statements()[i].text)] = i;
-    }
-    std::vector<CostService::CacheEntry> seed;
-    for (const auto& [key, entry] : memo_) {
-      auto it = index_by_hash.find(key.first);
-      if (it == index_by_hash.end()) continue;
-      CostService::CacheEntry ce;
-      ce.statement = it->second;
-      ce.fingerprint = key.second;
-      ce.cost = entry.cost;
-      ce.degraded = entry.degraded;
-      ce.derived = entry.derived;
-      seed.push_back(std::move(ce));
-    }
-    session.SetSeedCache(std::move(seed));
+    // The session prices straight into the service's cache; entries it
+    // inserts carry this round's stamp, which is how the segment finds them.
+    cache_.set_round(static_cast<uint32_t>(round));
+    session.SetCostCache(&cache_);
 
     auto result = session.Tune(wl);
     if (!result.ok()) return result.status();
@@ -313,37 +268,17 @@ Status ContinuousTuner::RunRound() {
              StrFormat(" improvement=%.2f%%\n",
                        result->ImprovementPercent());
 
-    // Fold the round's final cache into the memo. A round that created
-    // statistics cleared its cost cache mid-flight, so every older memo
-    // entry is suspect — rebuild the memo from this round's final state
-    // (self-limiting: statistics only appear when new templates bring new
-    // candidate columns). Otherwise merge last-wins, tracking exactly what
-    // changed — that set is the round's checkpoint segment.
+    // A round that created statistics invalidates every cost priced
+    // without them: only its own statements' entries survive (the session
+    // cleared the cache if it built candidate statistics). Self-limiting:
+    // statistics only appear when new templates bring new candidate columns.
     if (!result->created_stats.empty()) {
-      memo_cleared_last_round_ = true;
-      memo_.clear();
+      std::set<uint64_t> ids;
+      for (const auto& ws : wl.statements()) ids.insert(ws.id);
+      cache_.Retain(ids);
     }
-    for (const auto& e : result->final_cache) {
-      const MemoKey key(HashBytes(wl.statements()[e.statement].text),
-                        e.fingerprint);
-      MemoEntry entry;
-      entry.cost = e.cost;
-      entry.degraded = e.degraded;
-      entry.derived = e.derived;
-      auto it = memo_.find(key);
-      if (it != memo_.end() && it->second.cost == entry.cost &&
-          it->second.degraded == entry.degraded &&
-          it->second.derived == entry.derived) {
-        continue;
-      }
-      memo_[key] = entry;
-      if (!memo_cleared_last_round_) memo_dirty_last_round_.push_back(key);
-    }
-    std::sort(memo_dirty_last_round_.begin(), memo_dirty_last_round_.end());
-    created_stats_last_round_ = result->created_stats;
-    for (const auto& key : result->created_stats) {
-      created_stats_.push_back(key);
-    }
+    created_stats_.insert(created_stats_.end(), result->created_stats.begin(),
+                          result->created_stats.end());
 
     delta += "whatif_calls=";
     AppendU64(&delta, result->whatif_calls);
@@ -354,7 +289,7 @@ Status ContinuousTuner::RunRound() {
     delta += " pinned=";
     AppendU64(&delta, StructureCount(feedback_.pinned()));
     delta += " memo=";
-    AppendU64(&delta, memo_.size());
+    AppendU64(&delta, cache_.size());
     delta += "\n";
 
     previous_recommendation_ = result->recommendation;
@@ -385,65 +320,6 @@ Status ContinuousTuner::RunRound() {
 
 namespace {
 
-// Front-coded memo blob: "texthash cost flags shared suffix" per line, the
-// fingerprint suffix front-coded against the previous line (the same codec
-// as the v2 checkpoint's CostCache blob, keyed by text hash instead of
-// statement index).
-void AppendMemoLine(std::string* blob, uint64_t hash, double cost,
-                    unsigned flags, const std::string& fingerprint,
-                    const std::string** prev) {
-  size_t shared = 0;
-  if (*prev != nullptr) {
-    const size_t limit = std::min((*prev)->size(), fingerprint.size());
-    while (shared < limit && (**prev)[shared] == fingerprint[shared]) {
-      ++shared;
-    }
-  }
-  AppendU64(blob, hash);
-  blob->push_back(' ');
-  AppendHexDouble(blob, cost);
-  blob->push_back(' ');
-  AppendU64(blob, flags);
-  blob->push_back(' ');
-  AppendU64(blob, shared);
-  blob->push_back(' ');
-  blob->append(fingerprint.data() + shared, fingerprint.size() - shared);
-  blob->push_back('\n');
-  *prev = &fingerprint;
-}
-
-Status DecodeMemoBlob(
-    const std::string& blob,
-    std::vector<std::pair<std::pair<uint64_t, std::string>, double>>* keys,
-    std::vector<unsigned>* flags) {
-  const char* p = blob.c_str();
-  const char* end = p + blob.size();
-  std::string prev_fp;
-  while (p < end) {
-    char* q = nullptr;
-    const uint64_t hash = std::strtoull(p, &q, 10);
-    const double cost = std::strtod(q, &q);
-    const unsigned f = static_cast<unsigned>(std::strtoul(q, &q, 10));
-    const size_t shared = static_cast<size_t>(std::strtoull(q, &q, 10));
-    if (q < end && *q == ' ') ++q;
-    const char* nl = static_cast<const char*>(
-        std::memchr(q, '\n', static_cast<size_t>(end - q)));
-    if (nl == nullptr) nl = end;
-    if (q > nl || shared > prev_fp.size()) {
-      return Status::InvalidArgument("stream checkpoint has a malformed "
-                                     "memo line");
-    }
-    std::string fp;
-    fp.assign(prev_fp, 0, shared);
-    fp.append(q, static_cast<size_t>(nl - q));
-    prev_fp = fp;
-    keys->emplace_back(std::make_pair(hash, std::move(fp)), cost);
-    flags->push_back(f);
-    p = nl + 1;
-  }
-  return Status::Ok();
-}
-
 void FeedbackToXml(const FeedbackState& feedback, xml::Element* root) {
   xml::Element* pinned = root->AddChild("Pinned");
   pinned->AddChild(ConfigurationToXml(feedback.pinned()));
@@ -464,6 +340,18 @@ void FeedbackToXml(const FeedbackState& feedback, xml::Element* root) {
   root->SetAttr("FeedbackAccepted", U64Str(feedback.accepted()));
   root->SetAttr("FeedbackRejected", U64Str(feedback.rejected()));
   root->SetAttr("FeedbackUnknown", U64Str(feedback.unknown()));
+}
+
+// The cache as a memo blob, keyed by statement id in (id, fingerprint)
+// order: every entry, or with a nonzero `round` only those it inserted.
+std::string MemoBlob(const CostCache& cache, uint32_t round) {
+  CostBlobWriter memo;
+  cache.ForEach([&](uint64_t id, const std::string& fingerprint,
+                    const CostCache::Entry& entry) {
+    if (round != 0 && entry.round != round) return;
+    memo.Add(id, fingerprint, entry.cost, entry.degraded, entry.derived);
+  });
+  return memo.Finish();
 }
 
 Result<catalog::Configuration> ConfigurationFromParent(
@@ -496,15 +384,7 @@ std::string ContinuousTuner::EncodeBase() const {
     TemplateToXml(entry, templates);
   }
 
-  std::string blob;
-  const std::string* prev = nullptr;
-  for (const auto& [key, entry] : memo_) {
-    AppendMemoLine(&blob, key.first, entry.cost,
-                   (entry.degraded ? 1u : 0u) | (entry.derived ? 2u : 0u),
-                   key.second, &prev);
-  }
-  if (!blob.empty()) blob.pop_back();
-  root.AddTextChild("Memo", std::move(blob));
+  root.AddTextChild("Memo", MemoBlob(cache_, 0));
 
   xml::Element* created = root.AddChild("CreatedStats");
   for (const auto& key : created_stats_) StatsKeyToXml(key, created);
@@ -526,7 +406,8 @@ std::string ContinuousTuner::EncodeSegment() const {
   root.SetAttr("NextOrdinal", U64Str(workload_.next_ordinal()));
   root.SetAttr("Evictions", U64Str(workload_.evictions()));
   root.SetAttr("StreamMs", HexStr(stream_ms_));
-  root.SetAttr("MemoCleared", memo_cleared_last_round_ ? "true" : "false");
+  const bool cleared = created_stats_.size() > created_stats_before_round_;
+  root.SetAttr("MemoCleared", cleared ? "true" : "false");
 
   // Only the templates this round touched travel; evictions as signatures.
   // (TakeDirty/TakeEvicted are consumed by RunRound's caller — here we hold
@@ -541,31 +422,14 @@ std::string ContinuousTuner::EncodeSegment() const {
     evicted->AddChild("E")->SetAttr("Sig", U64Str(sig));
   }
 
-  // Memo delta: the changed entries — or the full memo after a clear.
-  std::string blob;
-  const std::string* prev = nullptr;
-  if (memo_cleared_last_round_) {
-    for (const auto& [key, entry] : memo_) {
-      AppendMemoLine(&blob, key.first, entry.cost,
-                     (entry.degraded ? 1u : 0u) | (entry.derived ? 2u : 0u),
-                     key.second, &prev);
-    }
-  } else {
-    for (const auto& key : memo_dirty_last_round_) {
-      auto it = memo_.find(key);
-      if (it == memo_.end()) continue;
-      const MemoEntry& entry = it->second;
-      AppendMemoLine(&blob, key.first, entry.cost,
-                     (entry.degraded ? 1u : 0u) | (entry.derived ? 2u : 0u),
-                     key.second, &prev);
-    }
-  }
-  if (!blob.empty()) blob.pop_back();
-  root.AddTextChild("Memo", std::move(blob));
+  // Memo delta: the entries this round inserted — or the whole cache after
+  // a round that created statistics.
+  const uint32_t only_round = cleared ? 0 : static_cast<uint32_t>(rounds_);
+  root.AddTextChild("Memo", MemoBlob(cache_, only_round));
 
   xml::Element* created = root.AddChild("CreatedStats");
-  for (const auto& key : created_stats_last_round_) {
-    StatsKeyToXml(key, created);
+  for (size_t i = created_stats_before_round_; i < created_stats_.size(); ++i) {
+    StatsKeyToXml(created_stats_[i], created);
   }
 
   // Small, bounded state — carried whole: the recommendation and the
@@ -608,7 +472,6 @@ Status ContinuousTuner::WriteCheckpoint(bool force_base,
 Status ContinuousTuner::LoadFromLog() {
   auto log = ReadDeltaLog(config_.checkpoint_path);
   if (!log.ok()) return log.status();
-  dropped_records_ = log->dropped_records;
 
   auto parsed = xml::Parse(log->base);
   if (!parsed.ok()) return parsed.status();
@@ -631,11 +494,11 @@ Status ContinuousTuner::LoadFromLog() {
     DTA_RETURN_IF_ERROR(ApplyStateXml(**seg, /*is_base=*/false));
   }
 
-  // The restored memo was priced under the statistics the original service
+  // The restored cache was priced under the statistics the original service
   // created; re-create them on this (fresh) server before the first round
   // — statistics builds are deterministic in the data, so the rebuilt
-  // statistics match and the memo stays valid. Per-round sessions then find
-  // them present and never clear the seeded cache.
+  // statistics match and the cache stays valid. Per-round sessions then
+  // find them present and never clear it.
   for (const auto& key : created_stats_) {
     if (!config_.server->HasStatistics(key)) {
       // Same tolerance as session resume: a table that cannot produce
@@ -680,24 +543,19 @@ Status ContinuousTuner::ApplyStateXml(const xml::Element& root, bool is_base) {
   reader_.RestoreCounters(ParseU64(root.Attr("DirectiveErrors")),
                           ParseU64(root.Attr("TornLines")));
   restored_lines_consumed_ = ParseU64(root.Attr("LinesConsumed"));
-  stream_ms_ = ParseHexDouble(root.Attr("StreamMs"));
+  stream_ms_ = ParseDouble(root.Attr("StreamMs"));
   round_started_ms_ = stream_ms_;
   events_at_last_round_ = workload_.events();
   rounds_ = ParseU64(root.Attr("Round"));
 
   if (const xml::Element* memo = root.FindChild("Memo")) {
-    const bool cleared =
-        is_base || root.Attr("MemoCleared") == "true";
-    if (cleared) memo_.clear();
-    std::vector<std::pair<std::pair<uint64_t, std::string>, double>> keys;
-    std::vector<unsigned> flags;
-    DTA_RETURN_IF_ERROR(DecodeMemoBlob(memo->text(), &keys, &flags));
-    for (size_t i = 0; i < keys.size(); ++i) {
-      MemoEntry entry;
-      entry.cost = keys[i].second;
-      entry.degraded = (flags[i] & 1) != 0;
-      entry.derived = (flags[i] & 2) != 0;
-      memo_[keys[i].first] = entry;
+    if (is_base || root.Attr("MemoCleared") == "true") cache_.Retain({});
+    std::vector<CostService::CacheEntry> lines;
+    DTA_RETURN_IF_ERROR(
+        DecodeCostBlob(memo->text(), "stream checkpoint Memo", &lines));
+    for (const CostService::CacheEntry& line : lines) {
+      cache_.Restore(line.key, line.fingerprint,
+                     {line.cost, line.degraded, line.derived});
     }
   }
 
@@ -773,7 +631,7 @@ void ContinuousTuner::ExportRoundMetrics() {
 
   m->GetGauge("stream.templates")
       ->Set(static_cast<double>(workload_.entries().size()));
-  m->GetGauge("stream.memo.entries")->Set(static_cast<double>(memo_.size()));
+  m->GetGauge("stream.memo.entries")->Set(static_cast<double>(cache_.size()));
   if (!delta_bytes_history_.empty()) {
     double total = 0;
     for (size_t b : delta_bytes_history_) total += static_cast<double>(b);

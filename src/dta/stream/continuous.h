@@ -10,19 +10,19 @@
 // versus the previous round, plus the round's costs and counters.
 //
 // What keeps steady-state rounds cheap:
-//   * a cross-round cost memo keyed on (statement text hash, configuration
-//     fingerprint): each round's session is seeded from it
-//     (TuningSession::SetSeedCache), so statements the stream did not
-//     change re-price from cache, not the optimizer;
+//   * one cost cache (CostCache) for the service's lifetime, keyed on
+//     (statement id, configuration fingerprint): the id hashes the text,
+//     so it survives template arrivals and evictions. Every round's session
+//     prices straight into it (TuningSession::SetCostCache), so statements
+//     the stream did not change re-price from cache, not the optimizer;
 //   * statistics persist on the long-lived server, so later rounds' stats
-//     phases are no-ops that never clear the seeded cache (a round that
-//     DOES create statistics invalidates the memo — the session cleared
-//     its cache, so the memo rebuilds from that round's final state);
+//     phases are no-ops. A round that DOES create statistics invalidates
+//     costs priced without them: only its own statements' entries survive;
 //   * checkpoints are append-only delta segments (dta/checkpoint.h format
-//     v3): a round appends only the templates it touched, the memo entries
-//     it changed, and the (small) recommendation/feedback state — O(new
-//     work), not O(total state) — with the log compacted back into one
-//     base record past a byte threshold.
+//     v3): a round appends only the templates it touched, the cache (memo)
+//     entries it inserted — or the whole cache after creating statistics —
+//     and the (small) recommendation/feedback state: O(new work), not
+//     O(total state), compacted into one base record past a byte threshold.
 //
 // The determinism contract extends the repo-wide one: with a fixed capture
 // (and fake clock), the per-round delta text is byte-identical at any
@@ -39,10 +39,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "catalog/physical_design.h"
@@ -50,6 +48,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/trace.h"
+#include "dta/cost_service.h"
 #include "dta/stream/capture.h"
 #include "dta/stream/feedback.h"
 #include "dta/stream/stream_workload.h"
@@ -110,8 +109,8 @@ class ContinuousTuner {
 
   // Validates the config and, when a delta log exists at checkpoint_path,
   // resumes from it: restores the stream state and re-creates the
-  // accumulated statistics on the (fresh) server so the restored memo stays
-  // valid. Call exactly once, before Feed.
+  // accumulated statistics on the (fresh) server so the restored cost cache
+  // stays valid. Call exactly once, before Feed.
   Status Init();
 
   // Feeds raw capture bytes; complete events are processed immediately and
@@ -151,20 +150,12 @@ class ContinuousTuner {
   }
   // True when Init() resumed from an existing delta log.
   bool resumed() const { return resumed_; }
-  size_t memo_entries() const { return memo_.size(); }
+  // Entries in the cross-round cost cache.
+  size_t memo_entries() const { return cache_.size(); }
   const StreamWorkload& stream_workload() const { return workload_; }
   const FeedbackState& feedback() const { return feedback_; }
 
  private:
-  struct MemoEntry {
-    double cost = 0;
-    bool degraded = false;
-    bool derived = false;
-  };
-  // Keyed by (statement text hash, configuration fingerprint) — statement
-  // *indexes* shift as templates arrive and evict, text hashes do not.
-  using MemoKey = std::pair<uint64_t, std::string>;
-
   Status ProcessLine(std::string_view line_with_newline);
   Status MaybeRound();
   Status RunRound();
@@ -192,7 +183,7 @@ class ContinuousTuner {
   double stream_ms_ = 0;          // accumulated @tick time
   double round_started_ms_ = 0;   // stream_ms_ at the last round boundary
 
-  std::map<MemoKey, MemoEntry> memo_;
+  CostCache cache_;
   catalog::Configuration previous_recommendation_;
   std::vector<stats::StatsKey> created_stats_;  // accumulated, creation order
 
@@ -205,16 +196,14 @@ class ContinuousTuner {
   size_t segments_written_ = 0;
 
   // Per-round delta bookkeeping (what the last round's segment must carry):
-  // set by RunRound for EncodeSegment.
-  bool memo_cleared_last_round_ = false;
-  std::vector<MemoKey> memo_dirty_last_round_;
-  std::vector<stats::StatsKey> created_stats_last_round_;
+  // set by RunRound for EncodeSegment. The last round created
+  // created_stats_[created_stats_before_round_...].
+  size_t created_stats_before_round_ = 0;
   std::vector<uint64_t> dirty_templates_last_round_;
   std::vector<uint64_t> evicted_templates_last_round_;
 
   // Resume bookkeeping.
   size_t restored_lines_consumed_ = 0;
-  size_t dropped_records_ = 0;
 
   // Last-exported absolutes, so per-round metric increments stay exact.
   struct Exported {

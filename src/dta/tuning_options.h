@@ -177,13 +177,6 @@ struct TuningOptions {
   // redo window after a crash. 0 disables throttling and checkpoints every
   // round (maximal crash granularity; what the resume tests exercise).
   double checkpoint_budget_pct = 0;
-  // When true, TuningResult additionally carries the session's final what-if
-  // cost cache and the keys of every statistic it created
-  // (TuningResult::final_cache / created_stats). The continuous tuner uses
-  // this to seed the next round's session so steady-state rounds re-price
-  // only what actually changed. Pure output — excluded from the options
-  // fingerprint (it cannot change the recommendation).
-  bool export_session_state = false;
 
   // ---- Search parameters.
   // Greedy(m,k) for per-query candidate selection.

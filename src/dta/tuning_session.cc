@@ -114,7 +114,7 @@ Result<std::unique_ptr<CostingSetup>> BuildCostingSetup(
     const TuningOptions& options, const TuningSession::Observability& obs,
     const TenantContext& tenant, server::Server* production,
     server::Server* test, const workload::Workload* workload,
-    const Clock* clock, double t_start) {
+    const Clock* clock, double t_start, CostCache* cache) {
   server::Server* tuning_server = test != nullptr ? test : production;
   const optimizer::HardwareParams* simulate =
       test != nullptr ? &production->hardware() : nullptr;
@@ -262,8 +262,8 @@ Result<std::unique_ptr<CostingSetup>> BuildCostingSetup(
       return limit - (clock->NowMs() - t_start);
     };
   }
-  setup->costs = std::make_unique<CostService>(backend, simulate, workload,
-                                               std::move(cost_config));
+  setup->costs = std::make_unique<CostService>(
+      backend, simulate, workload, std::move(cost_config), cache);
   return setup;
 }
 
@@ -414,13 +414,14 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   // on every exit path.
   server::Server* tuning_server = TuningServer();
   auto costing = BuildCostingSetup(options_, obs_, tenant_, production_, test_,
-                                   &tuned, clock, t_start);
+                                   &tuned, clock, t_start, cache_);
   if (!costing.ok()) return costing.status();
   CostingSetup& setup = **costing;
   CostService& costs = *setup.costs;
   const std::unique_ptr<ShardRouter>& router = setup.router;
   ThreadPool* workers = setup.workers.get();
   result.threads_used = setup.num_threads;
+  result.seeded_cache_entries = costs.seeded_entries();
 
   // ---- Crash safety: resume a checkpointed session and/or write
   // checkpoints as phases complete.
@@ -461,15 +462,6 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
     result.stats_created = resume_ckpt.stats_created;
     result.stats_creation_ms = resume_ckpt.stats_creation_ms;
     result.candidates_generated = resume_ckpt.candidates_generated;
-  } else if (!seed_cache_.empty()) {
-    // Continuous-service warm start: entries a previous round exported,
-    // remapped by the caller onto this workload's statement indexes. A
-    // resume restore takes precedence — its cache already reflects this
-    // exact session's progress. ImportCache skips out-of-range statement
-    // indexes, so a seed built against a differently-sized workload can
-    // never mis-route an entry.
-    costs.ImportCache(seed_cache_);
-    result.seeded_cache_entries = seed_cache_.size();
   }
 
   auto base = BaseConfiguration();
@@ -615,7 +607,8 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
 
     // A statistics request (§5.2): planned reduced or naive, created on
     // production and mirrored to the fleet; cached costs priced without the
-    // new statistics are dropped.
+    // new statistics are dropped — unless every build failed (a table with
+    // neither data nor specs, as on a metadata-only server).
     auto request_stats = [&](const std::set<stats::StatsKey>& keys) -> Status {
       StatsCreationPlan plan;
       if (options_.reduced_statistics) {
@@ -627,9 +620,10 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
         plan.naive_count = keys.size();
       }
       result.stats_requested += plan.naive_count;
+      const size_t created_before = result.stats_created;
       DTA_RETURN_IF_ERROR(CreateAndImportStats(
           plan.to_create, router.get(), &result, &created_stats_log));
-      if (!plan.to_create.empty()) costs.ClearCache();
+      if (result.stats_created != created_before) costs.ClearCache();
       return Status::Ok();
     };
 
@@ -961,14 +955,7 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
       }
     }
   }
-  // Continuous-service state export: the final cache (deterministic
-  // ExportCache order) and the statistics this run created, for the next
-  // round's seed. Exported only on request — the cache can hold thousands
-  // of entries and one-shot callers never read it.
-  if (options_.export_session_state) {
-    result.final_cache = costs.ExportCache();
-    result.created_stats = created_stats_log;
-  }
+  result.created_stats = std::move(created_stats_log);
 
   result.tuning_time_ms = now_ms() - t_start;
 
@@ -997,7 +984,7 @@ Result<EvaluationResult> TuningSession::EvaluateConfiguration(
   const Clock* clock =
       obs_.clock != nullptr ? obs_.clock : MonotonicClock::Instance();
   auto costing = BuildCostingSetup(options_, obs_, tenant_, production_, test_,
-                                   &workload, clock, clock->NowMs());
+                                   &workload, clock, clock->NowMs(), cache_);
   if (!costing.ok()) return costing.status();
   CostingSetup& setup = **costing;
   CostService& costs = *setup.costs;

@@ -133,16 +133,14 @@ struct TuningResult {
   double stats_creation_ms = 0;
 
   // Continuous-service accounting. seeded_cache_entries counts the entries a
-  // pre-tuning SetSeedCache import contributed; quarantined_candidates
-  // counts pool candidates removed by options.quarantined_structures. Both
-  // pure functions of the inputs — byte-identical at any thread/shard count.
+  // borrowed cost cache (SetCostCache) held for this workload's statements
+  // when costing started; quarantined_candidates counts pool candidates
+  // removed by options.quarantined_structures. Both pure functions of the
+  // inputs — byte-identical at any thread/shard count.
   size_t seeded_cache_entries = 0;
   size_t quarantined_candidates = 0;
-  // Filled only under options.export_session_state: the final what-if cost
-  // cache (deterministic ExportCache order) and the keys of every statistic
-  // this run created, in creation order. The continuous tuner carries these
-  // across rounds.
-  std::vector<CostService::CacheEntry> final_cache;
+  // Keys of every statistic this run created (a resumed run's include the
+  // interrupted run's), in creation order.
   std::vector<stats::StatsKey> created_stats;
 
   workload::CompressionStats compression;
@@ -215,16 +213,11 @@ class TuningSession {
     checkpoint_probe_ = std::move(probe);
   }
 
-  // Continuous-service hookup: cache entries imported into the cost service
-  // before tuning starts (after any resume restore, which takes precedence).
-  // Entries must be keyed by this workload's statement indexes; entries
-  // whose statement index is out of range are skipped, matching
-  // CostService::ImportCache. The continuous tuner maps its cross-round
-  // memo onto the round's workload and seeds it here so unchanged
-  // statements re-price from the cache instead of the optimizer.
-  void SetSeedCache(std::vector<CostService::CacheEntry> entries) {
-    seed_cache_ = std::move(entries);
-  }
+  // Continuous-service hookup: price into `cache` (borrowed; it must outlive
+  // every Tune/EvaluateConfiguration call) instead of a private one. Costs
+  // an earlier session priced for the same statement text are hits, and
+  // this session's pricings stay in the cache after it ends.
+  void SetCostCache(CostCache* cache) { cache_ = cache; }
 
  private:
   server::Server* TuningServer() {
@@ -252,7 +245,7 @@ class TuningSession {
   CheckpointProbe checkpoint_probe_;
   Observability obs_;
   TenantContext tenant_;
-  std::vector<CostService::CacheEntry> seed_cache_;
+  CostCache* cache_ = nullptr;
 };
 
 }  // namespace dta::tuner

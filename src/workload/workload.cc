@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/hash.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 #include "sql/signature.h"
@@ -26,6 +27,7 @@ void Workload::Add(sql::Statement stmt, double weight) {
   WorkloadStatement ws;
   ws.signature = sql::SignatureHash(stmt);
   ws.text = sql::ToSql(stmt);
+  ws.id = HashBytes(ws.text);
   ws.stmt = std::move(stmt);
   ws.weight = weight;
   statements_.push_back(std::move(ws));

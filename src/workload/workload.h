@@ -22,6 +22,10 @@ struct WorkloadStatement {
   std::string text;        // original SQL text
   double weight = 1.0;     // multiplicity (compression representatives > 1)
   uint64_t signature = 0;  // template hash (filled on construction)
+  // Content identity: HashBytes(text), filled on construction. The cost
+  // cache, fault keys and checkpoint fingerprints all key on it, so a
+  // statement repeated verbatim shares one identity.
+  uint64_t id = 0;
 };
 
 class Workload {

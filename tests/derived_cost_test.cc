@@ -516,7 +516,7 @@ TEST(DerivedCostCheckpointTest, MemoizedAtomsRoundTripThroughCheckpoint) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->cache.size(), ckpt.cache.size());
   for (size_t i = 0; i < ckpt.cache.size(); ++i) {
-    EXPECT_EQ(parsed->cache[i].statement, ckpt.cache[i].statement);
+    EXPECT_EQ(parsed->cache[i].key, ckpt.cache[i].key);
     EXPECT_EQ(parsed->cache[i].fingerprint, ckpt.cache[i].fingerprint);
     EXPECT_EQ(parsed->cache[i].cost, ckpt.cache[i].cost);
     EXPECT_EQ(parsed->cache[i].degraded, ckpt.cache[i].degraded);

@@ -223,6 +223,30 @@ TEST(CostServiceTest, CachesByRelevantStructures) {
   EXPECT_EQ(costs.whatif_calls(), calls_after_first + 2);
 }
 
+// Statement ids are text hashes, so two texts can collide. The cache binds
+// an id to its first text and refuses another one, instead of handing one
+// statement the other's costs; pricing the refused statement fails with
+// that status while the rest of the workload prices normally.
+TEST(CostServiceTest, IdBoundToAnotherTextIsRefused) {
+  CostCache cache;
+  ASSERT_TRUE(cache.Bind(42, "SELECT o_id FROM orders").ok());
+  EXPECT_TRUE(cache.Bind(42, "SELECT o_id FROM orders").ok());
+  auto other = cache.Bind(42, "SELECT o_cust FROM orders");
+  ASSERT_FALSE(other.ok());
+  EXPECT_EQ(other.status().code(), StatusCode::kAlreadyExists);
+
+  auto prod = MakeProduction();
+  workload::Workload w = SelectWorkload();
+  ASSERT_TRUE(cache.Bind(w.statements()[0].id, "SELECT 1 FROM orders").ok());
+  SingleServerBackend backend(prod.get());
+  CostService costs(&backend, nullptr, &w, CostService::Config(), &cache);
+  auto refused = costs.StatementCost(0, Configuration());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_TRUE(costs.StatementCost(1, Configuration()).ok());
+  EXPECT_EQ(costs.whatif_calls(), 1u);
+}
+
 TEST(CostServiceTest, CollectsMissingStats) {
   auto prod = MakeProduction();
   workload::Workload w = SelectWorkload();

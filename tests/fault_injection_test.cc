@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/fault_injector.h"
+#include "dta/checkpoint.h"
 #include "dta/cost_service.h"
 #include "dta/tuning_session.h"
 #include "optimizer/cost_model.h"
@@ -542,6 +543,38 @@ TEST(FaultTolerantTuningTest, PermanentFaultsDegradeButFinish) {
   }
   // The report's text rendering surfaces the degradation.
   EXPECT_NE(result->report.ToText().find("degraded"), std::string::npos);
+}
+
+// Copies of a repeated statement share one statement id, hence one cache
+// shard: a degraded entry flags every copy in the report, and a checkpoint
+// carries the shared entries once, under the first copy's index.
+TEST(FaultTolerantTuningTest, RepeatedStatementSharesItsDegradedEntries) {
+  const std::string repeated = "SELECT i_qty FROM items WHERE i_part = 77";
+  auto w = workload::Workload::FromScript(
+      repeated + ";SELECT o_price FROM orders WHERE o_id = 55;" + repeated);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  const std::string path =
+      ::testing::TempDir() + "dta_repeated_statement.ckpt.xml";
+  auto prod = MakeProduction();
+  TuningOptions opts;
+  opts.workload_compression = false;
+  opts.fault_spec = "seed=13,permanent=1,table=items";
+  opts.retry.initial_backoff_ms = 0.01;
+  opts.checkpoint_path = path;
+  TuningSession session(prod.get(), opts);
+  auto result = session.Tune(*w);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->report.statements.size(), 3u);
+  EXPECT_TRUE(result->report.statements[0].degraded);
+  EXPECT_FALSE(result->report.statements[1].degraded);
+  EXPECT_TRUE(result->report.statements[2].degraded);
+
+  auto ckpt = LoadCheckpoint(path, prod->catalog());
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+  std::set<uint64_t> keys;
+  for (const auto& entry : ckpt->cache) keys.insert(entry.key);
+  EXPECT_EQ(keys, (std::set<uint64_t>{0, 1}));
+  EXPECT_EQ(ckpt->degraded_statements, (std::set<size_t>{0, 2}));
 }
 
 // Table-targeted faults ride the same retry path end to end: only pricings

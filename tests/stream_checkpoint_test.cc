@@ -9,14 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "dta/checkpoint.h"
+#include "dta/cost_service.h"
 #include "dta/stream/capture.h"
 #include "dta/stream/continuous.h"
 #include "dta/xml_schema.h"
@@ -399,6 +403,127 @@ TEST(StreamCheckpointPropertyTest, SteadyStateSegmentsAreONewWork) {
   for (size_t i = 3; i < history.size(); ++i) {
     EXPECT_LT(static_cast<double>(history[i]), base_bytes / 2)
         << "round " << i + 2;
+  }
+}
+
+// Each tuned round's counter line ("whatif_calls=... memo=..."), in order.
+std::vector<std::string> CounterLines(const std::string& delta_text) {
+  std::vector<std::string> out;
+  size_t pos = 0;
+  while ((pos = delta_text.find("whatif_calls=", pos)) != std::string::npos) {
+    const size_t end = delta_text.find('\n', pos);
+    out.push_back(delta_text.substr(pos, end - pos));
+    pos = end;
+  }
+  return out;
+}
+
+// The chains above compare the service with itself; these literals pin its
+// cost-cache accounting. Round 3 builds a statistic while the cache still
+// holds entries of the templates evicted before it: 102 of its 136 entries
+// belong to the round's statements (seeded=102), and the other 34 must
+// leave with the statistic — memo=181 is those 102 plus the round's own.
+TEST(StreamCheckpointPropertyTest, CounterLinesArePinnedAcrossEvictions) {
+  const std::vector<std::string> expected = {
+      "whatif_calls=40 seeded=0 quarantined=0 pinned=0 memo=51",
+      "whatif_calls=125 seeded=51 quarantined=0 pinned=0 memo=136",
+      "whatif_calls=52 seeded=102 quarantined=0 pinned=0 memo=181",
+      "whatif_calls=21 seeded=80 quarantined=0 pinned=0 memo=205",
+      "whatif_calls=8 seeded=183 quarantined=0 pinned=0 memo=231",
+      "whatif_calls=3 seeded=173 quarantined=0 pinned=0 memo=242",
+      "whatif_calls=3 seeded=190 quarantined=0 pinned=0 memo=248",
+  };
+  auto prod = MakeProduction();
+  ContinuousTuner tuner(PropConfig(prod.get()));
+  ASSERT_TRUE(tuner.Init().ok());
+  ASSERT_TRUE(tuner.Feed(RandomCapture(3, 60)).ok());
+  ASSERT_TRUE(tuner.Finish().ok());
+  EXPECT_EQ(CounterLines(tuner.delta_text()), expected) << tuner.delta_text();
+  EXPECT_EQ(tuner.memo_entries(), 248u);
+}
+
+// One cost cache lent to consecutive sessions, as the continuous tuner
+// lends its cache to rounds, with threads hammering each session. Copies of
+// a statement share its entries, so a text is priced once per fingerprint
+// however many copies ask; a later session's known statements are seeded
+// hits, and only its new statement costs what-if calls.
+TEST(StreamCheckpointTest, CostServiceStressOnSharedCache) {
+  auto prod = MakeProduction();
+  const std::string a = "SELECT o_price FROM orders WHERE o_id = 55";
+  const std::string b =
+      "SELECT o_cust, SUM(i_qty) FROM orders, items WHERE o_id = i_oid "
+      "GROUP BY o_cust";
+  const std::string c = "SELECT i_qty FROM items WHERE i_part = 77";
+  auto unique = workload::Workload::FromScript(a + ";" + b + ";" + c);
+  auto first = workload::Workload::FromScript(a + ";" + b + ";" + a);
+  auto second = workload::Workload::FromScript(c + ";" + b + ";" + a);
+  ASSERT_TRUE(unique.ok() && first.ok() && second.ok());
+
+  // The empty configuration plus one index per statement's table.
+  std::vector<Configuration> configs(4);
+  IndexDef by_id{.table = "orders", .key_columns = {"o_id"}};
+  IndexDef by_part{.table = "items", .key_columns = {"i_part"}};
+  IndexDef by_oid{.table = "items", .key_columns = {"i_oid"}};
+  by_oid.included_columns = {"i_qty"};
+  ASSERT_TRUE(configs[1].AddIndex(by_id).ok());
+  ASSERT_TRUE(configs[2].AddIndex(by_part).ok());
+  ASSERT_TRUE(configs[3].AddIndex(by_oid).ok());
+
+  // Serial reference on a private cache: costs by text, and the what-if
+  // calls statements a+b and then c need.
+  CostService reference(prod.get(), nullptr, &*unique);
+  std::map<std::string, std::vector<double>> expected;
+  size_t calls_ab = 0;
+  for (size_t i = 0; i < unique->size(); ++i) {
+    if (i == 2) calls_ab = reference.whatif_calls();
+    for (const Configuration& config : configs) {
+      auto cost = reference.StatementCost(i, config);
+      ASSERT_TRUE(cost.ok()) << cost.status().ToString();
+      expected[unique->statements()[i].text].push_back(*cost);
+    }
+  }
+  const size_t calls_c = reference.whatif_calls() - calls_ab;
+
+  // Prices every (statement, configuration) pair of `w` five times over
+  // from 8 threads, each walking the grid with its own stride.
+  auto hammer = [&](CostService& service, const workload::Workload& w) {
+    const size_t grid = w.size() * configs.size();
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 8; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t n = 0; n < 5 * grid; ++n) {
+          const size_t pos = (n * (t + 1) + t) % grid;
+          const size_t i = pos % w.size();
+          const size_t j = pos / w.size();
+          auto cost = service.StatementCost(i, configs[j]);
+          if (!cost.ok() || *cost != expected.at(w.statements()[i].text)[j]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    return mismatches.load();
+  };
+
+  CostCache cache;
+  SingleServerBackend backend(prod.get());
+  {
+    CostService session(&backend, nullptr, &*first, CostService::Config(),
+                        &cache);
+    EXPECT_EQ(session.seeded_entries(), 0u);
+    EXPECT_EQ(hammer(session, *first), 0);
+    EXPECT_EQ(session.whatif_calls(), calls_ab);
+  }
+  const size_t after_first = cache.size();
+  ASSERT_GT(after_first, 0u);
+  {
+    CostService session(&backend, nullptr, &*second, CostService::Config(),
+                        &cache);
+    EXPECT_EQ(session.seeded_entries(), after_first);
+    EXPECT_EQ(hammer(session, *second), 0);
+    EXPECT_EQ(session.whatif_calls(), calls_c);
   }
 }
 

@@ -163,6 +163,18 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "dta_stream_" + name + ".log";
 }
 
+// Each tuned round's counter line ("whatif_calls=... memo=..."), in order.
+std::vector<std::string> CounterLines(const std::string& delta_text) {
+  std::vector<std::string> out;
+  size_t pos = 0;
+  while ((pos = delta_text.find("whatif_calls=", pos)) != std::string::npos) {
+    const size_t end = delta_text.find('\n', pos);
+    out.push_back(delta_text.substr(pos, end - pos));
+    pos = end;
+  }
+  return out;
+}
+
 // ------------------------------------------------------------------- golden
 
 TEST(StreamReplayTest, RoundsFireOnEventCadenceAndReportDeltas) {
@@ -225,6 +237,58 @@ TEST(StreamReplayTest, TimeCadenceFiresOnTicksOnly) {
   const ServiceRun run = RunService(std::move(config), GoldenCapture());
   EXPECT_GE(run.rounds, 4u);
   EXPECT_LE(run.rounds, 6u);
+}
+
+// The sweeps above compare the service with itself, so a change in what
+// the cross-round cost cache keeps would pass them all. These literals pin
+// each round's accounting: real what-if calls, the entries the cache
+// already held for the round's statements (seeded), and the cache's size
+// after the round (memo). Rounds 1 to 4 build statistics, so each keeps
+// only its own statements' entries; round 5 builds none and only adds.
+TEST(StreamReplayTest, GoldenCounterLinesArePinned) {
+  const std::vector<std::string> expected = {
+      "whatif_calls=10 seeded=0 quarantined=0 pinned=0 memo=11",
+      "whatif_calls=39 seeded=11 quarantined=0 pinned=0 memo=51",
+      "whatif_calls=80 seeded=51 quarantined=0 pinned=0 memo=57",
+      "whatif_calls=56 seeded=57 quarantined=0 pinned=0 memo=140",
+      "whatif_calls=10 seeded=140 quarantined=0 pinned=0 memo=163",
+  };
+  const ServiceRun run = RunService(BaseConfig(nullptr), GoldenCapture());
+  EXPECT_EQ(CounterLines(run.delta_text), expected) << run.delta_text;
+}
+
+// A metadata-only server builds no statistics: every request fails for lack
+// of data, so nothing a cached cost was priced under ever changes. Once the
+// first round has priced the workload, rounds over the same statements are
+// pure cache hits — a statistics request that built nothing must not clear
+// the cache.
+TEST(StreamReplayTest, MetadataOnlyServerSteadyRoundsMakeNoWhatIfCalls) {
+  auto prod = MakeProduction();
+  auto meta = server::Server::FromMetadataScript(
+      prod->ScriptMetadata(), "meta", optimizer::HardwareParams());
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  std::string capture;
+  for (int round = 0; round < 4; ++round) {
+    capture += "@tick 100\n";
+    capture += "SELECT o_id, o_price FROM orders WHERE o_cust = 7\n";
+    capture += "SELECT o_id FROM orders WHERE o_price > 100 ORDER BY o_price\n";
+    capture += "SELECT i_part, i_qty FROM items WHERE i_oid = 42\n";
+    capture += "SELECT i_part FROM items WHERE i_qty > 10 ORDER BY i_qty\n";
+  }
+  ContinuousTuner::Config config = BaseConfig(meta->get());
+  config.retune_interval_events = 4;
+  ContinuousTuner tuner(std::move(config));
+  ASSERT_TRUE(tuner.Init().ok());
+  ASSERT_TRUE(tuner.Feed(capture).ok());
+  ASSERT_TRUE(tuner.Finish().ok());
+  const std::vector<std::string> lines = CounterLines(tuner.delta_text());
+  ASSERT_EQ(lines.size(), 4u) << tuner.delta_text();
+  EXPECT_EQ(lines[0].rfind("whatif_calls=0 ", 0), std::string::npos)
+      << lines[0];
+  for (size_t r = 1; r < lines.size(); ++r) {
+    EXPECT_EQ(lines[r].rfind("whatif_calls=0 ", 0), 0u)
+        << "round " << r + 1 << ": " << lines[r];
+  }
 }
 
 // ------------------------------------------------------- kill-resume sweep
