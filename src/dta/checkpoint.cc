@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/hash.h"
@@ -25,11 +26,6 @@ uint64_t ParseU64(const std::string& s) {
 
 namespace {
 
-// Costs must survive serialization bit-exactly (resume promises the
-// identical recommendation); C99 hex-float notation round-trips doubles
-// without rounding and strtod parses it back.
-std::string HexDouble(double v) { return StrFormat("%a", v); }
-
 const char* BoolStr(bool b) { return b ? "true" : "false"; }
 bool ParseBool(const std::string& s) {
   return EqualsIgnoreCase(s, "true") || s == "1";
@@ -47,7 +43,7 @@ void CandidateToXml(const Candidate& cand, xml::Element* parent) {
       // The public configuration schema rounds EstimatedRows for
       // readability; the checkpoint needs the exact value (it feeds cost
       // estimates).
-      e->SetAttr("ViewEstimatedRows", HexDouble(cand.view.estimated_rows));
+      e->SetAttr("ViewEstimatedRows", HexStr(cand.view.estimated_rows));
       break;
     case Candidate::Kind::kTablePartitioning:
       // SetTablePartitioning keys by table only; carry the database here.
@@ -56,6 +52,30 @@ void CandidateToXml(const Candidate& cand, xml::Element* parent) {
       break;
   }
   e->AddChild(ConfigurationToXml(one));
+}
+
+// A space-separated list of unsigned integers (degraded statement indexes,
+// greedy strike counters).
+template <typename Range>
+std::string U64List(const Range& values) {
+  std::string out;
+  for (const auto v : values) {
+    if (!out.empty()) out.push_back(' ');
+    AppendU64(&out, static_cast<uint64_t>(v));
+  }
+  return out;
+}
+
+std::vector<uint64_t> ParseU64List(const std::string& text) {
+  std::vector<uint64_t> values;
+  const char* p = text.c_str();
+  char* q = nullptr;
+  for (uint64_t v = std::strtoull(p, &q, 10); p != q;
+       v = std::strtoull(p, &q, 10)) {
+    values.push_back(v);
+    p = q;
+  }
+  return values;
 }
 
 Result<Candidate> CandidateFromXml(const xml::Element& e,
@@ -137,6 +157,18 @@ void AppendHexDouble(std::string* out, double v) {
   AppendU64(out, static_cast<uint64_t>(e < 0 ? -e : e));
 }
 
+std::string U64Str(uint64_t v) {
+  std::string out;
+  AppendU64(&out, v);
+  return out;
+}
+
+std::string HexStr(double v) {
+  std::string out;
+  AppendHexDouble(&out, v);
+  return out;
+}
+
 void StatsKeyToXml(const stats::StatsKey& key, xml::Element* parent) {
   xml::Element* e = parent->AddChild("Stats");
   e->SetAttr("Database", key.database);
@@ -153,8 +185,8 @@ stats::StatsKey StatsKeyFromXml(const xml::Element& e) {
                          std::move(columns));
 }
 
-void CostBlobWriter::Add(uint64_t key, const std::string& fingerprint,
-                         double cost, bool degraded, bool derived) {
+void CostBlobWriter::Add(uint64_t id, const std::string& fingerprint,
+                         const CostCache::Entry& entry) {
   size_t shared = 0;
   if (prev_ != nullptr) {
     const size_t limit = std::min(prev_->size(), fingerprint.size());
@@ -162,11 +194,11 @@ void CostBlobWriter::Add(uint64_t key, const std::string& fingerprint,
       ++shared;
     }
   }
-  AppendU64(&blob_, key);
+  AppendU64(&blob_, id);
   blob_.push_back(' ');
-  AppendHexDouble(&blob_, cost);
+  AppendHexDouble(&blob_, entry.cost);
   blob_.push_back(' ');
-  AppendU64(&blob_, (degraded ? 1u : 0u) | (derived ? 2u : 0u));
+  AppendU64(&blob_, (entry.degraded ? 1u : 0u) | (entry.derived ? 2u : 0u));
   blob_.push_back(' ');
   AppendU64(&blob_, shared);
   blob_.push_back(' ');
@@ -182,18 +214,18 @@ std::string CostBlobWriter::Finish() {
 }
 
 Status DecodeCostBlob(const std::string& blob, const char* section,
-                      std::vector<CostService::CacheEntry>* lines) {
+                      std::vector<CostLine>* lines) {
   const char* p = blob.c_str();
   const char* end = p + blob.size();
   std::string prev_fp;
   while (p < end) {
     char* q = nullptr;
-    CostService::CacheEntry line;
-    line.key = std::strtoull(p, &q, 10);
-    line.cost = std::strtod(q, &q);
+    CostLine line;
+    line.id = std::strtoull(p, &q, 10);
+    line.entry.cost = std::strtod(q, &q);
     const unsigned long flags = std::strtoul(q, &q, 10);
-    line.degraded = (flags & 1) != 0;
-    line.derived = (flags & 2) != 0;
+    line.entry.degraded = (flags & 1) != 0;
+    line.entry.derived = (flags & 2) != 0;
     const size_t shared = static_cast<size_t>(std::strtoull(q, &q, 10));
     if (q < end && *q == ' ') ++q;
     const char* nl = static_cast<const char*>(
@@ -224,12 +256,11 @@ uint64_t WorkloadFingerprint(const workload::Workload& workload) {
 uint64_t OptionsFingerprint(const TuningOptions& o) {
   // Every option that can change the recommendation, in a fixed order.
   // num_threads, shards, shard_slow_threshold, the transport section
-  // (transport, socket_endpoints, rpc_attempt_timeout_ms), the checkpoint
-  // paths, and checkpoint_budget_pct are excluded on purpose: results are
-  // invariant to thread count and shard/transport topology (a 4-shard
-  // checkpoint legitimately resumes on 2 shards, and an inproc checkpoint
-  // resumes over sockets), and where a snapshot lives — or how often round
-  // snapshots are written — does not change what it resumes to.
+  // (transport, socket_endpoints, rpc_attempt_timeout_ms) and the
+  // checkpoint paths are excluded on purpose: results are invariant to
+  // thread count and shard/transport topology (a 4-shard checkpoint
+  // legitimately resumes on 2 shards, and an inproc checkpoint resumes over
+  // sockets), and where a log lives does not change what it resumes to.
   // shard_fault_spec IS included: per-shard faults can degrade pricings and
   // so can change the recommendation, exactly like fault_spec.
   // derived_costing and derivation_error_bound_pct are included (they decide
@@ -269,212 +300,203 @@ uint64_t OptionsFingerprint(const TuningOptions& o) {
   return HashBytes(out.str());
 }
 
-std::string CheckpointToXml(const SessionCheckpoint& ckpt) {
-  xml::Element root("DTACheckpoint");
-  root.SetAttr("Version", "2");
-  root.SetAttr("WorkloadFingerprint",
-               StrFormat("%llu", static_cast<unsigned long long>(
-                                     ckpt.workload_fingerprint)));
-  root.SetAttr("OptionsFingerprint",
-               StrFormat("%llu", static_cast<unsigned long long>(
-                                     ckpt.options_fingerprint)));
+// ---- Session records -----------------------------------------------------
+
+std::string EncodeSessionRecord(const SessionCheckpoint& ckpt,
+                                const std::vector<Candidate>* pool,
+                                CostCache* cache, bool base, bool cleared) {
+  xml::Element root("DTASession");
+  root.SetAttr("Version", "3");
+  if (base) {
+    root.SetAttr("WorkloadFingerprint", U64Str(ckpt.workload_fingerprint));
+    root.SetAttr("OptionsFingerprint", U64Str(ckpt.options_fingerprint));
+  } else if (cleared) {
+    root.SetAttr("CacheCleared", "true");
+  }
   root.SetAttr("Phase", StrFormat("%d", ckpt.phase));
   root.SetAttr("Shards", StrFormat("%d", ckpt.shards));
   root.SetAttr("Transport", ckpt.transport);
-  root.SetAttr("StatsRequested", StrFormat("%zu", ckpt.stats_requested));
-  root.SetAttr("StatsCreated", StrFormat("%zu", ckpt.stats_created));
-  root.SetAttr("StatsCreationMs", HexDouble(ckpt.stats_creation_ms));
-  root.SetAttr("CandidatesGenerated",
-               StrFormat("%zu", ckpt.candidates_generated));
+  root.SetAttr("StatsRequested", U64Str(ckpt.stats_requested));
+  root.SetAttr("StatsCreated", U64Str(ckpt.stats_created));
+  root.SetAttr("StatsCreationMs", HexStr(ckpt.stats_creation_ms));
+  root.SetAttr("CandidatesGenerated", U64Str(ckpt.candidates_generated));
 
-  xml::Element* costs = root.AddChild("CurrentCosts");
-  for (double c : ckpt.current_costs) costs->AddTextChild("Cost", HexDouble(c));
+  // Fixed once the current-cost pass is done, and every session's first
+  // record is a base: segments never need them.
+  if (base) {
+    xml::Element* costs = root.AddChild("CurrentCosts");
+    for (double c : ckpt.current_costs) costs->AddTextChild("Cost", HexStr(c));
+  }
 
   xml::Element* missing = root.AddChild("MissingStats");
   for (const auto& key : ckpt.missing_stats) StatsKeyToXml(key, missing);
   xml::Element* created = root.AddChild("CreatedStats");
   for (const auto& key : ckpt.created_stats) StatsKeyToXml(key, created);
 
-  // Entries arrive from CostService::ExportCache in deterministic
-  // (statement index, fingerprint) order, so the document is byte-identical
-  // across runs and thread counts (dta_lint's unordered-output rule guards
-  // this file). The cache dominates the document, so it is one front-coded
-  // blob (format version 2): a full write stays in the low milliseconds.
-  CostBlobWriter cache_blob;
-  for (const auto& e : ckpt.cache) {
-    cache_blob.Add(e.key, e.fingerprint, e.cost, e.degraded, e.derived);
-  }
-  root.AddTextChild("CostCache", cache_blob.Finish());
-
   if (!ckpt.degraded_statements.empty()) {
     // std::set iteration order makes this deterministic.
-    std::string degraded;
-    for (size_t i : ckpt.degraded_statements) {
-      if (!degraded.empty()) degraded.push_back(' ');
-      AppendU64(&degraded, i);
-    }
-    root.AddTextChild("DegradedStatements", std::move(degraded));
+    root.AddTextChild("DegradedStatements",
+                      U64List(ckpt.degraded_statements));
   }
 
-  if (ckpt.phase >= kCheckpointPoolReady) {
-    xml::Element* pool = root.AddChild("CandidatePool");
-    for (const auto& cand : ckpt.pool) CandidateToXml(cand, pool);
+  if (pool != nullptr && (base || ckpt.phase == kCheckpointPoolReady)) {
+    xml::Element* pool_elem = root.AddChild("CandidatePool");
+    for (const auto& cand : *pool) CandidateToXml(cand, pool_elem);
   }
 
   if (ckpt.phase >= kCheckpointEnumeration) {
     xml::Element* en = root.AddChild("Enumeration");
     en->SetAttr("Phase1Done", BoolStr(ckpt.enumeration.phase1_done));
-    en->SetAttr("Cost", HexDouble(ckpt.enumeration.cost));
+    en->SetAttr("Cost", HexStr(ckpt.enumeration.cost));
     for (const auto& name : ckpt.enumeration.chosen) {
       en->AddTextChild("Chosen", name);
     }
-    for (int s : ckpt.enumeration.strikes) {
-      en->AddTextChild("Strike", StrFormat("%d", s));
-    }
+    en->AddTextChild("Strikes", U64List(ckpt.enumeration.strikes));
   }
-  return root.ToString(/*prolog=*/true);
+
+  // The cost lines follow the document, in (statement id, fingerprint)
+  // order, so the record is byte-identical across runs and thread counts
+  // (dta_lint's unordered-output rule guards this file): the whole cache in
+  // a base, the entries priced since the previous record in a segment.
+  // Either way the cache forgets what is new, so the next segment starts
+  // from this record.
+  std::string record = root.ToString(/*prolog=*/true);
+  CostBlobWriter lines;
+  auto add = [&](uint64_t id, const std::string& fingerprint,
+                 const CostCache::Entry& entry) {
+    lines.Add(id, fingerprint, entry);
+  };
+  if (base) cache->ForEach(add);
+  cache->TakeNew(base ? nullptr : CostCache::EntryVisitor(add));
+  record += lines.Finish();
+  return record;
 }
 
-Result<SessionCheckpoint> CheckpointFromXml(const std::string& xml_text,
-                                            const catalog::Catalog& catalog) {
-  auto parsed = xml::Parse(xml_text);
+Status ApplySessionRecord(const std::string& payload, bool base,
+                          const catalog::Catalog& catalog,
+                          SessionCheckpoint* ckpt) {
+  // The document always has children, so it ends in its closing tag; the
+  // cost lines follow it.
+  static constexpr std::string_view kDocumentEnd = "</DTASession>\n";
+  const size_t document_end = payload.find(kDocumentEnd);
+  if (document_end == std::string::npos) {
+    return Status::InvalidArgument("not a version 3 DTASession record");
+  }
+  const size_t lines_at = document_end + kDocumentEnd.size();
+  auto parsed = xml::Parse(std::string_view(payload).substr(0, lines_at));
   if (!parsed.ok()) return parsed.status();
   const xml::Element& root = **parsed;
-  if (root.name() != "DTACheckpoint") {
-    return Status::InvalidArgument("not a DTACheckpoint document");
+  if (root.name() != "DTASession" || root.Attr("Version") != "3") {
+    return Status::InvalidArgument("not a version 3 DTASession record");
   }
-  if (root.Attr("Version") != "2") {
-    return Status::InvalidArgument(
-        "DTACheckpoint version mismatch (expected 2, got '" +
-        root.Attr("Version") + "')");
+  if (base) {
+    *ckpt = SessionCheckpoint();
+    ckpt->workload_fingerprint = ParseU64(root.Attr("WorkloadFingerprint"));
+    ckpt->options_fingerprint = ParseU64(root.Attr("OptionsFingerprint"));
+    if (const xml::Element* costs = root.FindChild("CurrentCosts")) {
+      for (const xml::Element* c : costs->FindChildren("Cost")) {
+        ckpt->current_costs.push_back(ParseDouble(c->text()));
+      }
+    }
   }
-  SessionCheckpoint ckpt;
-  ckpt.workload_fingerprint = ParseU64(root.Attr("WorkloadFingerprint"));
-  ckpt.options_fingerprint = ParseU64(root.Attr("OptionsFingerprint"));
-  ckpt.phase = std::atoi(root.Attr("Phase").c_str());
-  if (ckpt.phase < kCheckpointCurrentCosts ||
-      ckpt.phase > kCheckpointEnumeration) {
-    return Status::InvalidArgument("DTACheckpoint has an unknown phase");
+  ckpt->phase = std::atoi(root.Attr("Phase").c_str());
+  if (ckpt->phase < kCheckpointCurrentCosts ||
+      ckpt->phase > kCheckpointEnumeration) {
+    return Status::InvalidArgument("DTASession record has an unknown phase");
   }
-  // Absent on documents written before shard topologies existed: those were
-  // single-server sessions.
   const std::string shards_attr = root.Attr("Shards");
-  ckpt.shards = shards_attr.empty() ? 1 : std::atoi(shards_attr.c_str());
-  if (ckpt.shards < 1) {
+  ckpt->shards = std::atoi(shards_attr.c_str());
+  if (ckpt->shards < 1) {
     return Status::InvalidArgument(
-        "DTACheckpoint records an invalid shard topology (Shards='" +
+        "DTASession record has an invalid shard topology (Shards='" +
         shards_attr + "'); refusing to resume");
   }
-  // Informational, absent on older documents (all of which were inproc).
-  const std::string transport_attr = root.Attr("Transport");
-  ckpt.transport = transport_attr.empty() ? "inproc" : transport_attr;
-  ckpt.stats_requested =
+  ckpt->transport = root.Attr("Transport");
+  ckpt->stats_requested =
       static_cast<size_t>(ParseU64(root.Attr("StatsRequested")));
-  ckpt.stats_created =
+  ckpt->stats_created =
       static_cast<size_t>(ParseU64(root.Attr("StatsCreated")));
-  ckpt.stats_creation_ms = ParseDouble(root.Attr("StatsCreationMs"));
-  ckpt.candidates_generated =
+  ckpt->stats_creation_ms = ParseDouble(root.Attr("StatsCreationMs"));
+  ckpt->candidates_generated =
       static_cast<size_t>(ParseU64(root.Attr("CandidatesGenerated")));
 
-  if (const xml::Element* costs = root.FindChild("CurrentCosts")) {
-    for (const xml::Element* c : costs->FindChildren("Cost")) {
-      ckpt.current_costs.push_back(ParseDouble(c->text()));
-    }
-  }
+  ckpt->missing_stats.clear();
   if (const xml::Element* missing = root.FindChild("MissingStats")) {
     for (const xml::Element* s : missing->FindChildren("Stats")) {
-      ckpt.missing_stats.insert(StatsKeyFromXml(*s));
+      ckpt->missing_stats.insert(StatsKeyFromXml(*s));
     }
   }
+  ckpt->created_stats.clear();
   if (const xml::Element* created = root.FindChild("CreatedStats")) {
     for (const xml::Element* s : created->FindChildren("Stats")) {
-      ckpt.created_stats.push_back(StatsKeyFromXml(*s));
+      ckpt->created_stats.push_back(StatsKeyFromXml(*s));
     }
   }
-  if (const xml::Element* cache = root.FindChild("CostCache")) {
-    DTA_RETURN_IF_ERROR(
-        DecodeCostBlob(cache->text(), "DTACheckpoint CostCache", &ckpt.cache));
-  }
-  // Absent on documents written before degraded-statement carry-over (and
-  // on fault-free sessions).
+  if (root.Attr("CacheCleared") == "true") ckpt->cache.clear();
+  DTA_RETURN_IF_ERROR(DecodeCostBlob(payload.substr(lines_at),
+                                     "DTASession cost lines", &ckpt->cache));
+  // Absent on fault-free sessions.
+  ckpt->degraded_statements.clear();
   if (const xml::Element* degraded = root.FindChild("DegradedStatements")) {
-    const char* p = degraded->text().c_str();
-    char* q = nullptr;
-    for (size_t i = std::strtoull(p, &q, 10); p != q;
-         i = std::strtoull(p, &q, 10)) {
-      ckpt.degraded_statements.insert(i);
-      p = q;
+    for (uint64_t i : ParseU64List(degraded->text())) {
+      ckpt->degraded_statements.insert(static_cast<size_t>(i));
     }
   }
   if (const xml::Element* pool = root.FindChild("CandidatePool")) {
+    ckpt->pool.clear();
     for (const xml::Element* c : pool->FindChildren("Candidate")) {
       auto cand = CandidateFromXml(*c, catalog);
       if (!cand.ok()) return cand.status();
-      ckpt.pool.push_back(std::move(cand).value());
+      ckpt->pool.push_back(std::move(cand).value());
     }
   }
   if (const xml::Element* en = root.FindChild("Enumeration")) {
-    ckpt.enumeration.phase1_done = ParseBool(en->Attr("Phase1Done"));
-    ckpt.enumeration.cost = ParseDouble(en->Attr("Cost"));
+    ckpt->enumeration = EnumerationResume();
+    ckpt->enumeration.phase1_done = ParseBool(en->Attr("Phase1Done"));
+    ckpt->enumeration.cost = ParseDouble(en->Attr("Cost"));
     for (const xml::Element* c : en->FindChildren("Chosen")) {
-      ckpt.enumeration.chosen.push_back(c->text());
+      ckpt->enumeration.chosen.push_back(c->text());
     }
-    for (const xml::Element* s : en->FindChildren("Strike")) {
-      ckpt.enumeration.strikes.push_back(std::atoi(s->text().c_str()));
+    if (const xml::Element* strikes = en->FindChild("Strikes")) {
+      for (uint64_t n : ParseU64List(strikes->text())) {
+        ckpt->enumeration.strikes.push_back(static_cast<int>(n));
+      }
     }
-  }
-  return ckpt;
-}
-
-Status SaveCheckpoint(const std::string& path,
-                      const SessionCheckpoint& checkpoint) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot write checkpoint file: " + tmp);
-    }
-    out << CheckpointToXml(checkpoint);
-    out.flush();
-    if (!out) {
-      return Status::Internal("short write to checkpoint file: " + tmp);
-    }
-  }
-  // Atomic replace: a crash between write and rename leaves the previous
-  // checkpoint intact; a crash mid-write only corrupts the .tmp file.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename checkpoint into place: " + path);
   }
   return Status::Ok();
 }
 
 Result<SessionCheckpoint> LoadCheckpoint(const std::string& path,
                                          const catalog::Catalog& catalog) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open checkpoint file: " + path);
+  auto log = ReadDeltaLog(path);
+  if (!log.ok()) return log.status();
+  SessionCheckpoint ckpt;
+  DTA_RETURN_IF_ERROR(ApplySessionRecord(log->base, true, catalog, &ckpt));
+  for (const std::string& segment : log->segments) {
+    DTA_RETURN_IF_ERROR(ApplySessionRecord(segment, false, catalog, &ckpt));
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return CheckpointFromXml(buffer.str(), catalog);
+  return ckpt;
 }
 
-// ---- Delta log (format v3) ------------------------------------------------
+// ---- The log ---------------------------------------------------------------
 
 namespace {
 
-std::string EncodeDeltaRecord(const char* kind, const std::string& payload) {
-  std::string record("DTAS3 ");
-  record += kind;
-  record.push_back(' ');
-  AppendU64(&record, payload.size());
-  record.push_back(' ');
-  AppendU64(&record, HashBytes(payload));
-  record.push_back('\n');
-  record += payload;
-  record.push_back('\n');
-  return record;
+// Writes one record (header, payload, newline) without copying the payload;
+// returns the record's size.
+size_t WriteRecord(std::ostream& out, const char* kind,
+                   const std::string& payload) {
+  std::string header("DTAS3 ");
+  header += kind;
+  header.push_back(' ');
+  AppendU64(&header, payload.size());
+  header.push_back(' ');
+  AppendU64(&header, HashBytes(payload));
+  header.push_back('\n');
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  out.put('\n');
+  return header.size() + payload.size() + 1;
 }
 
 // Parses one record at [*p, end). On success advances *p past the record and
@@ -522,46 +544,65 @@ bool DecodeDeltaRecord(const char** p, const char* end, std::string* kind,
 
 }  // namespace
 
-Status WriteDeltaBase(const std::string& path, const std::string& base) {
-  const std::string tmp = path + ".tmp";
+Status CheckpointLog::Write(
+    const std::function<std::string()>& encode_base,
+    const std::function<std::string()>& encode_segment) {
+  if (path_.empty()) return Status::Ok();
+  if (base_bytes_.empty()) return WriteBase(encode_base);
+  size_t record_bytes = 0;
+  {
+    // Opening for update never creates the file: if the base this object
+    // wrote is gone, the append is refused rather than starting a log
+    // without one.
+    std::fstream out(path_, std::ios::in | std::ios::out | std::ios::binary);
+    if (!out) {
+      return Status::FailedPrecondition(
+          "delta log has no base record to append to: " + path_);
+    }
+    out.seekp(0, std::ios::end);
+    record_bytes = WriteRecord(out, "seg", encode_segment());
+    out.flush();
+    if (!out) {
+      return Status::Internal("short append to delta log file: " + path_);
+    }
+  }
+  segment_bytes_.push_back(record_bytes);
+  bytes_ += record_bytes;
+  segment_bytes_since_base_ += record_bytes;
+  if (segment_bytes_since_base_ <= compact_threshold_bytes_) {
+    return Status::Ok();
+  }
+  // Compaction: fold every segment back into one base record. O(total
+  // state), amortized by the byte threshold that triggered it.
+  DTA_RETURN_IF_ERROR(WriteBase(encode_base));
+  ++compactions_;
+  return Status::Ok();
+}
+
+Status CheckpointLog::WriteBase(
+    const std::function<std::string()>& encode_base) {
+  const std::string tmp = path_ + ".tmp";
+  size_t record_bytes = 0;
   {
     std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
     if (!out) {
       return Status::Internal("cannot write delta log file: " + tmp);
     }
-    out << EncodeDeltaRecord("base", base);
+    record_bytes = WriteRecord(out, "base", encode_base());
     out.flush();
     if (!out) {
       return Status::Internal("short write to delta log file: " + tmp);
     }
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  // Atomic replace: a crash between write and rename leaves the previous
+  // log intact; a crash mid-write only corrupts the .tmp file.
+  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::remove(tmp.c_str());
-    return Status::Internal("cannot rename delta log into place: " + path);
+    return Status::Internal("cannot rename delta log into place: " + path_);
   }
-  return Status::Ok();
-}
-
-Status AppendDeltaSegment(const std::string& path, const std::string& segment,
-                          size_t* appended_bytes) {
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) {
-      return Status::FailedPrecondition(
-          "delta log has no base record yet (WriteDeltaBase first): " + path);
-    }
-  }
-  const std::string record = EncodeDeltaRecord("seg", segment);
-  std::ofstream out(path, std::ios::app | std::ios::binary);
-  if (!out) {
-    return Status::Internal("cannot append to delta log file: " + path);
-  }
-  out << record;
-  out.flush();
-  if (!out) {
-    return Status::Internal("short append to delta log file: " + path);
-  }
-  if (appended_bytes != nullptr) *appended_bytes = record.size();
+  base_bytes_.push_back(record_bytes);
+  bytes_ += record_bytes;
+  segment_bytes_since_base_ = 0;
   return Status::Ok();
 }
 
@@ -580,6 +621,12 @@ Result<DeltaLogContents> ReadDeltaLog(const std::string& path) {
   std::string kind;
   std::string payload;
   if (!DecodeDeltaRecord(&p, end, &kind, &payload) || kind != "base") {
+    if (text.find("<DTACheckpoint") != std::string::npos) {
+      return Status::FailedPrecondition(
+          path + " is a version 2 DTACheckpoint document, a format this "
+                 "build no longer reads; re-run without --resume "
+                 "(TuningOptions::resume_path) to start a fresh session");
+    }
     // The base is written atomically, so a file without a valid leading base
     // record was never a valid delta log — unlike a torn appended tail,
     // there is nothing to salvage.

@@ -1,34 +1,40 @@
-// Crash-safe session checkpoints (robustness layer).
+// Crash-safe checkpoints (robustness layer): one append-only log (format
+// v3) for one-shot tuning sessions and the continuous tuning service.
 //
-// A tuning session writes a resumable snapshot of its progress after every
-// expensive phase — the current-cost pass, candidate pool finalization, the
-// enumeration exhaustive phase, and each completed greedy round — so an
-// interrupted session (crash, eviction, kill) restarts from the last
-// checkpoint instead of from scratch and produces the *identical*
-// recommendation an uninterrupted run would have produced.
+// A session records its progress after the current-cost pass, when the
+// candidate pool is final, and after the enumeration's exhaustive phase and
+// every greedy round; a killed session resumes from the last record and
+// produces the *identical* recommendation. Resume is bit-identical because
+// the log carries the whole cost cache (degraded entries stay degraded),
+// the keys of every statistic created — re-created *before* the cache is
+// restored, so cached costs stay valid and no stats phase clears it — and
+// the greedy state, from which the search restarts mid-stream.
 //
-// What makes resume bit-identical:
-//   * the snapshot carries the full what-if cost cache, so re-driven search
-//     steps hit the cache instead of re-pricing (and degraded entries stay
-//     degraded);
-//   * the keys of every statistic the interrupted run created are recorded;
-//     resume re-creates them (statistics builds are deterministic in the
-//     data) *before* importing the cache, so cached costs remain valid and
-//     the stats-creation phases become no-ops that never clear the cache;
-//   * the enumeration greedy state (chosen candidate names, objective,
-//     two-strike elimination counters) restarts the search mid-stream.
+// The log is one *base* record carrying the whole state, then appended
+// *segment* records carrying what changed since the previous record, so a
+// write costs O(new work). Each record is
 //
-// Checkpoints serialize to the project's XML vocabulary (xmlio). Costs are
-// rendered as C99 hex floats so they round-trip bit-exactly. Files are
-// written atomically: serialize to "<path>.tmp", then rename over <path> —
-// a crash mid-write never corrupts the previous checkpoint.
+//   DTAS3 <kind> <payload-bytes> <fnv64-checksum>\n<payload>\n
+//
+// with <kind> "base" or "seg". A base is written atomically ("<path>.tmp" +
+// rename), which truncates every earlier segment. A crash mid-append leaves
+// a torn tail, which the reader detects (short payload, bad header, checksum
+// mismatch) and drops with anything after it; the lost work is re-run.
+// Payloads are XML (xmlio) plus front-coded cost lines (CostBlobWriter),
+// doubles as C99 hex floats so they round-trip bit-exactly: <DTASession>
+// records here, <DTAStream>/<DTAStreamDelta> in dta/stream/continuous.h.
+// Version 2 rewrote a session's whole <DTACheckpoint> document per write;
+// this build refuses one with a status that names the format.
 
 #ifndef DTA_DTA_CHECKPOINT_H_
 #define DTA_DTA_CHECKPOINT_H_
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -46,38 +52,96 @@ class Element;
 
 namespace dta::tuner {
 
+// ---- The log -------------------------------------------------------------
+
+// One checkpoint log file. It decides the kind of every record:
+//   * the first write of a CheckpointLog is a base. It replaces whatever
+//     the path held — a finished run's log, or the log a resumed run just
+//     read, torn tail included — so a segment is only ever appended behind
+//     records this object wrote;
+//   * every later write appends a segment;
+//   * once the segment bytes appended since the last base exceed
+//     `compact_threshold_bytes`, the log compacts: a fresh base follows the
+//     segment that crossed the threshold. The default never compacts.
+// An empty path disables the log: Write does nothing.
+class CheckpointLog {
+ public:
+  explicit CheckpointLog(
+      std::string path,
+      size_t compact_threshold_bytes = std::numeric_limits<size_t>::max())
+      : path_(std::move(path)),
+        compact_threshold_bytes_(compact_threshold_bytes) {}
+
+  // Writes the next record; only the kind the log writes is encoded.
+  Status Write(const std::function<std::string()>& encode_base,
+               const std::function<std::string()>& encode_segment);
+
+  // This object's writes, as full record sizes (header included), in order.
+  const std::vector<size_t>& segment_bytes() const { return segment_bytes_; }
+  const std::vector<size_t>& base_bytes() const { return base_bytes_; }
+  size_t writes() const { return base_bytes_.size() + segment_bytes_.size(); }
+  size_t bytes() const { return bytes_; }
+  size_t compactions() const { return compactions_; }
+
+ private:
+  Status WriteBase(const std::function<std::string()>& encode_base);
+
+  std::string path_;
+  size_t compact_threshold_bytes_;
+  size_t bytes_ = 0;
+  size_t segment_bytes_since_base_ = 0;
+  size_t compactions_ = 0;
+  std::vector<size_t> segment_bytes_;
+  std::vector<size_t> base_bytes_;
+};
+
+struct DeltaLogContents {
+  std::string base;
+  std::vector<std::string> segments;
+  // Torn or corrupt tail records ignored by the reader (0 on a clean file).
+  size_t dropped_records = 0;
+};
+
+// Reads base + segments, dropping a torn/corrupt tail. Fails when the file
+// is missing (NotFound), is a version 2 document, or has no valid base.
+Result<DeltaLogContents> ReadDeltaLog(const std::string& path);
+
+// ---- Session records ------------------------------------------------------
+
 // Phase markers, ordered by pipeline progress.
 inline constexpr int kCheckpointCurrentCosts = 1;  // current-cost pass done
 inline constexpr int kCheckpointPoolReady = 2;     // candidate pool final
 inline constexpr int kCheckpointEnumeration = 3;   // greedy state present
 
+// One cost-cache entry as a checkpoint carries it.
+struct CostLine {
+  uint64_t id = 0;  // statement id (WorkloadStatement::id)
+  std::string fingerprint;
+  CostCache::Entry entry;
+};
+
+// A session's state, folded from its log's base and segments.
 struct SessionCheckpoint {
   // Guard against resuming with a different workload or different options:
   // either would silently produce a recommendation that matches neither run.
   uint64_t workload_fingerprint = 0;
   uint64_t options_fingerprint = 0;
   int phase = kCheckpointCurrentCosts;
-  // Shard topology of the writing session (informational guard). Cache
-  // entries are keyed by (statement, fingerprint) — shard-agnostic — so a
-  // resumed session deterministically remaps them onto its own topology;
-  // a corrupt topology (< 1) is rejected with a clear status instead of
-  // silently mis-routing entries.
+  // The writing session's shard topology and transport, informational:
+  // entries are keyed by (statement, fingerprint), so a 4-shard inproc log
+  // resumes on 2 shards or over sockets. A corrupt topology (< 1) is
+  // refused with a clear status instead of silently mis-routing entries.
   int shards = 1;
-  // Costing transport of the writing session ("inproc" or "socket").
-  // Informational, like `shards`: cache entries are transport-agnostic, so
-  // a checkpoint written under one transport resumes under the other.
-  std::string transport = "inproc";
+  std::string transport = "inproc";  // or "socket"
 
   std::vector<double> current_costs;  // per tuned statement, in order
   std::set<stats::StatsKey> missing_stats;
   std::vector<stats::StatsKey> created_stats;  // creation order
-  std::vector<CostService::CacheEntry> cache;
-  // Statements whose pricing degraded to the heuristic estimate at any point
-  // before the snapshot. Carried explicitly because the cost cache is
-  // cleared when candidate structures are materialized: a degraded entry
-  // from an earlier phase may no longer be in `cache`, and with derived
-  // costing the resumed run may answer the same miss from atoms instead of
-  // re-firing the fault — so the flag cannot be reconstructed from pricing.
+  std::vector<CostLine> cache;
+  // Statements whose pricing degraded at any point before the record. The
+  // flag cannot be rebuilt from `cache`: statistics creation clears the
+  // cache, and a resumed run may answer the same miss from atoms instead of
+  // re-firing the fault.
   std::set<size_t> degraded_statements;
 
   std::vector<Candidate> pool;  // phase >= kCheckpointPoolReady
@@ -100,88 +164,57 @@ uint64_t WorkloadFingerprint(const workload::Workload& workload);
 // checkpoint/resume paths themselves.
 uint64_t OptionsFingerprint(const TuningOptions& options);
 
-std::string CheckpointToXml(const SessionCheckpoint& checkpoint);
-// `catalog` rebuilds candidate identities (canonical names, storage
-// estimates) for the restored pool.
-Result<SessionCheckpoint> CheckpointFromXml(const std::string& xml_text,
-                                            const catalog::Catalog& catalog);
-
-// Atomic write: "<path>.tmp" + rename.
-Status SaveCheckpoint(const std::string& path,
-                      const SessionCheckpoint& checkpoint);
+// Encodes one session record: a <DTASession> document with `checkpoint`'s
+// scalars and small sections (its `cache` and `pool` are not read), then
+// the cost lines, outside the document so the bulk of every record is
+// neither escaped nor parsed as XML. The lines come from `cache`: every
+// entry in a base, the entries priced since the previous record in a
+// segment (CostCache::TakeNew) — after a CacheCleared marker when `cleared`
+// says the cache was cleared since then. `pool` (null until it is final) is
+// carried by a base and by the pool-ready segment; the greedy state by
+// records of the enumeration phase.
+std::string EncodeSessionRecord(const SessionCheckpoint& checkpoint,
+                                const std::vector<Candidate>* pool,
+                                CostCache* cache, bool base, bool cleared);
+// Folds one record into `checkpoint`: a base replaces it, a segment updates
+// it. `catalog` rebuilds candidate identities (canonical names, storage
+// estimates) for a restored pool.
+Status ApplySessionRecord(const std::string& payload, bool base,
+                          const catalog::Catalog& catalog,
+                          SessionCheckpoint* checkpoint);
+// Reads the session log at `path` and folds its records.
 Result<SessionCheckpoint> LoadCheckpoint(const std::string& path,
                                          const catalog::Catalog& catalog);
 
-// ---- Append-only delta checkpoints (format v3) ----------------------------
-//
-// A v2 checkpoint rewrites the whole document on every write; that is fine
-// for a one-shot session but makes per-round persistence on a stream
-// O(total state). Format v3 splits a checkpoint into one *base* snapshot
-// record followed by zero or more appended *delta segments*, each carrying
-// only the entries produced since the previous write — so a steady-state
-// round appends O(new work) bytes. The payloads themselves are opaque to
-// this layer (the continuous tuner serializes its stream state into them);
-// this layer owns the on-disk framing and its crash semantics.
-//
-// Framing: each record is
-//
-//   DTAS3 <kind> <payload-bytes> <fnv64-checksum>\n<payload>\n
-//
-// where <kind> is "base" or "seg" and the checksum covers the payload
-// bytes. The base is written atomically ("<path>.tmp" + rename), which
-// also truncates every previous segment — that is compaction. Segments are
-// appended in place; a crash mid-append leaves a torn tail record, which
-// the reader detects (short payload, bad header, or checksum mismatch) and
-// drops along with anything after it, recovering the longest valid prefix.
-// The dropped round is simply re-run — by the same determinism contract
-// that makes kill-at-a-boundary resume bit-exact.
-struct DeltaLogContents {
-  std::string base;
-  std::vector<std::string> segments;
-  // Torn or corrupt tail records ignored by the reader (0 on a clean file).
-  size_t dropped_records = 0;
-};
+// ---- Shared encoding helpers ----------------------------------------------
 
-// Atomically replaces `path` with a fresh base record (compaction: any
-// previously appended segments are gone).
-Status WriteDeltaBase(const std::string& path, const std::string& base);
-// Appends one segment record to `path` (which must already hold a base).
-// On success `*appended_bytes` (optional) receives the full record size —
-// the per-round persistence cost the delta-bytes gauge reports.
-Status AppendDeltaSegment(const std::string& path, const std::string& segment,
-                          size_t* appended_bytes = nullptr);
-// Reads base + segments, dropping a torn/corrupt tail. Fails only when the
-// file is unreadable or its base record is invalid.
-Result<DeltaLogContents> ReadDeltaLog(const std::string& path);
-
-// Bulk-encoding helpers shared by the cost blobs below and the stream
-// checkpoint: locale-free integer formatting and a C99 hex-float encoder
-// whose output strtod round-trips bit-exactly.
+// Locale-free integer formatting and a C99 hex-float encoder whose output
+// strtod round-trips bit-exactly, appending or as a whole attribute.
 void AppendU64(std::string* out, uint64_t v);
 void AppendHexDouble(std::string* out, double v);
+std::string U64Str(uint64_t v);
+std::string HexStr(double v);
 // Their inverses for a whole attribute (hex floats included).
 uint64_t ParseU64(const std::string& s);
 double ParseDouble(const std::string& s);
 
-// A statistics key as both checkpoint formats carry it:
+// A statistics key as checkpoints carry it:
 // <Stats Database= Table=><Column>name</Column>...</Stats>.
 void StatsKeyToXml(const stats::StatsKey& key, xml::Element* parent);
 stats::StatsKey StatsKeyFromXml(const xml::Element& e);
 
-// ---- Front-coded cost blobs -----------------------------------------------
-//
-// The v2 checkpoint's CostCache section and the stream checkpoint's Memo
-// section share one encoding, a "key cost flags shared suffix" line per
-// entry: `key` is a statement index in the first, a statement id in the
-// second, `flags` is bit 0 = degraded, bit 1 = derived, and the fingerprint
-// is front-coded — `shared` bytes of the previous line's fingerprint, then
-// `suffix` to end-of-line (empty for the base configuration's fingerprint).
+// Front-coded cost blobs: a session record's cost lines and the stream's
+// Memo section share one encoding, an "id cost flags shared
+// suffix" line per entry: `id` is the statement id, `flags` is bit 0 =
+// degraded, bit 1 = derived, and the fingerprint is front-coded — `shared`
+// bytes of the previous line's fingerprint, then `suffix` to end-of-line
+// (empty for the base configuration's fingerprint).
 class CostBlobWriter {
  public:
   // `fingerprint` must stay alive until the next Add: the next line is
   // front-coded against it.
-  void Add(uint64_t key, const std::string& fingerprint, double cost,
-           bool degraded, bool derived);
+  void Add(uint64_t id, const std::string& fingerprint,
+           const CostCache::Entry& entry);
   // The blob, without the final line's newline.
   std::string Finish();
 
@@ -193,7 +226,7 @@ class CostBlobWriter {
 // Appends a blob's lines to `lines`. A truncated line, or one reusing more
 // prefix than the previous fingerprint has, fails naming `section`.
 Status DecodeCostBlob(const std::string& blob, const char* section,
-                      std::vector<CostService::CacheEntry>* lines);
+                      std::vector<CostLine>* lines);
 
 }  // namespace dta::tuner
 

@@ -53,6 +53,7 @@ void CostCache::Clear() {
     Shard& shard = kv.second;
     MutexLock lock(shard.mu);
     shard.entries.clear();
+    shard.fresh.clear();
   }
 }
 
@@ -74,6 +75,24 @@ void CostCache::ForEach(const EntryVisitor& fn) const {
     const Shard& shard = kv.second;
     MutexLock lock(shard.mu);
     for (const auto& [fp, entry] : shard.entries) fn(kv.first, fp, entry);
+  }
+}
+
+void CostCache::TakeNew(const EntryVisitor& fn) {
+  lists_new_ = true;
+  for (auto& kv : shards_) {
+    Shard& shard = kv.second;
+    MutexLock lock(shard.mu);
+    if (fn != nullptr) {
+      // Publication order depends on thread scheduling; fingerprint order
+      // does not.
+      std::sort(shard.fresh.begin(), shard.fresh.end(),
+                [](const auto& a, const auto& b) {
+                  return a->first < b->first;
+                });
+      for (const auto& it : shard.fresh) fn(kv.first, it->first, it->second);
+    }
+    shard.fresh.clear();
   }
 }
 
@@ -276,9 +295,8 @@ Result<CostService::Entry> CostService::CachedEntry(
     MutexLock lock(shard.mu);
     shard.inflight.erase(fingerprint);
     if (priced.ok()) {
-      Entry entry = *priced;
-      entry.round = cache_->round();
-      shard.entries.emplace(fingerprint, entry);
+      const auto it = shard.entries.emplace(fingerprint, *priced).first;
+      if (cache_->lists_new()) shard.fresh.push_back(it);
     }
     shard.cv.NotifyAll();
   }
@@ -444,37 +462,6 @@ std::array<size_t, kRetryHistogramBuckets> CostService::retry_histogram()
     out[i] = attempt_histogram_[i].load(std::memory_order_relaxed);
   }
   return out;
-}
-
-std::vector<CostService::CacheEntry> CostService::ExportCache() const {
-  std::vector<CacheEntry> out;
-  // Deterministic export order — shards in statement order, entries in the
-  // shard map's (ordered) fingerprint order — so a checkpoint written from
-  // the same cache state is byte-identical at any thread count.
-  std::set<uint64_t> exported;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i] == nullptr ||
-        !exported.insert(workload_->statements()[i].id).second) {
-      continue;
-    }
-    CostCache::Shard& shard = *shards_[i];
-    MutexLock lock(shard.mu);
-    for (const auto& [fp, entry] : shard.entries) {
-      out.push_back(
-          CacheEntry{i, fp, entry.cost, entry.degraded, entry.derived});
-    }
-  }
-  return out;
-}
-
-void CostService::ImportCache(const std::vector<CacheEntry>& entries) {
-  for (const auto& e : entries) {
-    if (e.key >= shards_.size() || shards_[e.key] == nullptr) continue;
-    CostCache::Shard& shard = *shards_[e.key];
-    MutexLock lock(shard.mu);
-    shard.entries.insert_or_assign(
-        e.fingerprint, Entry{e.cost, e.degraded, e.derived, cache_->round()});
-  }
 }
 
 }  // namespace dta::tuner

@@ -132,11 +132,7 @@ class CostCache {
     // Cost was derived from atomic-configuration results instead of a real
     // what-if call (the atoms themselves are ordinary entries).
     bool derived = false;
-    // The round that inserted the entry (set_round). It fills the struct's
-    // padding, so an entry stays 16 bytes.
-    uint32_t round = 0;
   };
-  static_assert(sizeof(Entry) == 16, "the round stamp must fit the padding");
 
   // Selection work for a statement stays on one thread, so per-statement
   // shards confine lock contention to enumeration, where different subsets
@@ -152,6 +148,10 @@ class CostCache {
     CondVar cv;
     std::map<std::string, Entry> entries GUARDED_BY(mu);
     std::set<std::string> inflight GUARDED_BY(mu);
+    // Entries published since the last TakeNew, in publication order;
+    // listed only once a log has taken from the cache (lists_new()).
+    std::vector<std::map<std::string, Entry>::const_iterator> fresh
+        GUARDED_BY(mu);
     std::string text;  // bound statement text; empty until Bind
   };
 
@@ -159,11 +159,6 @@ class CostCache {
   // with AlreadyExists when `id` is bound to another text. A shard that
   // Restore created binds to the first text asked.
   Result<Shard*> Bind(uint64_t id, const std::string& text);
-
-  // Stamp for entries published from now on. A stamp that wraps past 2^32
-  // rounds can only make a later round re-send an unchanged entry.
-  void set_round(uint32_t round) { round_ = round; }
-  uint32_t round() const { return round_; }
 
   // Entries across all shards.
   size_t size() const;
@@ -179,11 +174,20 @@ class CostCache {
   using EntryVisitor =
       std::function<void(uint64_t id, const std::string& fp, const Entry&)>;
   void ForEach(const EntryVisitor& fn) const;
+  // Visits the entries priced since the previous TakeNew, in (id,
+  // fingerprint) order, and forgets them; null `fn` only forgets. This is
+  // how a checkpoint log writes O(new work) without walking the cache.
+  // Restored entries are not new. Must not run concurrently with pricing.
+  // The first call starts the listing: a log's first record is a base
+  // that walks every entry, and a cache no log takes from lists nothing
+  // (per-shard lists grown under concurrent pricing cost peak memory).
+  void TakeNew(const EntryVisitor& fn);
+  bool lists_new() const { return lists_new_; }
 
  private:
   // Map nodes never move, so a Shard* stays valid until its erase.
   std::map<uint64_t, Shard> shards_;
-  uint32_t round_ = 0;
+  bool lists_new_ = false;
 };
 
 class CostService {
@@ -327,29 +331,12 @@ class CostService {
   // retry_histogram()[n] = pricings that needed n + 1 attempts.
   std::array<size_t, kRetryHistogramBuckets> retry_histogram() const;
 
-  // ---- Checkpointing ----------------------------------------------------
-  // Snapshot/restore of the cache for crash-safe session checkpoints. Must
-  // not run concurrently with StatementCost. Entries are keyed by statement
-  // index + fingerprint; callers guarantee the workload matches. Repeated
-  // statements' shared entries export once, under the first copy's index.
-  struct CacheEntry {
-    // The statement index here and in session checkpoints; the statement
-    // id in the stream checkpoint's memo (dta/checkpoint.h cost blobs).
-    uint64_t key = 0;
-    std::string fingerprint;
-    double cost = 0;
-    bool degraded = false;
-    // Cost was derived from atomic-configuration results instead of a real
-    // what-if call (the atoms themselves are ordinary entries).
-    bool derived = false;
-  };
-  std::vector<CacheEntry> ExportCache() const;
-  void ImportCache(const std::vector<CacheEntry>& entries);
-
   // Invalidate everything (e.g. after statistics changed), a borrowed
   // cache's other statements included. Must not run concurrently with
   // StatementCost.
   void ClearCache() { cache_->Clear(); }
+  // The cache this service prices into (its own, or the borrowed one).
+  CostCache& cache() { return *cache_; }
 
   server::Server* server() { return backend_->primary(); }
 

@@ -21,7 +21,7 @@ size_t StructureCount(const catalog::Configuration& c) {
 
 // Result-affecting fingerprint of the whole service configuration: the base
 // tuning options plus every stream parameter that shapes rounds. Guards a
-// delta-log resume the same way the v2 options fingerprint guards a session
+// delta-log resume the same way the options fingerprint guards a session
 // resume.
 uint64_t StreamFingerprint(const ContinuousTuner::Config& config) {
   return HashCombine(
@@ -31,18 +31,6 @@ uint64_t StreamFingerprint(const ContinuousTuner::Config& config) {
           config.retune_interval_ms,
           static_cast<unsigned long long>(config.quarantine_rounds),
           config.max_templates, config.decay)));
-}
-
-std::string U64Str(uint64_t v) {
-  std::string out;
-  AppendU64(&out, v);
-  return out;
-}
-
-std::string HexStr(double v) {
-  std::string out;
-  AppendHexDouble(&out, v);
-  return out;
 }
 
 void TemplateToXml(const TemplateEntry& entry, xml::Element* parent) {
@@ -69,8 +57,8 @@ TemplateEntry TemplateFromXml(const xml::Element& t) {
 ContinuousTuner::ContinuousTuner(Config config)
     : config_(std::move(config)),
       reader_(config_.max_line_bytes),
-      workload_(StreamWorkload::Config{config_.max_templates, config_.decay}) {
-}
+      workload_(StreamWorkload::Config{config_.max_templates, config_.decay}),
+      log_(config_.checkpoint_path, config_.compact_threshold_bytes) {}
 
 Status ContinuousTuner::Init() {
   if (initialized_) {
@@ -92,7 +80,7 @@ Status ContinuousTuner::Init() {
   if (!config_.checkpoint_path.empty()) {
     auto log = ReadDeltaLog(config_.checkpoint_path);
     if (log.ok()) {
-      DTA_RETURN_IF_ERROR(LoadFromLog());
+      DTA_RETURN_IF_ERROR(LoadFromLog(*log));
     } else if (log.status().code() != StatusCode::kNotFound) {
       return log.status();
     }
@@ -209,8 +197,9 @@ Status ContinuousTuner::RunRound() {
     // The template table IS the compressed workload; per-round snapshots
     // must not re-compress (weights would collapse).
     opts.workload_compression = false;
-    // The delta log owns persistence; the per-round session never writes
-    // its own v2 checkpoints.
+    // The service's log owns persistence. A per-round session never logs
+    // itself: it would take the new cache entries the round's segment
+    // carries.
     opts.checkpoint_path.clear();
     opts.resume_path.clear();
     // DBA feedback: pins join the user-specified configuration (duplicates
@@ -234,9 +223,8 @@ Status ContinuousTuner::RunRound() {
         {config_.metrics, config_.tracer, config_.clock});
     session.SetTenantContext(config_.tenant);
 
-    // The session prices straight into the service's cache; entries it
-    // inserts carry this round's stamp, which is how the segment finds them.
-    cache_.set_round(static_cast<uint32_t>(round));
+    // The session prices straight into the service's cache; the entries it
+    // adds are the cache's new entries, which the round's segment takes.
     session.SetCostCache(&cache_);
 
     auto result = session.Tune(wl);
@@ -309,7 +297,8 @@ Status ContinuousTuner::RunRound() {
   delta_text_ += delta;
   if (config_.delta_sink) config_.delta_sink(delta);
 
-  DTA_RETURN_IF_ERROR(WriteCheckpoint(/*force_base=*/false, EncodeSegment()));
+  DTA_RETURN_IF_ERROR(log_.Write([this] { return EncodeBase(); },
+                                 [this] { return EncodeSegment(); }));
   ExportRoundMetrics();
 
   if (max_rounds_ != 0 && rounds_ >= max_rounds_) stopped_ = true;
@@ -343,14 +332,16 @@ void FeedbackToXml(const FeedbackState& feedback, xml::Element* root) {
 }
 
 // The cache as a memo blob, keyed by statement id in (id, fingerprint)
-// order: every entry, or with a nonzero `round` only those it inserted.
-std::string MemoBlob(const CostCache& cache, uint32_t round) {
+// order: every entry, or only those priced since the previous record. Either
+// way the cache forgets what is new, so the next segment starts from here.
+std::string MemoBlob(CostCache* cache, bool all) {
   CostBlobWriter memo;
-  cache.ForEach([&](uint64_t id, const std::string& fingerprint,
-                    const CostCache::Entry& entry) {
-    if (round != 0 && entry.round != round) return;
-    memo.Add(id, fingerprint, entry.cost, entry.degraded, entry.derived);
-  });
+  auto add = [&](uint64_t id, const std::string& fingerprint,
+                 const CostCache::Entry& entry) {
+    memo.Add(id, fingerprint, entry);
+  };
+  if (all) cache->ForEach(add);
+  cache->TakeNew(all ? nullptr : CostCache::EntryVisitor(add));
   return memo.Finish();
 }
 
@@ -365,7 +356,7 @@ Result<catalog::Configuration> ConfigurationFromParent(
 
 }  // namespace
 
-std::string ContinuousTuner::EncodeBase() const {
+std::string ContinuousTuner::EncodeBase() {
   xml::Element root("DTAStream");
   root.SetAttr("Version", "3");
   root.SetAttr("Fingerprint", U64Str(StreamFingerprint(config_)));
@@ -384,7 +375,7 @@ std::string ContinuousTuner::EncodeBase() const {
     TemplateToXml(entry, templates);
   }
 
-  root.AddTextChild("Memo", MemoBlob(cache_, 0));
+  root.AddTextChild("Memo", MemoBlob(&cache_, /*all=*/true));
 
   xml::Element* created = root.AddChild("CreatedStats");
   for (const auto& key : created_stats_) StatsKeyToXml(key, created);
@@ -395,7 +386,7 @@ std::string ContinuousTuner::EncodeBase() const {
   return root.ToString(/*prolog=*/true);
 }
 
-std::string ContinuousTuner::EncodeSegment() const {
+std::string ContinuousTuner::EncodeSegment() {
   xml::Element root("DTAStreamDelta");
   root.SetAttr("Round", U64Str(rounds_));
   root.SetAttr("LinesConsumed", U64Str(reader_.lines_consumed()));
@@ -424,8 +415,7 @@ std::string ContinuousTuner::EncodeSegment() const {
 
   // Memo delta: the entries this round inserted — or the whole cache after
   // a round that created statistics.
-  const uint32_t only_round = cleared ? 0 : static_cast<uint32_t>(rounds_);
-  root.AddTextChild("Memo", MemoBlob(cache_, only_round));
+  root.AddTextChild("Memo", MemoBlob(&cache_, /*all=*/cleared));
 
   xml::Element* created = root.AddChild("CreatedStats");
   for (size_t i = created_stats_before_round_; i < created_stats_.size(); ++i) {
@@ -440,40 +430,8 @@ std::string ContinuousTuner::EncodeSegment() const {
   return root.ToString(/*prolog=*/true);
 }
 
-Status ContinuousTuner::WriteCheckpoint(bool force_base,
-                                        const std::string& segment) {
-  if (config_.checkpoint_path.empty()) return Status::Ok();
-  if (!base_written_ || force_base) {
-    const std::string base = EncodeBase();
-    DTA_RETURN_IF_ERROR(WriteDeltaBase(config_.checkpoint_path, base));
-    base_written_ = true;
-    segment_bytes_since_base_ = 0;
-    base_bytes_history_.push_back(base.size());
-    return Status::Ok();
-  }
-  size_t appended = 0;
-  DTA_RETURN_IF_ERROR(
-      AppendDeltaSegment(config_.checkpoint_path, segment, &appended));
-  ++segments_written_;
-  delta_bytes_history_.push_back(appended);
-  segment_bytes_since_base_ += appended;
-  if (segment_bytes_since_base_ > config_.compact_threshold_bytes) {
-    // Compaction: fold every segment back into one base record. O(total
-    // state), amortized by the byte threshold that triggered it.
-    const std::string base = EncodeBase();
-    DTA_RETURN_IF_ERROR(WriteDeltaBase(config_.checkpoint_path, base));
-    segment_bytes_since_base_ = 0;
-    base_bytes_history_.push_back(base.size());
-    ++compactions_;
-  }
-  return Status::Ok();
-}
-
-Status ContinuousTuner::LoadFromLog() {
-  auto log = ReadDeltaLog(config_.checkpoint_path);
-  if (!log.ok()) return log.status();
-
-  auto parsed = xml::Parse(log->base);
+Status ContinuousTuner::LoadFromLog(const DeltaLogContents& log) {
+  auto parsed = xml::Parse(log.base);
   if (!parsed.ok()) return parsed.status();
   const xml::Element& root = **parsed;
   if (root.name() != "DTAStream" || root.Attr("Version") != "3") {
@@ -485,7 +443,7 @@ Status ContinuousTuner::LoadFromLog() {
         "parameters; refusing to resume");
   }
   DTA_RETURN_IF_ERROR(ApplyStateXml(root, /*is_base=*/true));
-  for (const std::string& segment : log->segments) {
+  for (const std::string& segment : log.segments) {
     auto seg = xml::Parse(segment);
     if (!seg.ok()) return seg.status();
     if ((*seg)->name() != "DTAStreamDelta") {
@@ -509,15 +467,10 @@ Status ContinuousTuner::LoadFromLog() {
 
   // Re-feeding the same capture: skip the already-processed prefix and
   // restore the reader's error totals (skipped lines re-produce nothing).
+  // The next round's record is a base (CheckpointLog's first write), which
+  // also drops a torn tail the log was read past.
   reader_.SkipLines(restored_lines_consumed_);
   resumed_ = true;
-  base_written_ = true;
-  // Appending resumes where the log stands; compaction bookkeeping restarts
-  // conservatively (worst case: one early compaction after resume).
-  segment_bytes_since_base_ = 0;
-  for (const std::string& segment : log->segments) {
-    segment_bytes_since_base_ += segment.size();
-  }
   return Status::Ok();
 }
 
@@ -550,12 +503,11 @@ Status ContinuousTuner::ApplyStateXml(const xml::Element& root, bool is_base) {
 
   if (const xml::Element* memo = root.FindChild("Memo")) {
     if (is_base || root.Attr("MemoCleared") == "true") cache_.Retain({});
-    std::vector<CostService::CacheEntry> lines;
+    std::vector<CostLine> lines;
     DTA_RETURN_IF_ERROR(
         DecodeCostBlob(memo->text(), "stream checkpoint Memo", &lines));
-    for (const CostService::CacheEntry& line : lines) {
-      cache_.Restore(line.key, line.fingerprint,
-                     {line.cost, line.degraded, line.derived});
+    for (const CostLine& line : lines) {
+      cache_.Restore(line.id, line.fingerprint, line.entry);
     }
   }
 
@@ -616,29 +568,31 @@ void ContinuousTuner::ExportRoundMetrics() {
   m->GetCounter("stream.feedback.unknown")
       ->Increment(feedback_.unknown() - exported_.unknown);
   m->GetCounter("stream.evictions")->Increment(evictions - exported_.evictions);
+  const size_t segments = log_.segment_bytes().size();
   m->GetCounter("stream.checkpoint.segments")
-      ->Increment(segments_written_ - exported_.segments);
+      ->Increment(segments - exported_.segments);
   m->GetCounter("stream.checkpoint.compactions")
-      ->Increment(compactions_ - exported_.compactions);
+      ->Increment(log_.compactions() - exported_.compactions);
   exported_.events = events;
   exported_.parse = parse;
   exported_.accepted = feedback_.accepted();
   exported_.rejected = feedback_.rejected();
   exported_.unknown = feedback_.unknown();
   exported_.evictions = evictions;
-  exported_.segments = segments_written_;
-  exported_.compactions = compactions_;
+  exported_.segments = segments;
+  exported_.compactions = log_.compactions();
 
   m->GetGauge("stream.templates")
       ->Set(static_cast<double>(workload_.entries().size()));
   m->GetGauge("stream.memo.entries")->Set(static_cast<double>(cache_.size()));
-  if (!delta_bytes_history_.empty()) {
+  const std::vector<size_t>& history = log_.segment_bytes();
+  if (!history.empty()) {
     double total = 0;
-    for (size_t b : delta_bytes_history_) total += static_cast<double>(b);
+    for (size_t b : history) total += static_cast<double>(b);
     m->GetGauge("stream.checkpoint.delta_bytes_per_round")
-        ->Set(total / static_cast<double>(delta_bytes_history_.size()));
+        ->Set(total / static_cast<double>(history.size()));
     m->GetGauge("stream.checkpoint.delta_bytes_last_round")
-        ->Set(static_cast<double>(delta_bytes_history_.back()));
+        ->Set(static_cast<double>(history.back()));
   }
 }
 

@@ -18,7 +18,8 @@
 //   * statistics persist on the long-lived server, so later rounds' stats
 //     phases are no-ops. A round that DOES create statistics invalidates
 //     costs priced without them: only its own statements' entries survive;
-//   * checkpoints are append-only delta segments (dta/checkpoint.h format
+//   * checkpoints are append-only delta segments in the checkpoint log that
+//     one-shot sessions also write (dta/checkpoint.h CheckpointLog, format
 //     v3): a round appends only the templates it touched, the cache (memo)
 //     entries it inserted — or the whole cache after creating statistics —
 //     and the (small) recommendation/feedback state: O(new work), not
@@ -48,6 +49,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/trace.h"
+#include "dta/checkpoint.h"
 #include "dta/cost_service.h"
 #include "dta/stream/capture.h"
 #include "dta/stream/feedback.h"
@@ -143,10 +145,10 @@ class ContinuousTuner {
   // Per-round appended segment bytes (base writes and compactions excluded
   // — those are O(total state) by design and amortized by the threshold).
   const std::vector<size_t>& delta_bytes_history() const {
-    return delta_bytes_history_;
+    return log_.segment_bytes();
   }
   const std::vector<size_t>& base_bytes_history() const {
-    return base_bytes_history_;
+    return log_.base_bytes();
   }
   // True when Init() resumed from an existing delta log.
   bool resumed() const { return resumed_; }
@@ -159,10 +161,10 @@ class ContinuousTuner {
   Status ProcessLine(std::string_view line_with_newline);
   Status MaybeRound();
   Status RunRound();
-  Status WriteCheckpoint(bool force_base, const std::string& segment);
-  std::string EncodeBase() const;
-  std::string EncodeSegment() const;
-  Status LoadFromLog();
+  // Both take the cache's new entries (CostCache::TakeNew).
+  std::string EncodeBase();
+  std::string EncodeSegment();
+  Status LoadFromLog(const DeltaLogContents& log);
   // Restores state from a base record (is_base) or applies one segment.
   Status ApplyStateXml(const xml::Element& root, bool is_base);
   void ExportRoundMetrics();
@@ -188,12 +190,7 @@ class ContinuousTuner {
   std::vector<stats::StatsKey> created_stats_;  // accumulated, creation order
 
   std::string delta_text_;
-  std::vector<size_t> delta_bytes_history_;
-  std::vector<size_t> base_bytes_history_;
-  size_t segment_bytes_since_base_ = 0;
-  bool base_written_ = false;
-  size_t compactions_ = 0;
-  size_t segments_written_ = 0;
+  CheckpointLog log_;
 
   // Per-round delta bookkeeping (what the last round's segment must carry):
   // set by RunRound for EncodeSegment. The last round created

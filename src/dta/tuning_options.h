@@ -159,24 +159,15 @@ struct TuningOptions {
   bool degrade_on_failure = true;
 
   // ---- Crash safety (checkpoint/resume).
-  // When set, the session serializes its progress (cost cache, phase
-  // outputs, greedy round state) to this path after every phase and every
-  // enumeration round, via an atomic tmp-file + rename.
+  // When set, the session records its progress in a checkpoint log at this
+  // path (dta/checkpoint.h, format v3) after every phase and every
+  // enumeration round: a base record first, then one appended segment per
+  // write carrying only what changed since the previous one.
   std::string checkpoint_path;
-  // When set, the session restores the checkpoint at this path before
+  // When set, the session restores the checkpoint log at this path before
   // tuning and skips completed work; the final recommendation is
   // bit-identical to an uninterrupted run.
   std::string resume_path;
-  // Caps the wall-clock fraction spent writing enumeration-round progress
-  // checkpoints: a round snapshot is only written once enough time has
-  // passed since the previous write to amortize that write's cost under
-  // this percentage (elapsed * pct/100 >= previous write's duration), so
-  // total progress-checkpoint time stays below pct% of tuning wall-clock
-  // by construction. Phase-boundary checkpoints always write — resume
-  // correctness never depends on round snapshots, they only shrink the
-  // redo window after a crash. 0 disables throttling and checkpoints every
-  // round (maximal crash granularity; what the resume tests exercise).
-  double checkpoint_budget_pct = 0;
 
   // ---- Search parameters.
   // Greedy(m,k) for per-query candidate selection.

@@ -423,10 +423,11 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   result.threads_used = setup.num_threads;
   result.seeded_cache_entries = costs.seeded_entries();
 
-  // ---- Crash safety: resume a checkpointed session and/or write
-  // checkpoints as phases complete.
+  // ---- Crash safety: resume a checkpointed session and/or record progress
+  // in the checkpoint log as phases complete.
   const uint64_t workload_fp = WorkloadFingerprint(tuned);
   const uint64_t options_fp = OptionsFingerprint(options_);
+  CostCache& cache = costs.cache();
   SessionCheckpoint resume_ckpt;
   bool resumed = false;
   if (!options_.resume_path.empty()) {
@@ -449,13 +450,15 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   std::vector<stats::StatsKey> created_stats_log;
   if (resumed) {
     created_stats_log = resume_ckpt.created_stats;
-    // Rebuild the interrupted run's statistics BEFORE importing its cost
+    // Rebuild the interrupted run's statistics BEFORE restoring its cost
     // cache: the cached costs were priced under them, and with the
     // statistics already present the stats-creation phases below become
-    // no-ops that never clear the imported cache.
+    // no-ops that never clear the restored cache.
     DTA_RETURN_IF_ERROR(CreateAndImportStats(
         resume_ckpt.created_stats, router.get(), nullptr, nullptr));
-    costs.ImportCache(resume_ckpt.cache);
+    for (const CostLine& line : resume_ckpt.cache) {
+      cache.Restore(line.id, line.fingerprint, line.entry);
+    }
     costs.SeedMissingStats(resume_ckpt.missing_stats);
     costs.SeedDegradedStatements(resume_ckpt.degraded_statements);
     result.stats_requested = resume_ckpt.stats_requested;
@@ -469,30 +472,18 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   const catalog::Configuration& current =
       production_->current_configuration();
 
-  // Serializes the session's progress to options_.checkpoint_path (atomic
-  // tmp + rename). `pool`/`enum_state` are null until the matching phase.
-  // Runs only from the session thread at phase boundaries, never
-  // concurrently with a fanned-out costing pass: costs.ExportCache() /
-  // missing_stats() take the CostService's internal locks and snapshot in a
-  // deterministic (statement, fingerprint) order, so the checkpoint bytes
-  // are thread-count invariant.
-  int checkpoint_ordinal = 0;
+  // Records the session's progress in the checkpoint log: a base first,
+  // then one segment per write with the cache entries priced since the
+  // previous write, the pool once, and the small state sections.
+  // `pool`/`enum_state` are null until the matching phase. Runs only from
+  // the session thread at phase boundaries, never concurrently with a
+  // fanned-out costing pass, so the records are thread-count invariant.
+  CheckpointLog log(options_.checkpoint_path);
   std::vector<double> current_costs(tuned.size(), 0.0);
-  // Amortized throttle state (checkpoint_budget_pct): an enumeration-round
-  // snapshot is skipped until the time elapsed since the last write covers
-  // that write's cost under the budget. Under a FakeClock both sides are 0
-  // and every round is written — the throttle never perturbs the
-  // deterministic metrics exports.
-  double last_ckpt_done_ms = 0;
-  double last_ckpt_cost_ms = 0;
+  bool cache_cleared = false;  // by a statistics request since the last write
   auto write_checkpoint = [&](int phase, const std::vector<Candidate>* pool,
                               const EnumerationResume* enum_state) -> Status {
     if (options_.checkpoint_path.empty()) return Status::Ok();
-    if (enum_state != nullptr && options_.checkpoint_budget_pct > 0) {
-      const double elapsed = now_ms() - last_ckpt_done_ms;
-      const double budget = elapsed * options_.checkpoint_budget_pct / 100.0;
-      if (budget < last_ckpt_cost_ms) return Status::Ok();
-    }
     DTA_TRACE_PHASE(obs_.tracer, "checkpoint");
     const double t_ckpt = now_ms();
     SessionCheckpoint ckpt;
@@ -504,21 +495,22 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
     ckpt.current_costs = current_costs;
     ckpt.missing_stats = costs.missing_stats();
     ckpt.created_stats = created_stats_log;
-    ckpt.cache = costs.ExportCache();
     ckpt.degraded_statements = costs.degraded_statements();
-    if (pool != nullptr) ckpt.pool = *pool;
     if (enum_state != nullptr) ckpt.enumeration = *enum_state;
     ckpt.stats_requested = result.stats_requested;
     ckpt.stats_created = result.stats_created;
     ckpt.stats_creation_ms = result.stats_creation_ms;
     ckpt.candidates_generated = result.candidates_generated;
-    DTA_RETURN_IF_ERROR(SaveCheckpoint(options_.checkpoint_path, ckpt));
-    ++checkpoint_ordinal;
-    last_ckpt_done_ms = now_ms();
-    last_ckpt_cost_ms = last_ckpt_done_ms - t_ckpt;
-    result.checkpoint_ms += last_ckpt_cost_ms;
+    DTA_RETURN_IF_ERROR(log.Write(
+        [&] { return EncodeSessionRecord(ckpt, pool, &cache, true, false); },
+        [&] {
+          return EncodeSessionRecord(ckpt, pool, &cache, false,
+                                     cache_cleared);
+        }));
+    cache_cleared = false;
+    result.checkpoint_ms += now_ms() - t_ckpt;
     if (checkpoint_probe_ != nullptr) {
-      return checkpoint_probe_(checkpoint_ordinal);
+      return checkpoint_probe_(static_cast<int>(log.writes()));
     }
     return Status::Ok();
   };
@@ -623,7 +615,10 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
       const size_t created_before = result.stats_created;
       DTA_RETURN_IF_ERROR(CreateAndImportStats(
           plan.to_create, router.get(), &result, &created_stats_log));
-      if (result.stats_created != created_before) costs.ClearCache();
+      if (result.stats_created != created_before) {
+        costs.ClearCache();
+        cache_cleared = true;
+      }
       return Status::Ok();
     };
 
@@ -889,7 +884,8 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
   result.derivation_fallbacks = result.report.derivation_fallbacks;
   result.whatif_calls_saved = result.report.whatif_calls_saved;
   result.derivation_errors_exceeded = costs.derivation_errors_exceeded();
-  result.checkpoint_writes = static_cast<size_t>(checkpoint_ordinal);
+  result.checkpoint_writes = log.writes();
+  result.checkpoint_bytes = log.bytes();
   result.parallel_work_ms = parallel_work_ms.load();
 
   // Fault-tolerance accounting.

@@ -87,6 +87,7 @@ struct TuningResult {
   size_t whatif_cache_hits = 0;
   size_t whatif_dedup_waits = 0;
   size_t checkpoint_writes = 0;
+  size_t checkpoint_bytes = 0;  // record bytes the checkpoint log wrote
   double checkpoint_ms = 0;
 
   // Derived costing accounting (CoPhy combine rule, dta/derived_cost.h):
@@ -216,7 +217,10 @@ class TuningSession {
   // Continuous-service hookup: price into `cache` (borrowed; it must outlive
   // every Tune/EvaluateConfiguration call) instead of a private one. Costs
   // an earlier session priced for the same statement text are hits, and
-  // this session's pricings stay in the cache after it ends.
+  // this session's pricings stay in the cache after it ends. Such a session
+  // must not checkpoint: its log would take the cache's new entries
+  // (CostCache::TakeNew), which belong to the cache's owner's log
+  // (ContinuousTuner clears the paths).
   void SetCostCache(CostCache* cache) { cache_ = cache; }
 
  private:

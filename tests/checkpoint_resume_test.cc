@@ -2,14 +2,18 @@
 // checkpoint it writes (via TuningSession::SetCheckpointProbe), resume on a
 // fresh server, and require the resumed run to produce the bit-identical
 // recommendation, costs, and report of an uninterrupted run — including
-// under injected faults. Also covers checkpoint XML round-trip stability and
-// the workload/options fingerprint guards.
+// under injected faults. Also covers checkpoint record round-trip stability,
+// the log's torn-tail and version 2 handling, and the workload/options
+// fingerprint guards.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dta/checkpoint.h"
@@ -97,7 +101,18 @@ workload::Workload SeedWorkload() {
 }
 
 std::string CheckpointPath(const std::string& name) {
-  return ::testing::TempDir() + "dta_" + name + ".ckpt.xml";
+  return ::testing::TempDir() + "dta_" + name + ".ckpt.log";
+}
+
+// `checkpoint` encoded as one base record, its cost lines restored into a
+// cache first (the encoder reads entries from a cache).
+std::string BaseRecord(const SessionCheckpoint& checkpoint) {
+  CostCache cache;
+  for (const CostLine& line : checkpoint.cache) {
+    cache.Restore(line.id, line.fingerprint, line.entry);
+  }
+  return EncodeSessionRecord(checkpoint, &checkpoint.pool, &cache,
+                             /*base=*/true, /*cleared=*/false);
 }
 
 // The recommendation serialized exactly as the output document renders it;
@@ -210,20 +225,24 @@ TEST(CheckpointResumeTest, ResumeUnderInjectedFaultsKeepsDegradedState) {
   ASSERT_TRUE(counting.ok()) << counting.status().ToString();
   ASSERT_GE(total_checkpoints, 2);
 
-  // Kill mid-pipeline; the checkpoint carries degraded cache entries.
-  const int kill_at = (total_checkpoints + 1) / 2;
-  auto killed = RunTune(writing, [kill_at](int ordinal) {
-    return ordinal == kill_at ? Status::Aborted("simulated crash")
-                              : Status::Ok();
-  });
-  ASSERT_FALSE(killed.ok());
-
+  // Kill after every checkpoint; the log carries degraded cache entries.
   TuningOptions resuming = writing;
   resuming.resume_path = path;
-  auto resumed = RunTune(resuming);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed->resumed);
-  ExpectIdenticalOutcome(*baseline, *resumed, "faulty resume");
+  for (int kill_at = 1; kill_at <= total_checkpoints; ++kill_at) {
+    auto killed = RunTune(writing, [kill_at](int ordinal) {
+      return ordinal == kill_at ? Status::Aborted("simulated crash")
+                                : Status::Ok();
+    });
+    ASSERT_FALSE(killed.ok()) << "kill_at " << kill_at;
+
+    auto resumed = RunTune(resuming);
+    ASSERT_TRUE(resumed.ok())
+        << "kill_at " << kill_at << ": " << resumed.status().ToString();
+    EXPECT_TRUE(resumed->resumed);
+    ExpectIdenticalOutcome(
+        *baseline, *resumed,
+        "faulty resume after kill at checkpoint " + std::to_string(kill_at));
+  }
 }
 
 // ------------------------------------------------- shard topology remap
@@ -249,45 +268,52 @@ TEST(CheckpointResumeTest, FourShardCheckpointResumesOnTwoShards) {
   ASSERT_TRUE(counting.ok()) << counting.status().ToString();
   ASSERT_GE(total_checkpoints, 2);
 
-  // Crash the 4-shard run mid-pipeline.
-  const int kill_at = (total_checkpoints + 1) / 2;
-  auto killed = RunTune(writing, [kill_at](int ordinal) {
-    return ordinal == kill_at ? Status::Aborted("simulated crash")
-                              : Status::Ok();
-  });
-  ASSERT_FALSE(killed.ok());
-
-  // The file records the writer's topology; a corrupted topology is
-  // refused with a clear status instead of resuming into undefined
-  // behavior. (Inspect before resuming — the resumed run checkpoints too,
-  // overwriting the file with its own topology.)
-  {
-    auto prod = MakeProduction();
-    auto loaded = LoadCheckpoint(path, prod->catalog());
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded->shards, 4);
-    std::string xml_text = CheckpointToXml(*loaded);
-    const std::string good = "Shards=\"4\"";
-    const std::string bad = "Shards=\"0\"";
-    const size_t at = xml_text.find(good);
-    ASSERT_NE(at, std::string::npos);
-    xml_text.replace(at, good.size(), bad);
-    auto corrupt = CheckpointFromXml(xml_text, prod->catalog());
-    ASSERT_FALSE(corrupt.ok());
-    EXPECT_EQ(corrupt.status().code(), StatusCode::kInvalidArgument)
-        << corrupt.status().ToString();
-  }
-
-  // Restart on a smaller fleet (shards is excluded from the options
-  // fingerprint precisely so topology can change across restarts).
+  // Crash the 4-shard run after every checkpoint and restart it on a
+  // smaller fleet (shards is excluded from the options fingerprint
+  // precisely so topology can change across restarts).
   TuningOptions resuming = writing;
   resuming.shards = 2;
   resuming.resume_path = path;
-  auto resumed = RunTune(resuming);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_TRUE(resumed->resumed);
-  EXPECT_EQ(resumed->shards_used, 2);
-  ExpectIdenticalOutcome(*baseline, *resumed, "4-shard -> 2-shard resume");
+  for (int kill_at = 1; kill_at <= total_checkpoints; ++kill_at) {
+    auto killed = RunTune(writing, [kill_at](int ordinal) {
+      return ordinal == kill_at ? Status::Aborted("simulated crash")
+                                : Status::Ok();
+    });
+    ASSERT_FALSE(killed.ok()) << "kill_at " << kill_at;
+
+    // The log records the writer's topology; a corrupted topology is
+    // refused with a clear status instead of resuming into undefined
+    // behavior. (Inspect before resuming — the resumed run checkpoints
+    // too, replacing the log with its own topology.)
+    if (kill_at == (total_checkpoints + 1) / 2) {
+      auto prod = MakeProduction();
+      auto loaded = LoadCheckpoint(path, prod->catalog());
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded->shards, 4);
+      std::string record = BaseRecord(*loaded);
+      const std::string good = "Shards=\"4\"";
+      const std::string bad = "Shards=\"0\"";
+      const size_t at = record.find(good);
+      ASSERT_NE(at, std::string::npos);
+      record.replace(at, good.size(), bad);
+      SessionCheckpoint corrupt;
+      const Status refused = ApplySessionRecord(record, /*base=*/true,
+                                                prod->catalog(), &corrupt);
+      ASSERT_FALSE(refused.ok());
+      EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+          << refused.ToString();
+    }
+
+    auto resumed = RunTune(resuming);
+    ASSERT_TRUE(resumed.ok())
+        << "kill_at " << kill_at << ": " << resumed.status().ToString();
+    EXPECT_TRUE(resumed->resumed);
+    EXPECT_EQ(resumed->shards_used, 2);
+    ExpectIdenticalOutcome(*baseline, *resumed,
+                           "4-shard -> 2-shard resume after kill at "
+                           "checkpoint " +
+                               std::to_string(kill_at));
+  }
 }
 
 // ------------------------------------------------------------- guard rails
@@ -341,8 +367,8 @@ TEST(CheckpointResumeTest, MissingResumeFileFails) {
 TEST(CheckpointResumeTest, CheckpointXmlRoundTripsExactly) {
   const std::string path = CheckpointPath("roundtrip");
 
-  // Capture a late checkpoint so every section (cache, pool, enumeration
-  // state) is populated.
+  // Fold a finished session's log so every section (cache, pool,
+  // enumeration state) is populated.
   TuningOptions writing = BaseOptions();
   writing.checkpoint_path = path;
   auto run = RunTune(writing);
@@ -356,16 +382,157 @@ TEST(CheckpointResumeTest, CheckpointXmlRoundTripsExactly) {
   EXPECT_FALSE(loaded->pool.empty());
   EXPECT_TRUE(loaded->enumeration.phase1_done);
 
-  // Serialize -> parse -> serialize is a fixed point: doubles are hex
-  // floats, so nothing drifts.
-  const std::string xml_text = CheckpointToXml(*loaded);
-  auto reparsed = CheckpointFromXml(xml_text, prod->catalog());
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  EXPECT_EQ(CheckpointToXml(*reparsed), xml_text);
-  EXPECT_EQ(reparsed->workload_fingerprint, loaded->workload_fingerprint);
-  EXPECT_EQ(reparsed->options_fingerprint, loaded->options_fingerprint);
-  EXPECT_EQ(reparsed->current_costs, loaded->current_costs);
-  EXPECT_EQ(reparsed->pool.size(), loaded->pool.size());
+  // Encode -> parse -> encode is a fixed point: doubles are hex floats, so
+  // nothing drifts.
+  const std::string record = BaseRecord(*loaded);
+  SessionCheckpoint reparsed;
+  const Status parsed =
+      ApplySessionRecord(record, /*base=*/true, prod->catalog(), &reparsed);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+  EXPECT_EQ(BaseRecord(reparsed), record);
+  EXPECT_EQ(reparsed.workload_fingerprint, loaded->workload_fingerprint);
+  EXPECT_EQ(reparsed.options_fingerprint, loaded->options_fingerprint);
+  EXPECT_EQ(reparsed.current_costs, loaded->current_costs);
+  EXPECT_EQ(reparsed.pool.size(), loaded->pool.size());
+}
+
+// ------------------------------------------------------------- the log
+
+// A session's log is O(new work) per write: the base carries the cache
+// priced so far, each segment only what was priced since the previous
+// record, so every cache entry is written exactly once. A warm server (its
+// statistics built by an earlier session, as in bench_pipeline) creates no
+// statistics, so nothing clears the cache mid-session.
+TEST(CheckpointResumeTest, LogWritesEachCacheEntryOnce) {
+  const std::string path = CheckpointPath("each_entry_once");
+  auto warm_run = [](const TuningOptions& opts) {
+    auto prod = MakeProduction();
+    TuningSession warmup(prod.get(), TuningOptions());
+    EXPECT_TRUE(warmup.Tune(SeedWorkload()).ok());
+    TuningSession session(prod.get(), opts);
+    return session.Tune(SeedWorkload());
+  };
+  TuningOptions writing = BaseOptions();
+  writing.checkpoint_path = path;
+  auto run = warm_run(writing);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_GE(run->checkpoint_writes, 4u);
+
+  auto log = ReadDeltaLog(path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ(log->dropped_records, 0u);
+  std::vector<std::string> records = {log->base};
+  records.insert(records.end(), log->segments.begin(), log->segments.end());
+  ASSERT_EQ(records.size(), run->checkpoint_writes);
+
+  auto prod = MakeProduction();
+  std::map<std::pair<uint64_t, std::string>, int> written;
+  size_t lines = 0;
+  for (size_t r = 0; r < records.size(); ++r) {
+    EXPECT_EQ(records[r].find("CacheCleared"), std::string::npos)
+        << "record " << r;
+    // Each record decoded on its own: its phase, pool and cost lines. The
+    // base after the current-cost pass, the pool-ready segment with the
+    // pool, then one segment per enumeration snapshot.
+    SessionCheckpoint one;
+    const Status decoded =
+        ApplySessionRecord(records[r], /*base=*/true, prod->catalog(), &one);
+    ASSERT_TRUE(decoded.ok()) << decoded.ToString();
+    EXPECT_EQ(one.phase, std::min<int>(static_cast<int>(r) + 1,
+                                       kCheckpointEnumeration))
+        << "record " << r;
+    EXPECT_EQ(!one.pool.empty(), r == 1) << "record " << r;
+    for (const CostLine& line : one.cache) {
+      ++written[{line.id, line.fingerprint}];
+    }
+    lines += one.cache.size();
+  }
+  EXPECT_EQ(written.size(), lines) << "an entry was written twice";
+
+  // Nothing the session held at its last record is missing: a resumed run
+  // prices only what the uninterrupted run priced after that record (its
+  // final, unsuccessful greedy round and the report).
+  TuningOptions resuming = BaseOptions();
+  resuming.resume_path = path;
+  auto resumed = warm_run(resuming);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectIdenticalOutcome(*run, *resumed, "resume from the finished log");
+  EXPECT_EQ(lines + resumed->whatif_calls + resumed->whatif_calls_saved,
+            run->whatif_calls + run->whatif_calls_saved);
+}
+
+// A crash mid-append leaves a torn record at the log's tail. The resumed
+// session's first record is a base that replaces the whole file, so a
+// later restart reads everything it wrote instead of stopping at the
+// torn bytes.
+TEST(CheckpointResumeTest, TornTailIsReplacedByTheResumedBase) {
+  const std::string path = CheckpointPath("torn_tail");
+  auto baseline = RunTune(BaseOptions());
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  TuningOptions writing = BaseOptions();
+  writing.checkpoint_path = path;
+  auto killed = RunTune(writing, [](int ordinal) {
+    return ordinal == 2 ? Status::Aborted("simulated crash") : Status::Ok();
+  });
+  ASSERT_FALSE(killed.ok());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "DTAS3 seg 4096 12345\n<DTASession Version=\"3\" Pha";
+  }
+  auto torn = ReadDeltaLog(path);
+  ASSERT_TRUE(torn.ok()) << torn.status().ToString();
+  EXPECT_EQ(torn->dropped_records, 1u);
+
+  // Resume from the torn log and die again two records later.
+  TuningOptions resuming = writing;
+  resuming.resume_path = path;
+  auto second = RunTune(resuming, [](int ordinal) {
+    return ordinal == 2 ? Status::Aborted("simulated crash") : Status::Ok();
+  });
+  ASSERT_FALSE(second.ok());
+  auto rewritten = ReadDeltaLog(path);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  EXPECT_EQ(rewritten->dropped_records, 0u);
+  EXPECT_EQ(rewritten->segments.size(), 1u);
+  auto prod = MakeProduction();
+  auto progress = LoadCheckpoint(path, prod->catalog());
+  ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+  EXPECT_EQ(progress->phase, kCheckpointEnumeration);
+
+  auto resumed = RunTune(resuming);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->resumed);
+  ExpectIdenticalOutcome(*baseline, *resumed, "resume after a torn tail");
+}
+
+// Version 2 wrote one <DTACheckpoint> document; resuming from one names the
+// format and the way out instead of reporting a damaged log.
+TEST(CheckpointResumeTest, Version2DocumentIsRefusedByName) {
+  const std::string path = CheckpointPath("version2");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+           "<DTACheckpoint Version=\"2\" WorkloadFingerprint=\"1\" "
+           "OptionsFingerprint=\"2\" Phase=\"1\" Shards=\"1\" "
+           "Transport=\"inproc\" StatsRequested=\"0\" StatsCreated=\"0\" "
+           "StatsCreationMs=\"0x0p+0\" CandidatesGenerated=\"0\">\n"
+           "  <CurrentCosts>\n    <Cost>0x1.8p+3</Cost>\n  </CurrentCosts>\n"
+           "  <MissingStats/>\n  <CreatedStats/>\n"
+           "  <CostCache>0 0x1.8p+3 0 0 </CostCache>\n"
+           "</DTACheckpoint>\n";
+  }
+  TuningOptions opts = BaseOptions();
+  opts.resume_path = path;
+  auto r = RunTune(opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("version 2 DTACheckpoint"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("without --resume"), std::string::npos)
+      << r.status().ToString();
 }
 
 }  // namespace

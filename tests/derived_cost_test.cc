@@ -504,30 +504,41 @@ TEST(DerivedCostCheckpointTest, MemoizedAtomsRoundTripThroughCheckpoint) {
   }
   ASSERT_GT(first.derived_answers(), 0u);
 
-  // The export carries the derived flag; the XML round trip preserves it.
+  // The cache carries the derived flag; a checkpoint record's round trip
+  // preserves it.
+  std::vector<CostLine> exported;
+  first.cache().ForEach([&](uint64_t id, const std::string& fingerprint,
+                            const CostCache::Entry& entry) {
+    exported.push_back({id, fingerprint, entry});
+  });
   SessionCheckpoint ckpt;
-  ckpt.cache = first.ExportCache();
   ckpt.degraded_statements = {1, 3};
   bool any_derived = false;
-  for (const auto& e : ckpt.cache) any_derived |= e.derived;
+  for (const auto& e : exported) any_derived |= e.entry.derived;
   EXPECT_TRUE(any_derived);
 
-  auto parsed = CheckpointFromXml(CheckpointToXml(ckpt), prod->catalog());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->cache.size(), ckpt.cache.size());
-  for (size_t i = 0; i < ckpt.cache.size(); ++i) {
-    EXPECT_EQ(parsed->cache[i].key, ckpt.cache[i].key);
-    EXPECT_EQ(parsed->cache[i].fingerprint, ckpt.cache[i].fingerprint);
-    EXPECT_EQ(parsed->cache[i].cost, ckpt.cache[i].cost);
-    EXPECT_EQ(parsed->cache[i].degraded, ckpt.cache[i].degraded);
-    EXPECT_EQ(parsed->cache[i].derived, ckpt.cache[i].derived);
+  SessionCheckpoint parsed;
+  const Status applied = ApplySessionRecord(
+      EncodeSessionRecord(ckpt, nullptr, &first.cache(), /*base=*/true,
+                          /*cleared=*/false),
+      /*base=*/true, prod->catalog(), &parsed);
+  ASSERT_TRUE(applied.ok()) << applied.ToString();
+  ASSERT_EQ(parsed.cache.size(), exported.size());
+  for (size_t i = 0; i < exported.size(); ++i) {
+    EXPECT_EQ(parsed.cache[i].id, exported[i].id);
+    EXPECT_EQ(parsed.cache[i].fingerprint, exported[i].fingerprint);
+    EXPECT_EQ(parsed.cache[i].entry.cost, exported[i].entry.cost);
+    EXPECT_EQ(parsed.cache[i].entry.degraded, exported[i].entry.degraded);
+    EXPECT_EQ(parsed.cache[i].entry.derived, exported[i].entry.derived);
   }
-  EXPECT_EQ(parsed->degraded_statements, ckpt.degraded_statements);
+  EXPECT_EQ(parsed.degraded_statements, ckpt.degraded_statements);
 
   // A fresh service resuming from the parsed cache answers everything from
   // memoized entries — atoms included — without a single real call.
   CostService second(prod.get(), nullptr, &w, config);
-  second.ImportCache(parsed->cache);
+  for (const CostLine& line : parsed.cache) {
+    second.cache().Restore(line.id, line.fingerprint, line.entry);
+  }
   for (size_t i = 0; i < w.size(); ++i) {
     auto resumed = second.StatementCost(i, two);
     auto original = first.StatementCost(i, two);

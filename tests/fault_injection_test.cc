@@ -547,14 +547,14 @@ TEST(FaultTolerantTuningTest, PermanentFaultsDegradeButFinish) {
 
 // Copies of a repeated statement share one statement id, hence one cache
 // shard: a degraded entry flags every copy in the report, and a checkpoint
-// carries the shared entries once, under the first copy's index.
+// carries the shared entries once, under that id.
 TEST(FaultTolerantTuningTest, RepeatedStatementSharesItsDegradedEntries) {
   const std::string repeated = "SELECT i_qty FROM items WHERE i_part = 77";
   auto w = workload::Workload::FromScript(
       repeated + ";SELECT o_price FROM orders WHERE o_id = 55;" + repeated);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
   const std::string path =
-      ::testing::TempDir() + "dta_repeated_statement.ckpt.xml";
+      ::testing::TempDir() + "dta_repeated_statement.ckpt.log";
   auto prod = MakeProduction();
   TuningOptions opts;
   opts.workload_compression = false;
@@ -572,8 +572,9 @@ TEST(FaultTolerantTuningTest, RepeatedStatementSharesItsDegradedEntries) {
   auto ckpt = LoadCheckpoint(path, prod->catalog());
   ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
   std::set<uint64_t> keys;
-  for (const auto& entry : ckpt->cache) keys.insert(entry.key);
-  EXPECT_EQ(keys, (std::set<uint64_t>{0, 1}));
+  for (const auto& line : ckpt->cache) keys.insert(line.id);
+  EXPECT_EQ(keys, (std::set<uint64_t>{w->statements()[0].id,
+                                      w->statements()[1].id}));
   EXPECT_EQ(ckpt->degraded_statements, (std::set<size_t>{0, 2}));
 }
 

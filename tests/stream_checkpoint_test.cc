@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -56,15 +57,26 @@ void WriteFileRaw(const std::string& path, const std::string& contents) {
 
 // ----------------------------------------------------- record-framing unit
 
+// An encoder for one CheckpointLog::Write argument.
+std::function<std::string()> Payload(const std::string& text) {
+  return [text] { return text; };
+}
+
 TEST(DeltaLogTest, BaseAndSegmentsRoundTrip) {
   const std::string path = TempPath("roundtrip");
   std::remove(path.c_str());
 
-  ASSERT_TRUE(WriteDeltaBase(path, "base-state v1").ok());
-  size_t appended = 0;
-  ASSERT_TRUE(AppendDeltaSegment(path, "segment one", &appended).ok());
-  EXPECT_GT(appended, std::string("segment one").size());
-  ASSERT_TRUE(AppendDeltaSegment(path, "segment two\nwith newline").ok());
+  CheckpointLog writer(path);
+  ASSERT_TRUE(writer.Write(Payload("base-state v1"), Payload("unused")).ok());
+  ASSERT_TRUE(writer.Write(Payload("unused"), Payload("segment one")).ok());
+  ASSERT_EQ(writer.segment_bytes().size(), 1u);
+  EXPECT_GT(writer.segment_bytes()[0], std::string("segment one").size());
+  ASSERT_TRUE(writer
+                  .Write(Payload("unused"),
+                         Payload("segment two\nwith newline"))
+                  .ok());
+  EXPECT_EQ(writer.writes(), 3u);
+  EXPECT_EQ(writer.bytes(), ReadFileRaw(path).size());
 
   auto log = ReadDeltaLog(path);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
@@ -78,21 +90,55 @@ TEST(DeltaLogTest, BaseAndSegmentsRoundTrip) {
 TEST(DeltaLogTest, RewritingBaseTruncatesSegments) {
   const std::string path = TempPath("compact");
   std::remove(path.c_str());
-  ASSERT_TRUE(WriteDeltaBase(path, "old base").ok());
-  ASSERT_TRUE(AppendDeltaSegment(path, "seg").ok());
-  ASSERT_TRUE(WriteDeltaBase(path, "compacted base").ok());
+  // Threshold 0: the first appended segment compacts the log at once.
+  CheckpointLog writer(path, /*compact_threshold_bytes=*/0);
+  ASSERT_TRUE(writer.Write(Payload("old base"), Payload("unused")).ok());
+  ASSERT_TRUE(writer.Write(Payload("compacted base"), Payload("seg")).ok());
+  EXPECT_EQ(writer.compactions(), 1u);
   auto log = ReadDeltaLog(path);
   ASSERT_TRUE(log.ok());
   EXPECT_EQ(log->base, "compacted base");
   EXPECT_TRUE(log->segments.empty());
 }
 
+// A log only appends behind a base it wrote itself: when that base is gone,
+// the append is refused instead of starting a file without one.
 TEST(DeltaLogTest, AppendWithoutBaseIsRefused) {
   const std::string path = TempPath("nobase");
   std::remove(path.c_str());
-  const Status s = AppendDeltaSegment(path, "orphan segment");
+  CheckpointLog writer(path);
+  ASSERT_TRUE(writer.Write(Payload("base"), Payload("unused")).ok());
+  std::remove(path.c_str());
+  const Status s = writer.Write(Payload("unused"), Payload("orphan segment"));
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  auto log = ReadDeltaLog(path);
+  ASSERT_FALSE(log.ok());
+  EXPECT_EQ(log.status().code(), StatusCode::kNotFound);
+}
+
+// A new CheckpointLog's first record is a base, whatever the path holds: a
+// torn tail behind an earlier run's records is replaced, never appended to.
+TEST(DeltaLogTest, FirstWriteReplacesAnExistingLog) {
+  const std::string path = TempPath("reopen");
+  std::remove(path.c_str());
+  {
+    CheckpointLog first(path);
+    ASSERT_TRUE(first.Write(Payload("first base"), Payload("unused")).ok());
+    ASSERT_TRUE(first.Write(Payload("unused"), Payload("first seg")).ok());
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "DTAS3 seg 999 12345\ntorn";
+  }
+  CheckpointLog second(path);
+  ASSERT_TRUE(second.Write(Payload("second base"), Payload("unused")).ok());
+  ASSERT_TRUE(second.Write(Payload("unused"), Payload("second seg")).ok());
+  auto log = ReadDeltaLog(path);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ(log->base, "second base");
+  EXPECT_EQ(log->segments, std::vector<std::string>{"second seg"});
+  EXPECT_EQ(log->dropped_records, 0u);
 }
 
 TEST(DeltaLogTest, MissingFileIsNotFound) {
@@ -108,12 +154,15 @@ TEST(DeltaLogTest, MissingFileIsNotFound) {
 TEST(DeltaLogTest, TruncationAtEveryByteIsTornNeverCorrupt) {
   const std::string path = TempPath("truncate_sweep");
   std::remove(path.c_str());
-  ASSERT_TRUE(WriteDeltaBase(path, "the base record payload").ok());
+  CheckpointLog writer(path);
+  ASSERT_TRUE(
+      writer.Write(Payload("the base record payload"), Payload("unused"))
+          .ok());
   std::vector<size_t> boundaries;  // file sizes at clean record boundaries
   boundaries.push_back(ReadFileRaw(path).size());
-  ASSERT_TRUE(AppendDeltaSegment(path, "first segment").ok());
+  ASSERT_TRUE(writer.Write(Payload("unused"), Payload("first segment")).ok());
   boundaries.push_back(ReadFileRaw(path).size());
-  ASSERT_TRUE(AppendDeltaSegment(path, "second segment").ok());
+  ASSERT_TRUE(writer.Write(Payload("unused"), Payload("second segment")).ok());
   const std::string full = ReadFileRaw(path);
   boundaries.push_back(full.size());
 
@@ -150,8 +199,9 @@ TEST(DeltaLogTest, TruncationAtEveryByteIsTornNeverCorrupt) {
 TEST(DeltaLogTest, GarbageTailAndChecksumDamageAreDropped) {
   const std::string path = TempPath("garbage");
   std::remove(path.c_str());
-  ASSERT_TRUE(WriteDeltaBase(path, "base").ok());
-  ASSERT_TRUE(AppendDeltaSegment(path, "good segment").ok());
+  CheckpointLog writer(path);
+  ASSERT_TRUE(writer.Write(Payload("base"), Payload("unused")).ok());
+  ASSERT_TRUE(writer.Write(Payload("unused"), Payload("good segment")).ok());
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out << "DTAS3 seg 999 12345\nnot really that long";
@@ -177,7 +227,8 @@ TEST(DeltaLogTest, GarbageTailAndChecksumDamageAreDropped) {
 TEST(DeltaLogTest, DamagedBaseRefusesToLoad) {
   const std::string path = TempPath("bad_base");
   std::remove(path.c_str());
-  ASSERT_TRUE(WriteDeltaBase(path, "precious state").ok());
+  CheckpointLog writer(path);
+  ASSERT_TRUE(writer.Write(Payload("precious state"), Payload("unused")).ok());
   std::string full = ReadFileRaw(path);
   const size_t at = full.find("precious");
   ASSERT_NE(at, std::string::npos);
@@ -352,6 +403,46 @@ TEST(StreamCheckpointPropertyTest, RandomKillResumeChainsMatchOracle) {
     }
     EXPECT_EQ(oracle, combined) << "seed=" << seed;
   }
+}
+
+// A crash mid-append leaves a torn record behind round 2's segment. The
+// restarted service's first record is a base that replaces the whole file,
+// so a second restart resumes from the last round the first restart
+// persisted — not from the round before the torn bytes, which would drop
+// every round appended behind them.
+TEST(StreamCheckpointPropertyTest, TornTailDoesNotBuryLaterRounds) {
+  const std::string capture = RandomCapture(2, 60);
+  const std::string oracle = OracleDeltaText(capture, TempPath("torn_oracle"));
+  const std::string path = TempPath("torn_tail");
+  std::remove(path.c_str());
+  std::string combined;
+  // Starts a service on a fresh server, as a restarted process would; it
+  // must resume at `start` and stops after round `stop` (0: the capture's
+  // end).
+  auto run = [&](uint64_t start, uint64_t stop) {
+    auto prod = MakeProduction();
+    ContinuousTuner::Config config = PropConfig(prod.get());
+    config.checkpoint_path = path;
+    ContinuousTuner tuner(std::move(config));
+    ASSERT_TRUE(tuner.Init().ok());
+    ASSERT_EQ(tuner.rounds(), start);
+    tuner.set_max_rounds(stop);
+    ASSERT_TRUE(tuner.Feed(capture).ok());
+    if (stop == 0) {
+      ASSERT_TRUE(tuner.Finish().ok());
+    } else {
+      ASSERT_EQ(tuner.rounds(), stop);
+    }
+    combined += tuner.delta_text();
+  };
+  run(0, 2);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "DTAS3 seg 4096 12345\n<DTAStreamDelta Round=\"3\"";
+  }
+  run(2, 4);
+  run(4, 0);
+  EXPECT_EQ(oracle, combined);
 }
 
 // Per-round appended segments must stay O(new work), not O(total state):

@@ -11,7 +11,7 @@
 //           [--no-derived-costing] [--exact-costing]
 //           [--derivation-error-bound PCT]
 //           [--fault-spec SPEC] [--shard-fault-spec SPEC]
-//           [--checkpoint FILE] [--checkpoint-budget PCT] [--resume FILE]
+//           [--checkpoint FILE] [--resume FILE]
 //           [--metrics-json FILE] [--fake-clock]
 //           [--serve --stream FILE [--retune-interval N]
 //            [--retune-interval-ms MS] [--stream-checkpoint FILE]
@@ -101,15 +101,17 @@
 //                 "2:down_after=40;3:transient=0.2,seed=7". Calls routed to
 //                 a faulted shard fail over to the next shard in rendezvous
 //                 order; recommendations stay identical to a healthy run.
-//   --checkpoint  Write a crash-safe session checkpoint to FILE after every
-//                 phase and enumeration round (atomic tmp + rename).
-//   --checkpoint-budget
-//                 Cap enumeration-round checkpoint writes at PCT percent of
-//                 tuning wall-clock (amortized; phase-boundary checkpoints
-//                 always write). 0 (default) checkpoints every round.
-//   --resume      Restore the checkpoint at FILE and skip completed work;
-//                 the recommendation is identical to an uninterrupted run.
-//                 Typically pointed at the same FILE as --checkpoint.
+//   --checkpoint  Record the session's progress in a crash-safe checkpoint
+//                 log at FILE (checkpoint format v3) after every phase and
+//                 enumeration round: a base record (atomic tmp + rename),
+//                 then one appended segment per write carrying only what
+//                 changed since the previous one.
+//   --resume      Restore the checkpoint log at FILE and skip completed
+//                 work; the recommendation is identical to an uninterrupted
+//                 run. A torn last record is dropped and its work redone.
+//                 Typically pointed at the same FILE as --checkpoint. A
+//                 version 2 checkpoint document is refused: re-run without
+//                 --resume.
 //   --metrics-json
 //                 Write the session's observability document
 //                 (dta-observability-v1: counters/gauges/histograms sorted
@@ -228,8 +230,7 @@ int Usage(const char* argv0) {
                "[--no-derived-costing] [--exact-costing] "
                "[--derivation-error-bound PCT] "
                "[--fault-spec SPEC] [--shard-fault-spec SPEC] "
-               "[--checkpoint FILE] "
-               "[--checkpoint-budget PCT] [--resume FILE] "
+               "[--checkpoint FILE] [--resume FILE] "
                "[--metrics-json FILE] [--fake-clock] "
                "[--serve --stream FILE [--retune-interval N] "
                "[--retune-interval-ms MS] [--stream-checkpoint FILE] "
@@ -294,7 +295,6 @@ int main(int argc, char** argv) {
   bool evaluate = false, quiet = false, fake_clock = false;
   bool no_derived_costing = false, exact_costing = false;
   double derivation_error_bound = -1;  // -1: keep the input's setting
-  double checkpoint_budget = 0;
   int threads = -1;  // -1: keep the input document's (or default) setting
   int shards = -1;   // -1: keep the input document's (or default) setting
   int tenants = 1;
@@ -426,16 +426,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       checkpoint_path = v;
-    } else if (arg == "--checkpoint-budget") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      checkpoint_budget = std::strtod(v, &end);
-      if (end == v || *end != '\0' || checkpoint_budget < 0) {
-        std::fprintf(stderr,
-                     "--checkpoint-budget expects a non-negative percent\n");
-        return Usage(argv[0]);
-      }
     } else if (arg == "--resume") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -886,9 +876,6 @@ int main(int argc, char** argv) {
 
   if (!checkpoint_path.empty()) {
     input->options.checkpoint_path = checkpoint_path;
-  }
-  if (checkpoint_budget > 0) {
-    input->options.checkpoint_budget_pct = checkpoint_budget;
   }
   if (!resume_path.empty()) input->options.resume_path = resume_path;
 
