@@ -60,26 +60,6 @@ bool StrictInt64(const std::string& v, int64_t* out) {
   return true;
 }
 
-bool StrictDouble(const std::string& v, double* out) {
-  if (v.empty()) return false;
-  const char c0 = v[0];
-  if (c0 != '-' && c0 != '.' && !IsDigit(c0)) return false;
-  for (char c : v) {
-    // Decimal literals with an optional exponent only: no "inf"/"nan", no
-    // hex floats, no embedded whitespace.
-    if (!IsDigit(c) && c != '.' && c != 'e' && c != 'E' && c != '+' &&
-        c != '-') {
-      return false;
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v.c_str(), &end);
-  if (errno == ERANGE || end != v.c_str() + v.size()) return false;
-  *out = parsed;
-  return true;
-}
-
 }  // namespace
 
 Result<FaultSpec> FaultSpec::Parse(const std::string& text) {

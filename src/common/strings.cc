@@ -1,8 +1,10 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace dta {
 
@@ -83,6 +85,27 @@ std::string CompactDouble(double v) {
   }
   std::string s = StrFormat("%.6g", v);
   return s;
+}
+
+bool StrictDouble(const std::string& v, double* out) {
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  if (v.empty()) return false;
+  const char c0 = v[0];
+  if (c0 != '-' && c0 != '.' && !is_digit(c0)) return false;
+  for (char c : v) {
+    // Decimal literals with an optional exponent only: no "inf"/"nan", no
+    // hex floats, no embedded whitespace.
+    if (!is_digit(c) && c != '.' && c != 'e' && c != 'E' && c != '+' &&
+        c != '-') {
+      return false;
+    }
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(v.c_str(), &end);
+  if (errno == ERANGE || end != v.c_str() + v.size()) return false;
+  *out = parsed;
+  return true;
 }
 
 }  // namespace dta

@@ -46,6 +46,12 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 // Renders a double compactly ("12", "12.5", "0.033").
 std::string CompactDouble(double v);
 
+// Parses one complete, finite decimal literal (optional sign and exponent)
+// into `*out`. Unlike strtod alone it refuses "inf"/"nan", hex floats,
+// leading whitespace, trailing bytes and out-of-range values, so numbers
+// read from flags and documents cannot slip NaN past a range check.
+bool StrictDouble(const std::string& v, double* out);
+
 }  // namespace dta
 
 #endif  // DTA_COMMON_STRINGS_H_

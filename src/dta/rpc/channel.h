@@ -1,8 +1,8 @@
 // The per-shard execution channel behind ShardRouter.
 //
 // A channel answers one shard's what-if calls through Submit(). Every fleet,
-// whatever its transport, is driven through the router's completion queue
-// (rpc/completion_queue.h); channels differ only in where the pricing runs:
+// whatever its transport, is dispatched by ShardRouter (dta/shard_router.h);
+// channels differ only in where the pricing runs:
 //
 //   * InprocChannel — wraps a server::Server* in this process. Submit()
 //     prices the call on the thread that launches it and completes before

@@ -90,7 +90,8 @@ SocketChannel::~SocketChannel() {
     closed_ = true;
     // Wake the reader out of recv(2); its loss sweep fails any pending
     // requests — abandoned (timed-out) attempts can still be on the wire,
-    // which is why ShardRouter closes its channels before its queue.
+    // which is why ShardRouter closes its channels before the rest of its
+    // state goes.
     if (fd_.valid()) ShutdownFd(fd_.get());
     reader = std::move(reader_);
   }

@@ -6,7 +6,7 @@
 // writes one frame; a dedicated reader thread decodes response frames and
 // resolves the matching pending entry — responses may arrive in any order.
 // A connection loss (EOF, recv error, poisoned decoder) fails every pending
-// request with Unavailable in one sweep, which the completion queue above
+// request with Unavailable in one sweep, which the ShardRouter above
 // converts into requeues on other shards; nothing ever hangs on a dead
 // worker. The next Submit after a loss attempts a fresh connect+handshake
 // (bounded by reconnect_deadline_ms), which is exactly the router's probe
@@ -70,7 +70,7 @@ class SocketChannel : public ShardChannel {
 
   void Submit(const tuner::WhatIfCall& call, Done done) override;
 
-  // Submit + wait; convenience for callers outside the completion queue.
+  // Submit + wait; convenience for callers outside the ShardRouter.
   Result<server::Server::WhatIfResult> Call(const tuner::WhatIfCall& call);
 
   // Synchronous admin RPC: build one statistic on the worker (no-op there

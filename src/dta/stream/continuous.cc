@@ -1,6 +1,7 @@
 #include "dta/stream/continuous.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -67,6 +68,11 @@ Status ContinuousTuner::Init() {
   if (config_.server == nullptr) {
     return Status::InvalidArgument("continuous tuning needs a server");
   }
+  // NaN fails every ordered comparison, so the range checks below would
+  // wave it through: finiteness is checked first.
+  if (!std::isfinite(config_.retune_interval_ms)) {
+    return Status::InvalidArgument("retune_interval_ms must be finite");
+  }
   if (config_.retune_interval_events == 0 && config_.retune_interval_ms <= 0) {
     return Status::InvalidArgument(
         "continuous tuning needs a retune cadence (events and/or stream ms)");
@@ -74,7 +80,8 @@ Status ContinuousTuner::Init() {
   if (config_.max_templates == 0) {
     return Status::InvalidArgument("max_templates must be positive");
   }
-  if (config_.decay <= 0 || config_.decay > 1) {
+  if (!std::isfinite(config_.decay) || config_.decay <= 0 ||
+      config_.decay > 1) {
     return Status::InvalidArgument("decay must be in (0, 1]");
   }
   if (!config_.checkpoint_path.empty()) {

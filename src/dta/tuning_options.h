@@ -108,10 +108,10 @@ struct TuningOptions {
   // ---- Costing transport.
   // kInproc prices what-if calls on in-process server replicas; kSocket
   // connects every shard to a cost_server worker process over a Unix
-  // socket (dta/rpc/transport.h). Either way a sharded fleet drives calls
-  // through the router's event-driven completion queue — timeouts and
-  // shard failures requeue the statement on another shard instead of
-  // parking a worker thread in backoff.
+  // socket (dta/rpc/transport.h). Either way ShardRouter dispatches a
+  // sharded fleet's calls — timeouts and shard failures requeue the
+  // statement on another shard instead of parking a worker thread in
+  // backoff.
   // Transport is pure topology: recommendations are byte-identical under
   // either value (and across transport switches on resume), so, like
   // `shards`, everything in this section is excluded from the checkpoint

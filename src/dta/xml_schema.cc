@@ -231,6 +231,16 @@ xml::ElementPtr TuningOptionsToXml(const TuningOptions& o) {
   return e;
 }
 
+// Reads a finite decimal attribute. strtod alone would read "abc" as 0 and
+// accept "nan", which slips past every range check downstream.
+Status ReadFiniteAttr(const xml::Element& e, std::string_view name,
+                      double* out) {
+  if (StrictDouble(e.Attr(name), out)) return Status::Ok();
+  return Status::InvalidArgument(StrFormat(
+      "%s attribute %.*s is not a finite number: \"%s\"", e.name().c_str(),
+      static_cast<int>(name.size()), name.data(), e.Attr(name).c_str()));
+}
+
 Result<TuningOptions> TuningOptionsFromXml(const xml::Element& e) {
   TuningOptions o;
   o.tune_indexes = ParseBool(e.Attr("Indexes"), true);
@@ -246,14 +256,16 @@ Result<TuningOptions> TuningOptionsFromXml(const xml::Element& e) {
     o.storage_bytes = strtoull(e.Attr("StorageBytes").c_str(), nullptr, 10);
   }
   if (e.HasAttr("TimeLimitMs")) {
-    o.time_limit_ms = std::strtod(e.Attr("TimeLimitMs").c_str(), nullptr);
+    double ms = 0;
+    DTA_RETURN_IF_ERROR(ReadFiniteAttr(e, "TimeLimitMs", &ms));
+    o.time_limit_ms = ms;
   }
   if (e.HasAttr("FaultSpec")) o.fault_spec = e.Attr("FaultSpec");
   o.derived_costing = ParseBool(e.Attr("DerivedCosting"), true);
   o.exact_costing = ParseBool(e.Attr("ExactCosting"), false);
   if (e.HasAttr("DerivationErrorBoundPct")) {
-    o.derivation_error_bound_pct =
-        std::strtod(e.Attr("DerivationErrorBoundPct").c_str(), nullptr);
+    DTA_RETURN_IF_ERROR(ReadFiniteAttr(e, "DerivationErrorBoundPct",
+                                       &o.derivation_error_bound_pct));
   }
   const xml::Element* u = e.FindChild("UserSpecifiedConfiguration");
   if (u != nullptr) {

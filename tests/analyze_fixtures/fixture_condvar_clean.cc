@@ -1,6 +1,6 @@
 // dta_analyze fixture: condvar-under-mutex done right — the clean twin of
-// fixture_condvar_cycle.cc, mirroring how the completion queue actually
-// uses its condvar. One mutex owns the whole handshake: the waiter holds
+// fixture_condvar_cycle.cc, mirroring how the shard router's dispatch
+// actually uses its condvar. One mutex owns the whole handshake: the waiter holds
 // mu_ across the wait loop, the notifier flips state and notifies under
 // the same mu_, and anything expensive happens on a snapshot taken inside
 // a brace scope that ends the lock before the work starts. No second

@@ -1,6 +1,6 @@
 // dta_analyze fixture: condvar-under-mutex gone wrong. CreditPump models
-// the completion queue's shape — a waiter parks on a condvar while holding
-// the queue mutex (correct on its own: Wait atomically releases and
+// the shard router's dispatch — a waiter parks on a condvar while holding
+// the dispatch mutex (correct on its own: Wait atomically releases and
 // reacquires it) — but the two halves disagree on lock order around the
 // wait. The waiter reaches into the credit ledger while still holding
 // queue_mu_ (chain edge queue_mu_ -> credit_mu_, anchored at the call),

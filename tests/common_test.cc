@@ -120,6 +120,18 @@ TEST(StringsTest, CompactDouble) {
   EXPECT_EQ(CompactDouble(12.5), "12.5");
 }
 
+TEST(StringsTest, StrictDouble) {
+  double v = 0;
+  EXPECT_TRUE(StrictDouble("0.25", &v));
+  EXPECT_EQ(v, 0.25);
+  EXPECT_TRUE(StrictDouble("-1.5e3", &v));
+  EXPECT_EQ(v, -1500);
+  for (const char* bad : {"", "nan", "inf", "-inf", "abc", "1e", "0x10",
+                          " 1", "1 ", "+1", "1e999"}) {
+    EXPECT_FALSE(StrictDouble(bad, &v)) << bad;
+  }
+}
+
 TEST(RandomTest, UniformBounds) {
   Random rng(1);
   for (int i = 0; i < 1000; ++i) {

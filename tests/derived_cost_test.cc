@@ -373,7 +373,9 @@ TEST(DerivedCostServiceTest, DerivedCostsMatchBruteForceOnSelects) {
     for (bool partitioned : {false, true}) {
       Configuration config;
       for (size_t b = 0; b < pool.size(); ++b) {
-        if (mask & (1u << b)) ASSERT_TRUE(config.AddIndex(pool[b]).ok());
+        if (mask & (1u << b)) {
+          ASSERT_TRUE(config.AddIndex(pool[b]).ok());
+        }
       }
       if (partitioned) config.SetTablePartitioning("orders", scheme);
       for (size_t i = 0; i < w.size(); ++i) {

@@ -580,6 +580,37 @@ TEST(XmlSchemaTest, TuningInputRoundTrip) {
             input.options.user_specified.Fingerprint());
 }
 
+// TuningInput XML with the TimeLimitMs attribute's text replaced.
+std::string InputWithTimeLimit(const std::string& text) {
+  TuningInput input;
+  input.server_name = "prod01";
+  input.workload = SelectWorkload();
+  input.options.time_limit_ms = 5000;
+  std::string xml_text = TuningInputToXml(input);
+  const std::string attr = "TimeLimitMs=\"5000\"";
+  const size_t at = xml_text.find(attr);
+  EXPECT_NE(at, std::string::npos) << xml_text;
+  if (at != std::string::npos) {
+    xml_text.replace(at, attr.size(), "TimeLimitMs=\"" + text + "\"");
+  }
+  return xml_text;
+}
+
+// strtod alone reads "abc" as 0 ms, which ends tuning at once.
+TEST(XmlSchemaTest, TimeLimitMsRejectsText) {
+  auto parsed = TuningInputFromXml(InputWithTimeLimit("abc"));
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  auto plain = TuningInputFromXml(InputWithTimeLimit("5000"));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->options.time_limit_ms, 5000);
+}
+
+// NaN passes every range check downstream and runs unbounded.
+TEST(XmlSchemaTest, TimeLimitMsRejectsNan) {
+  auto parsed = TuningInputFromXml(InputWithTimeLimit("nan"));
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(XmlSchemaTest, FullOutputDocument) {
   auto prod = MakeProduction();
   TuningSession session(prod.get(), TuningOptions());

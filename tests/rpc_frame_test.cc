@@ -1,7 +1,7 @@
 // Edge-case tests for the DTR1 frame codec and for how the socket transport
 // reacts to a misbehaving peer. The invariant under test everywhere: a
 // malformed byte stream produces a clean transport error — which the
-// completion queue turns into a requeue on another shard — and never a hang.
+// shard router turns into a requeue on another shard — and never a hang.
 
 #include <gtest/gtest.h>
 

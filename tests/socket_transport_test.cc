@@ -6,9 +6,9 @@
 //
 // The workers here are in-process CostWorker instances serving clones of
 // the production server, so the test exercises the full wire path (DTR1
-// frames, completion queue, requeues, reconnect probes) without fork/exec;
-// the separate-process path is covered by the cost_server CLI smoke test
-// and the socket-transport CI job.
+// frames, the router's dispatch, requeues, reconnect probes) without
+// fork/exec; the separate-process path is covered by the cost_server CLI
+// smoke test and the socket-transport CI job.
 
 #include <gtest/gtest.h>
 
@@ -321,7 +321,7 @@ TEST(SocketTransportTest, EvaluateIsBitIdenticalAcrossFleets) {
 // ------------------------------------------------------------------ chaos
 
 // A worker severs its connection mid-stream (its in-flight calls die
-// unanswered). The completion queue requeues them on the surviving
+// unanswered). The shard router requeues them on the surviving
 // workers; the severed worker is rediscovered by a probe after the worker
 // loops back to accept. Result: byte-identical, nothing degraded.
 TEST(SocketTransportTest, WorkerSeverMidStreamKeepsRecommendationIdentical) {

@@ -396,7 +396,9 @@ TEST(StreamCheckpointPropertyTest, RandomKillResumeChainsMatchOracle) {
       EXPECT_EQ(tuner.rounds(), done);
       tuner.set_max_rounds(next_kill);
       ASSERT_TRUE(tuner.Feed(capture).ok());
-      if (next_kill >= total_rounds) ASSERT_TRUE(tuner.Finish().ok());
+      if (next_kill >= total_rounds) {
+        ASSERT_TRUE(tuner.Finish().ok());
+      }
       combined += tuner.delta_text();
       done = tuner.rounds();
       ASSERT_EQ(done, next_kill) << "seed=" << seed;

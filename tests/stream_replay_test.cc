@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -401,6 +402,25 @@ TEST(StreamReplayTest, ResumeRefusesMismatchedStreamParameters) {
   const Status s = tuner.Init();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+}
+
+// NaN fails every ordered comparison, so a bare range check would accept
+// it; Init must refuse a non-finite decay or cadence outright.
+TEST(StreamReplayTest, InitRejectsNonFiniteDecay) {
+  server::Server server("prod", optimizer::HardwareParams());
+  ContinuousTuner::Config config = BaseConfig(&server);
+  config.decay = std::numeric_limits<double>::quiet_NaN();
+  ContinuousTuner tuner(std::move(config));
+  EXPECT_EQ(tuner.Init().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(StreamReplayTest, InitRejectsNonFiniteCadence) {
+  server::Server server("prod", optimizer::HardwareParams());
+  ContinuousTuner::Config config = BaseConfig(&server);
+  config.retune_interval_events = 0;
+  config.retune_interval_ms = std::numeric_limits<double>::quiet_NaN();
+  ContinuousTuner tuner(std::move(config));
+  EXPECT_EQ(tuner.Init().code(), StatusCode::kInvalidArgument);
 }
 
 // The delta sink sees exactly what delta_text() accumulates, chunked per

@@ -143,11 +143,18 @@ def main():
     # skip, so debug/sanitizer builds enforce them too.
     floors = {CALLS_SAVED_GAUGE: args.min_whatif_calls_saved_pct}
     ceilings = {DELTA_BYTES_GAUGE: args.max_delta_bytes_per_round}
+    # Wall-derived gauges with an absolute ceiling: gated only when the
+    # baseline has them and wall-clock gates run.
+    wall_ceilings = {
+        CHECKPOINT_GAUGE: args.max_checkpoint_overhead_pct,
+        SHARD_FAILOVER_GAUGE: args.max_shard_failover_overhead_pct,
+        FAILSLOW_GAUGE: args.max_failslow_isolation_overhead_pct,
+    }
 
-    def gate_deterministic(name, value):
+    def gate_bound(name, value, floors, ceilings):
         """Applies a floor/ceiling gate; False when `name` has none."""
+        line = f"gauge {name}: {value:.3f}"
         if name in floors:
-            line = f"gauge {name}: {value:.3f}"
             if value < floors[name]:
                 failures.append(
                     f"{line} is below the floor {floors[name]:.1f}")
@@ -155,7 +162,6 @@ def main():
                 print(f"ok       {line} (floor {floors[name]:.1f})")
             return True
         if name in ceilings:
-            line = f"gauge {name}: {value:.3f}"
             if value > ceilings[name]:
                 failures.append(
                     f"{line} exceeds the absolute ceiling "
@@ -169,7 +175,7 @@ def main():
         if name not in cur_gauges:
             failures.append(f"gauge {name} missing from current run")
             continue
-        if gate_deterministic(name, cur_gauges[name]):
+        if gate_bound(name, cur_gauges[name], floors, ceilings):
             continue
         if name not in base_gauges:
             print(f"NEW      gauge {name} = {cur_gauges[name]:.3f} "
@@ -186,37 +192,7 @@ def main():
                     f"{line} exceeds +{args.wall_tolerance_pct:.0f}%")
             else:
                 print(f"ok       {line}")
-        elif name == CHECKPOINT_GAUGE:
-            value = cur_gauges[name]
-            line = f"gauge {name}: {value:.3f}"
-            if value > args.max_checkpoint_overhead_pct:
-                failures.append(
-                    f"{line} exceeds the absolute ceiling "
-                    f"{args.max_checkpoint_overhead_pct:.1f} (target < 1)")
-            else:
-                print(f"ok       {line} (ceiling "
-                      f"{args.max_checkpoint_overhead_pct:.1f})")
-        elif name == SHARD_FAILOVER_GAUGE:
-            value = cur_gauges[name]
-            line = f"gauge {name}: {value:.3f}"
-            if value > args.max_shard_failover_overhead_pct:
-                failures.append(
-                    f"{line} exceeds the absolute ceiling "
-                    f"{args.max_shard_failover_overhead_pct:.1f}")
-            else:
-                print(f"ok       {line} (ceiling "
-                      f"{args.max_shard_failover_overhead_pct:.1f})")
-        elif name == FAILSLOW_GAUGE:
-            value = cur_gauges[name]
-            line = f"gauge {name}: {value:.3f}"
-            if value > args.max_failslow_isolation_overhead_pct:
-                failures.append(
-                    f"{line} exceeds the absolute ceiling "
-                    f"{args.max_failslow_isolation_overhead_pct:.1f}")
-            else:
-                print(f"ok       {line} (ceiling "
-                      f"{args.max_failslow_isolation_overhead_pct:.1f})")
-        else:
+        elif not gate_bound(name, cur_gauges[name], {}, wall_ceilings):
             print(f"info     gauge {name}: {cur_gauges[name]:.3f}")
 
     if failures:

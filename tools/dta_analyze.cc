@@ -57,12 +57,15 @@
 // RELEASE annotations, and per-function body events: MutexLock
 // acquisitions (with the set of locks held, maintained by brace scope) and
 // calls (name, qualifier, argument count). Lock expressions are normalized
-// to class-qualified identities (shard.mu inside ShardRouter becomes
-// dta::ShardRouter::Shard::mu) so annotations, acquisitions, and manifest
-// entries all speak the same names. Calls resolve to parsed functions by
-// qualifier, name, and argument-count compatibility — ambiguity means no
-// edge (conservative: lock edges come only from resolutions we are sure
-// of). Transitive acquisition sets are a fixpoint over the call graph.
+// to class-qualified identities (write_mu_ inside SocketChannel becomes
+// dta::rpc::SocketChannel::write_mu_) so annotations, acquisitions, and
+// manifest entries all speak the same names. Calls resolve to parsed
+// functions by qualifier, name, and argument-count compatibility —
+// ambiguity means no edge (conservative: lock edges come only from
+// resolutions we are sure of). Calls through a std::function or a function
+// pointer resolve to nothing, so a callback invoked under a lock must not
+// take another lock: the edge it would add is invisible here. Transitive
+// acquisition sets are a fixpoint over the call graph.
 //
 // Findings use dta_lint's conventions: per-line `// lint: <rule>`
 // suppressions (same line or the line above), `// expect: <rule>` fixture

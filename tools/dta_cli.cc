@@ -38,8 +38,8 @@
 //   --transport   Costing transport: "inproc" (default; shards are
 //                 in-process replicas) or "socket" (each shard is a
 //                 cost_server worker process, spawned by dta_cli and
-//                 reached over a Unix socket). Either way a fleet runs its
-//                 calls through the completion queue, which requeues
+//                 reached over a Unix socket). Either way the shard
+//                 router dispatches the fleet's calls and requeues
 //                 timeouts and shard failures on the next shard. The
 //                 recommendation (or --evaluate's statement costs) is
 //                 byte-identical under either transport. Socket mode is
@@ -51,7 +51,7 @@
 //                 --metadata, listen on sockets under a private temp
 //                 directory, and are killed and reaped when dta_cli exits.
 //   --rpc-timeout Socket transport only: per-attempt budget in ms before
-//                 the completion queue abandons an in-flight request and
+//                 the shard router abandons an in-flight request and
 //                 requeues the call on the next shard (0 = router default).
 //   --tenants     Run N independent tenants ("t0".."tN-1") concurrently
 //                 through the multi-tenant driver (dta/tenant_driver.h):
@@ -190,6 +190,7 @@
 #include "common/clock.h"
 #include "common/fault_injector.h"
 #include "common/metrics.h"
+#include "common/strings.h"
 #include "common/trace.h"
 #include "dta/shard_router.h"
 #include "dta/stream/continuous.h"
@@ -362,9 +363,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--rpc-timeout") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      rpc_timeout = std::strtod(v, &end);
-      if (end == v || *end != '\0' || rpc_timeout < 0) {
+      if (!dta::StrictDouble(v, &rpc_timeout) || rpc_timeout < 0) {
         std::fprintf(stderr,
                      "--rpc-timeout expects a non-negative millisecond "
                      "count\n");
@@ -392,9 +391,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--slow-threshold") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      slow_threshold = std::strtod(v, &end);
-      if (end == v || *end != '\0' || slow_threshold < 0) {
+      if (!dta::StrictDouble(v, &slow_threshold) || slow_threshold < 0) {
         std::fprintf(stderr,
                      "--slow-threshold expects a non-negative multiplier\n");
         return Usage(argv[0]);
@@ -406,9 +403,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--derivation-error-bound") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      derivation_error_bound = std::strtod(v, &end);
-      if (end == v || *end != '\0' || derivation_error_bound < 0) {
+      if (!dta::StrictDouble(v, &derivation_error_bound) ||
+          derivation_error_bound < 0) {
         std::fprintf(
             stderr,
             "--derivation-error-bound expects a non-negative percent\n");
@@ -455,9 +451,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--retune-interval-ms") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      retune_interval_ms = std::strtod(v, &end);
-      if (end == v || *end != '\0' || retune_interval_ms <= 0) {
+      if (!dta::StrictDouble(v, &retune_interval_ms) ||
+          retune_interval_ms <= 0) {
         std::fprintf(stderr,
                      "--retune-interval-ms expects a positive millisecond "
                      "count\n");
@@ -484,9 +479,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--decay") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      decay = std::strtod(v, &end);
-      if (end == v || *end != '\0' || decay <= 0 || decay > 1) {
+      if (!dta::StrictDouble(v, &decay) || decay <= 0 || decay > 1) {
         std::fprintf(stderr, "--decay expects a factor in (0, 1]\n");
         return Usage(argv[0]);
       }
