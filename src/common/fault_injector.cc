@@ -1,8 +1,5 @@
 #include "common/fault_injector.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "common/hash.h"
 #include "common/strings.h"
 
@@ -15,49 +12,9 @@ double HashToUnit(uint64_t h) {
   return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
 }
 
+// Low-entropy keys still spread: the salted key goes through Mix64.
 uint64_t Mix(uint64_t seed, uint64_t key, uint64_t salt) {
-  uint64_t h = HashCombine(seed, key);
-  h = HashCombine(h, salt);
-  // Final avalanche (splitmix64) so low-entropy keys still spread.
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
-
-bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-
-// Strict numeric parsing. The spec strings come from CLI flags and CI
-// scripts, where a mis-typed "0.3x" or "1e" must fail loudly, not run a
-// silently different chaos scenario: the strto* family alone accepts
-// leading whitespace, partially consumed values, "inf"/"nan", hex floats,
-// and (via wraparound) negative values for the unsigned parsers. Each
-// helper demands one complete, plain, in-range literal.
-bool StrictUint64(const std::string& v, uint64_t* out) {
-  if (v.empty()) return false;
-  for (char c : v) {
-    if (!IsDigit(c)) return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (errno == ERANGE || end != v.c_str() + v.size()) return false;
-  *out = static_cast<uint64_t>(parsed);
-  return true;
-}
-
-bool StrictInt64(const std::string& v, int64_t* out) {
-  const size_t start = (!v.empty() && v[0] == '-') ? 1 : 0;
-  if (v.size() == start) return false;
-  for (size_t i = start; i < v.size(); ++i) {
-    if (!IsDigit(v[i])) return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v.c_str(), &end, 10);
-  if (errno == ERANGE || end != v.c_str() + v.size()) return false;
-  *out = static_cast<int64_t>(parsed);
-  return true;
+  return Mix64(HashCombine(HashCombine(seed, key), salt));
 }
 
 }  // namespace
@@ -96,7 +53,7 @@ Result<FaultSpec> FaultSpec::Parse(const std::string& text) {
       // elsewhere, so this catches the rest (spaces, quotes, '=').
       ok = !value.empty();
       for (char c : value) {
-        if (!(IsDigit(c) || (c >= 'a' && c <= 'z') ||
+        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
               (c >= 'A' && c <= 'Z') || c == '_')) {
           ok = false;
         }

@@ -108,4 +108,36 @@ bool StrictDouble(const std::string& v, double* out) {
   return true;
 }
 
+namespace {
+
+bool AllDigits(const std::string& v, size_t start) {
+  if (v.size() == start) return false;
+  for (size_t i = start; i < v.size(); ++i) {
+    if (v[i] < '0' || v[i] > '9') return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool StrictUint64(const std::string& v, uint64_t* out) {
+  if (!AllDigits(v, 0)) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
+  if (errno == ERANGE || end != v.c_str() + v.size()) return false;
+  *out = static_cast<uint64_t>(parsed);
+  return true;
+}
+
+bool StrictInt64(const std::string& v, int64_t* out) {
+  if (!AllDigits(v, !v.empty() && v[0] == '-' ? 1 : 0)) return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(v.c_str(), &end, 10);
+  if (errno == ERANGE || end != v.c_str() + v.size()) return false;
+  *out = static_cast<int64_t>(parsed);
+  return true;
+}
+
 }  // namespace dta

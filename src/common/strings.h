@@ -4,6 +4,7 @@
 #define DTA_COMMON_STRINGS_H_
 
 #include <cstdarg>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -51,6 +52,12 @@ std::string CompactDouble(double v);
 // leading whitespace, trailing bytes and out-of-range values, so numbers
 // read from flags and documents cannot slip NaN past a range check.
 bool StrictDouble(const std::string& v, double* out);
+// The same for plain decimal integers (a leading '-' only for the signed
+// reader): the strto* family alone accepts leading whitespace, a '+',
+// partially consumed values and, in the unsigned reader, negative values
+// by wraparound. Out-of-range values are refused, never clamped.
+bool StrictUint64(const std::string& v, uint64_t* out);
+bool StrictInt64(const std::string& v, int64_t* out);
 
 }  // namespace dta
 

@@ -185,65 +185,6 @@ stats::StatsKey StatsKeyFromXml(const xml::Element& e) {
                          std::move(columns));
 }
 
-void CostBlobWriter::Add(uint64_t id, const std::string& fingerprint,
-                         const CostCache::Entry& entry) {
-  size_t shared = 0;
-  if (prev_ != nullptr) {
-    const size_t limit = std::min(prev_->size(), fingerprint.size());
-    while (shared < limit && (*prev_)[shared] == fingerprint[shared]) {
-      ++shared;
-    }
-  }
-  AppendU64(&blob_, id);
-  blob_.push_back(' ');
-  AppendHexDouble(&blob_, entry.cost);
-  blob_.push_back(' ');
-  AppendU64(&blob_, (entry.degraded ? 1u : 0u) | (entry.derived ? 2u : 0u));
-  blob_.push_back(' ');
-  AppendU64(&blob_, shared);
-  blob_.push_back(' ');
-  blob_.append(fingerprint, shared, std::string::npos);
-  blob_.push_back('\n');
-  prev_ = &fingerprint;
-}
-
-std::string CostBlobWriter::Finish() {
-  if (!blob_.empty()) blob_.pop_back();
-  prev_ = nullptr;
-  return std::move(blob_);
-}
-
-Status DecodeCostBlob(const std::string& blob, const char* section,
-                      std::vector<CostLine>* lines) {
-  const char* p = blob.c_str();
-  const char* end = p + blob.size();
-  std::string prev_fp;
-  while (p < end) {
-    char* q = nullptr;
-    CostLine line;
-    line.id = std::strtoull(p, &q, 10);
-    line.entry.cost = std::strtod(q, &q);
-    const unsigned long flags = std::strtoul(q, &q, 10);
-    line.entry.degraded = (flags & 1) != 0;
-    line.entry.derived = (flags & 2) != 0;
-    const size_t shared = static_cast<size_t>(std::strtoull(q, &q, 10));
-    if (q < end && *q == ' ') ++q;
-    const char* nl = static_cast<const char*>(
-        std::memchr(q, '\n', static_cast<size_t>(end - q)));
-    if (nl == nullptr) nl = end;
-    if (q > nl || shared > prev_fp.size()) {
-      return Status::InvalidArgument(std::string(section) +
-                                     " has a malformed line");
-    }
-    line.fingerprint.assign(prev_fp, 0, shared);
-    line.fingerprint.append(q, static_cast<size_t>(nl - q));
-    prev_fp = line.fingerprint;
-    lines->push_back(std::move(line));
-    p = nl + 1;
-  }
-  return Status::Ok();
-}
-
 uint64_t WorkloadFingerprint(const workload::Workload& workload) {
   uint64_t h = HashBytes("dta-workload");
   for (const auto& ws : workload.statements()) {
@@ -300,6 +241,96 @@ uint64_t OptionsFingerprint(const TuningOptions& o) {
   return HashBytes(out.str());
 }
 
+// ---- Records -------------------------------------------------------------
+
+// The lines are "id cost flags shared suffix": `id` is the statement id,
+// `flags` is bit 0 = degraded, bit 1 = derived, and the fingerprint is
+// front-coded — `shared` bytes of the previous line's fingerprint, then
+// `suffix` to end-of-line (empty for the base configuration's
+// fingerprint). Visiting in (id, fingerprint) order keeps a record
+// byte-identical across runs and thread counts (dta_lint's
+// unordered-output rule guards this file).
+std::string EncodeRecord(const xml::Element& document, bool base,
+                         CostCache* cache) {
+  std::string record = document.ToString(/*prolog=*/true);
+  const size_t lines_at = record.size();
+  const std::string* prev = nullptr;  // the cache's key, alive for the walk
+  auto add = [&](uint64_t id, const std::string& fingerprint,
+                 const CostCache::Entry& entry) {
+    size_t shared = 0;
+    if (prev != nullptr) {
+      const size_t limit = std::min(prev->size(), fingerprint.size());
+      while (shared < limit && (*prev)[shared] == fingerprint[shared]) {
+        ++shared;
+      }
+    }
+    AppendU64(&record, id);
+    record.push_back(' ');
+    AppendHexDouble(&record, entry.cost);
+    record.push_back(' ');
+    AppendU64(&record, (entry.degraded ? 1u : 0u) | (entry.derived ? 2u : 0u));
+    record.push_back(' ');
+    AppendU64(&record, shared);
+    record.push_back(' ');
+    record.append(fingerprint, shared, std::string::npos);
+    record.push_back('\n');
+    prev = &fingerprint;
+  };
+  const bool all = base || document.Attr("CacheCleared") == "true";
+  if (all) cache->ForEach(add);
+  cache->TakeNew(all ? nullptr : CostCache::EntryVisitor(add));
+  if (record.size() > lines_at) record.pop_back();  // the last line's newline
+  return record;
+}
+
+Result<CheckpointRecord> SplitRecord(const std::string& payload, bool base,
+                                     const std::string& root) {
+  // The document always has children, so it ends in its closing tag; the
+  // cost lines follow it.
+  const std::string document_end = "</" + root + ">\n";
+  const size_t at = payload.find(document_end);
+  if (at == std::string::npos) {
+    return Status::InvalidArgument("not a " + root + " record");
+  }
+  const size_t lines_at = at + document_end.size();
+  auto parsed = xml::Parse(std::string_view(payload).substr(0, lines_at));
+  if (!parsed.ok()) return parsed.status();
+  if ((*parsed)->name() != root) {
+    return Status::InvalidArgument("not a " + root + " record");
+  }
+  CheckpointRecord record;
+  record.document = std::move(parsed).value();
+  record.replaces_cache =
+      base || record.document->Attr("CacheCleared") == "true";
+  // strtoull/strtod stop at the payload's terminating NUL at the latest.
+  const char* p = payload.c_str() + lines_at;
+  const char* end = payload.c_str() + payload.size();
+  const std::string* prev = nullptr;
+  while (p < end) {
+    char* q = nullptr;
+    CostLine line;
+    line.id = std::strtoull(p, &q, 10);
+    line.entry.cost = std::strtod(q, &q);
+    const unsigned long flags = std::strtoul(q, &q, 10);
+    line.entry.degraded = (flags & 1) != 0;
+    line.entry.derived = (flags & 2) != 0;
+    const size_t shared = static_cast<size_t>(std::strtoull(q, &q, 10));
+    if (q < end && *q == ' ') ++q;
+    const char* nl = static_cast<const char*>(
+        std::memchr(q, '\n', static_cast<size_t>(end - q)));
+    if (nl == nullptr) nl = end;
+    if (q > nl || shared > (prev == nullptr ? 0 : prev->size())) {
+      return Status::InvalidArgument(root + " record: malformed cost line");
+    }
+    if (prev != nullptr) line.fingerprint.assign(*prev, 0, shared);
+    line.fingerprint.append(q, static_cast<size_t>(nl - q));
+    record.lines.push_back(std::move(line));
+    prev = &record.lines.back().fingerprint;
+    p = nl + 1;
+  }
+  return record;
+}
+
 // ---- Session records -----------------------------------------------------
 
 std::string EncodeSessionRecord(const SessionCheckpoint& ckpt,
@@ -354,39 +385,16 @@ std::string EncodeSessionRecord(const SessionCheckpoint& ckpt,
     en->AddTextChild("Strikes", U64List(ckpt.enumeration.strikes));
   }
 
-  // The cost lines follow the document, in (statement id, fingerprint)
-  // order, so the record is byte-identical across runs and thread counts
-  // (dta_lint's unordered-output rule guards this file): the whole cache in
-  // a base, the entries priced since the previous record in a segment.
-  // Either way the cache forgets what is new, so the next segment starts
-  // from this record.
-  std::string record = root.ToString(/*prolog=*/true);
-  CostBlobWriter lines;
-  auto add = [&](uint64_t id, const std::string& fingerprint,
-                 const CostCache::Entry& entry) {
-    lines.Add(id, fingerprint, entry);
-  };
-  if (base) cache->ForEach(add);
-  cache->TakeNew(base ? nullptr : CostCache::EntryVisitor(add));
-  record += lines.Finish();
-  return record;
+  return EncodeRecord(root, base, cache);
 }
 
 Status ApplySessionRecord(const std::string& payload, bool base,
                           const catalog::Catalog& catalog,
                           SessionCheckpoint* ckpt) {
-  // The document always has children, so it ends in its closing tag; the
-  // cost lines follow it.
-  static constexpr std::string_view kDocumentEnd = "</DTASession>\n";
-  const size_t document_end = payload.find(kDocumentEnd);
-  if (document_end == std::string::npos) {
-    return Status::InvalidArgument("not a version 3 DTASession record");
-  }
-  const size_t lines_at = document_end + kDocumentEnd.size();
-  auto parsed = xml::Parse(std::string_view(payload).substr(0, lines_at));
-  if (!parsed.ok()) return parsed.status();
-  const xml::Element& root = **parsed;
-  if (root.name() != "DTASession" || root.Attr("Version") != "3") {
+  auto record = SplitRecord(payload, base, "DTASession");
+  if (!record.ok()) return record.status();
+  const xml::Element& root = *record->document;
+  if (root.Attr("Version") != "3") {
     return Status::InvalidArgument("not a version 3 DTASession record");
   }
   if (base) {
@@ -432,9 +440,8 @@ Status ApplySessionRecord(const std::string& payload, bool base,
       ckpt->created_stats.push_back(StatsKeyFromXml(*s));
     }
   }
-  if (root.Attr("CacheCleared") == "true") ckpt->cache.clear();
-  DTA_RETURN_IF_ERROR(DecodeCostBlob(payload.substr(lines_at),
-                                     "DTASession cost lines", &ckpt->cache));
+  if (record->replaces_cache) ckpt->cache.clear();
+  for (CostLine& line : record->lines) ckpt->cache.push_back(std::move(line));
   // Absent on fault-free sessions.
   ckpt->degraded_statements.clear();
   if (const xml::Element* degraded = root.FindChild("DegradedStatements")) {

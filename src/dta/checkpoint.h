@@ -20,11 +20,13 @@
 // rename), which truncates every earlier segment. A crash mid-append leaves
 // a torn tail, which the reader detects (short payload, bad header, checksum
 // mismatch) and drops with anything after it; the lost work is re-run.
-// Payloads are XML (xmlio) plus front-coded cost lines (CostBlobWriter),
-// doubles as C99 hex floats so they round-trip bit-exactly: <DTASession>
-// records here, <DTAStream>/<DTAStreamDelta> in dta/stream/continuous.h.
-// Version 2 rewrote a session's whole <DTACheckpoint> document per write;
-// this build refuses one with a status that names the format.
+// Every payload is one XML state document (xmlio) followed by its
+// front-coded cost lines (EncodeRecord/SplitRecord), doubles as C99 hex
+// floats so they round-trip bit-exactly: <DTASession Version="3"> records
+// here, <DTAStream Version="4"> in dta/stream/continuous.h. This build
+// refuses, with a status that names the format, a version 2 session
+// document (which rewrote a session's whole <DTACheckpoint> per write) and
+// a version 3 stream log (which escaped its cost lines into the document).
 
 #ifndef DTA_DTA_CHECKPOINT_H_
 #define DTA_DTA_CHECKPOINT_H_
@@ -32,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -106,12 +109,7 @@ struct DeltaLogContents {
 // is missing (NotFound), is a version 2 document, or has no valid base.
 Result<DeltaLogContents> ReadDeltaLog(const std::string& path);
 
-// ---- Session records ------------------------------------------------------
-
-// Phase markers, ordered by pipeline progress.
-inline constexpr int kCheckpointCurrentCosts = 1;  // current-cost pass done
-inline constexpr int kCheckpointPoolReady = 2;     // candidate pool final
-inline constexpr int kCheckpointEnumeration = 3;   // greedy state present
+// ---- Records -------------------------------------------------------------
 
 // One cost-cache entry as a checkpoint carries it.
 struct CostLine {
@@ -119,6 +117,36 @@ struct CostLine {
   std::string fingerprint;
   CostCache::Entry entry;
 };
+
+// Encodes a record: `document`, then the cost lines, outside the document
+// so the bulk of every record is neither escaped nor parsed as XML. The
+// lines come from `cache`, in (statement id, fingerprint) order: every
+// entry in a base and in a segment whose document says CacheCleared="true"
+// (the cache lost entries since the previous record), otherwise the
+// entries priced since the previous record (CostCache::TakeNew). Either
+// way the cache forgets what is new, so the next segment starts here.
+std::string EncodeRecord(const xml::Element& document, bool base,
+                         CostCache* cache);
+
+// A record split back into its document and cost lines.
+struct CheckpointRecord {
+  std::unique_ptr<xml::Element> document;
+  std::vector<CostLine> lines;
+  // The lines replace the cache (a base, or CacheCleared) rather than add
+  // to it.
+  bool replaces_cache = false;
+};
+// Fails unless the document is a `root` element and every cost line is
+// well formed; the caller checks the document's Version.
+Result<CheckpointRecord> SplitRecord(const std::string& payload, bool base,
+                                     const std::string& root);
+
+// ---- Session records ------------------------------------------------------
+
+// Phase markers, ordered by pipeline progress.
+inline constexpr int kCheckpointCurrentCosts = 1;  // current-cost pass done
+inline constexpr int kCheckpointPoolReady = 2;     // candidate pool final
+inline constexpr int kCheckpointEnumeration = 3;   // greedy state present
 
 // A session's state, folded from its log's base and segments.
 struct SessionCheckpoint {
@@ -164,15 +192,12 @@ uint64_t WorkloadFingerprint(const workload::Workload& workload);
 // checkpoint/resume paths themselves.
 uint64_t OptionsFingerprint(const TuningOptions& options);
 
-// Encodes one session record: a <DTASession> document with `checkpoint`'s
-// scalars and small sections (its `cache` and `pool` are not read), then
-// the cost lines, outside the document so the bulk of every record is
-// neither escaped nor parsed as XML. The lines come from `cache`: every
-// entry in a base, the entries priced since the previous record in a
-// segment (CostCache::TakeNew) — after a CacheCleared marker when `cleared`
-// says the cache was cleared since then. `pool` (null until it is final) is
-// carried by a base and by the pool-ready segment; the greedy state by
-// records of the enumeration phase.
+// Encodes one session record (EncodeRecord): a <DTASession> document with
+// `checkpoint`'s scalars and small sections (its `cache` and `pool` are not
+// read), marked CacheCleared in a segment when `cleared` says a statistics
+// request cleared the cache since the previous record, then `cache`'s cost
+// lines. `pool` (null until it is final) is carried by a base and by the
+// pool-ready segment; the greedy state by records of the enumeration phase.
 std::string EncodeSessionRecord(const SessionCheckpoint& checkpoint,
                                 const std::vector<Candidate>* pool,
                                 CostCache* cache, bool base, bool cleared);
@@ -202,31 +227,6 @@ double ParseDouble(const std::string& s);
 // <Stats Database= Table=><Column>name</Column>...</Stats>.
 void StatsKeyToXml(const stats::StatsKey& key, xml::Element* parent);
 stats::StatsKey StatsKeyFromXml(const xml::Element& e);
-
-// Front-coded cost blobs: a session record's cost lines and the stream's
-// Memo section share one encoding, an "id cost flags shared
-// suffix" line per entry: `id` is the statement id, `flags` is bit 0 =
-// degraded, bit 1 = derived, and the fingerprint is front-coded — `shared`
-// bytes of the previous line's fingerprint, then `suffix` to end-of-line
-// (empty for the base configuration's fingerprint).
-class CostBlobWriter {
- public:
-  // `fingerprint` must stay alive until the next Add: the next line is
-  // front-coded against it.
-  void Add(uint64_t id, const std::string& fingerprint,
-           const CostCache::Entry& entry);
-  // The blob, without the final line's newline.
-  std::string Finish();
-
- private:
-  std::string blob_;
-  const std::string* prev_ = nullptr;
-};
-
-// Appends a blob's lines to `lines`. A truncated line, or one reusing more
-// prefix than the previous fingerprint has, fails naming `section`.
-Status DecodeCostBlob(const std::string& blob, const char* section,
-                      std::vector<CostLine>* lines);
 
 }  // namespace dta::tuner
 

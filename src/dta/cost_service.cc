@@ -16,11 +16,8 @@ namespace {
 
 // [-1, 1) from a 64-bit hash, for deterministic backoff jitter.
 double HashToSignedUnit(uint64_t h) {
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return static_cast<double>(h >> 11) * (2.0 / 9007199254740992.0) - 1.0;
+  return static_cast<double>(Mix64(h) >> 11) * (2.0 / 9007199254740992.0) -
+         1.0;
 }
 
 }  // namespace

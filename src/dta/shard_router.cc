@@ -1,7 +1,6 @@
 #include "dta/shard_router.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -13,17 +12,10 @@ namespace dta::tuner {
 
 namespace {
 
-// splitmix64 avalanche: rendezvous scores must differ across shards even
-// for call keys that differ in few bits.
-uint64_t AvalancheMix(uint64_t h) {
-  h += 0x9e3779b97f4a7c15ull;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-  return h ^ (h >> 31);
-}
-
+// Mixed so rendezvous scores differ across shards even for call keys that
+// differ in few bits.
 uint64_t RendezvousScore(uint64_t key, size_t shard) {
-  return AvalancheMix(
+  return Mix64(
       HashCombine(key, 0x7368617264ull + static_cast<uint64_t>(shard)));
 }
 
@@ -53,18 +45,11 @@ Result<ShardFaultSpec> ShardFaultSpec::Parse(const std::string& text) {
           "shard fault spec entry missing ':' (want <shard>:<spec>): " +
           part);
     }
-    // Strict index parse: plain digits only (strtol alone would accept
-    // leading whitespace or a '+' sign and mask a typo'd spec).
-    const std::string index_text = part.substr(0, colon);
-    bool digits = !index_text.empty();
-    for (char c : index_text) {
-      if (c < '0' || c > '9') digits = false;
-    }
-    char* end = nullptr;
-    const long index =
-        digits ? std::strtol(index_text.c_str(), &end, 10) : -1;
-    if (!digits || end != index_text.c_str() + index_text.size() ||
-        index < 0) {
+    // Strict index parse: a typo'd or out-of-range index must fail, not
+    // target another shard.
+    uint64_t index = 0;
+    if (!StrictUint64(part.substr(0, colon), &index) ||
+        index > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
       return Status::InvalidArgument(
           "shard fault spec has a bad shard index: " + part);
     }
@@ -72,7 +57,7 @@ Result<ShardFaultSpec> ShardFaultSpec::Parse(const std::string& text) {
     if (!spec.ok()) return spec.status();
     if (!out.per_shard.emplace(static_cast<int>(index), *spec).second) {
       return Status::InvalidArgument(StrFormat(
-          "shard fault spec targets shard %ld twice", index));
+          "shard fault spec targets shard %d twice", static_cast<int>(index)));
     }
   }
   return out;

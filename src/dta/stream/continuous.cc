@@ -304,8 +304,8 @@ Status ContinuousTuner::RunRound() {
   delta_text_ += delta;
   if (config_.delta_sink) config_.delta_sink(delta);
 
-  DTA_RETURN_IF_ERROR(log_.Write([this] { return EncodeBase(); },
-                                 [this] { return EncodeSegment(); }));
+  DTA_RETURN_IF_ERROR(log_.Write([this] { return EncodeRecord(true); },
+                                 [this] { return EncodeRecord(false); }));
   ExportRoundMetrics();
 
   if (max_rounds_ != 0 && rounds_ >= max_rounds_) stopped_ = true;
@@ -338,20 +338,6 @@ void FeedbackToXml(const FeedbackState& feedback, xml::Element* root) {
   root->SetAttr("FeedbackUnknown", U64Str(feedback.unknown()));
 }
 
-// The cache as a memo blob, keyed by statement id in (id, fingerprint)
-// order: every entry, or only those priced since the previous record. Either
-// way the cache forgets what is new, so the next segment starts from here.
-std::string MemoBlob(CostCache* cache, bool all) {
-  CostBlobWriter memo;
-  auto add = [&](uint64_t id, const std::string& fingerprint,
-                 const CostCache::Entry& entry) {
-    memo.Add(id, fingerprint, entry);
-  };
-  if (all) cache->ForEach(add);
-  cache->TakeNew(all ? nullptr : CostCache::EntryVisitor(add));
-  return memo.Finish();
-}
-
 Result<catalog::Configuration> ConfigurationFromParent(
     const xml::Element& root, const char* name) {
   const xml::Element* parent = root.FindChild(name);
@@ -363,10 +349,16 @@ Result<catalog::Configuration> ConfigurationFromParent(
 
 }  // namespace
 
-std::string ContinuousTuner::EncodeBase() {
+std::string ContinuousTuner::EncodeRecord(bool base) {
   xml::Element root("DTAStream");
-  root.SetAttr("Version", "3");
-  root.SetAttr("Fingerprint", U64Str(StreamFingerprint(config_)));
+  root.SetAttr("Version", "4");
+  if (base) {
+    root.SetAttr("Fingerprint", U64Str(StreamFingerprint(config_)));
+  } else if (created_stats_.size() > created_stats_before_round_) {
+    // The round created statistics and kept only its own statements'
+    // entries: the segment carries the whole cache.
+    root.SetAttr("CacheCleared", "true");
+  }
   root.SetAttr("Round", U64Str(rounds_));
   root.SetAttr("LinesConsumed", U64Str(reader_.lines_consumed()));
   root.SetAttr("Events", U64Str(workload_.events()));
@@ -377,55 +369,29 @@ std::string ContinuousTuner::EncodeBase() {
   root.SetAttr("Evictions", U64Str(workload_.evictions()));
   root.SetAttr("StreamMs", HexStr(stream_ms_));
 
+  // A base carries every template and statistic; a segment the templates
+  // the last round touched, those it evicted (as signatures) and the
+  // statistics it created.
   xml::Element* templates = root.AddChild("Templates");
-  for (const auto& [sig, entry] : workload_.entries()) {
-    TemplateToXml(entry, templates);
+  if (base) {
+    for (const auto& [sig, entry] : workload_.entries()) {
+      TemplateToXml(entry, templates);
+    }
+  } else {
+    for (uint64_t sig : dirty_templates_last_round_) {
+      auto it = workload_.entries().find(sig);
+      if (it != workload_.entries().end()) {
+        TemplateToXml(it->second, templates);
+      }
+    }
+    xml::Element* evicted = root.AddChild("EvictedTemplates");
+    for (uint64_t sig : evicted_templates_last_round_) {
+      evicted->AddChild("E")->SetAttr("Sig", U64Str(sig));
+    }
   }
-
-  root.AddTextChild("Memo", MemoBlob(&cache_, /*all=*/true));
-
   xml::Element* created = root.AddChild("CreatedStats");
-  for (const auto& key : created_stats_) StatsKeyToXml(key, created);
-
-  xml::Element* rec = root.AddChild("Recommendation");
-  rec->AddChild(ConfigurationToXml(previous_recommendation_));
-  FeedbackToXml(feedback_, &root);
-  return root.ToString(/*prolog=*/true);
-}
-
-std::string ContinuousTuner::EncodeSegment() {
-  xml::Element root("DTAStreamDelta");
-  root.SetAttr("Round", U64Str(rounds_));
-  root.SetAttr("LinesConsumed", U64Str(reader_.lines_consumed()));
-  root.SetAttr("Events", U64Str(workload_.events()));
-  root.SetAttr("SqlParseErrors", U64Str(workload_.parse_errors()));
-  root.SetAttr("DirectiveErrors", U64Str(reader_.parse_errors()));
-  root.SetAttr("TornLines", U64Str(reader_.torn_lines()));
-  root.SetAttr("NextOrdinal", U64Str(workload_.next_ordinal()));
-  root.SetAttr("Evictions", U64Str(workload_.evictions()));
-  root.SetAttr("StreamMs", HexStr(stream_ms_));
-  const bool cleared = created_stats_.size() > created_stats_before_round_;
-  root.SetAttr("MemoCleared", cleared ? "true" : "false");
-
-  // Only the templates this round touched travel; evictions as signatures.
-  // (TakeDirty/TakeEvicted are consumed by RunRound's caller — here we hold
-  // the taken copies.)
-  xml::Element* templates = root.AddChild("Templates");
-  for (uint64_t sig : dirty_templates_last_round_) {
-    auto it = workload_.entries().find(sig);
-    if (it != workload_.entries().end()) TemplateToXml(it->second, templates);
-  }
-  xml::Element* evicted = root.AddChild("EvictedTemplates");
-  for (uint64_t sig : evicted_templates_last_round_) {
-    evicted->AddChild("E")->SetAttr("Sig", U64Str(sig));
-  }
-
-  // Memo delta: the entries this round inserted — or the whole cache after
-  // a round that created statistics.
-  root.AddTextChild("Memo", MemoBlob(&cache_, /*all=*/cleared));
-
-  xml::Element* created = root.AddChild("CreatedStats");
-  for (size_t i = created_stats_before_round_; i < created_stats_.size(); ++i) {
+  for (size_t i = base ? 0 : created_stats_before_round_;
+       i < created_stats_.size(); ++i) {
     StatsKeyToXml(created_stats_[i], created);
   }
 
@@ -434,29 +400,13 @@ std::string ContinuousTuner::EncodeSegment() {
   xml::Element* rec = root.AddChild("Recommendation");
   rec->AddChild(ConfigurationToXml(previous_recommendation_));
   FeedbackToXml(feedback_, &root);
-  return root.ToString(/*prolog=*/true);
+  return tuner::EncodeRecord(root, base, &cache_);
 }
 
 Status ContinuousTuner::LoadFromLog(const DeltaLogContents& log) {
-  auto parsed = xml::Parse(log.base);
-  if (!parsed.ok()) return parsed.status();
-  const xml::Element& root = **parsed;
-  if (root.name() != "DTAStream" || root.Attr("Version") != "3") {
-    return Status::InvalidArgument("not a v3 DTAStream base record");
-  }
-  if (ParseU64(root.Attr("Fingerprint")) != StreamFingerprint(config_)) {
-    return Status::FailedPrecondition(
-        "delta log was written under different tuning options or stream "
-        "parameters; refusing to resume");
-  }
-  DTA_RETURN_IF_ERROR(ApplyStateXml(root, /*is_base=*/true));
+  DTA_RETURN_IF_ERROR(ApplyRecord(log.base, /*base=*/true));
   for (const std::string& segment : log.segments) {
-    auto seg = xml::Parse(segment);
-    if (!seg.ok()) return seg.status();
-    if ((*seg)->name() != "DTAStreamDelta") {
-      return Status::InvalidArgument("not a DTAStreamDelta segment record");
-    }
-    DTA_RETURN_IF_ERROR(ApplyStateXml(**seg, /*is_base=*/false));
+    DTA_RETURN_IF_ERROR(ApplyRecord(segment, /*base=*/false));
   }
 
   // The restored cache was priced under the statistics the original service
@@ -481,14 +431,31 @@ Status ContinuousTuner::LoadFromLog(const DeltaLogContents& log) {
   return Status::Ok();
 }
 
-Status ContinuousTuner::ApplyStateXml(const xml::Element& root, bool is_base) {
-  if (!is_base) {
+Status ContinuousTuner::ApplyRecord(const std::string& payload, bool base) {
+  auto record = SplitRecord(payload, base, "DTAStream");
+  if (!record.ok()) return record.status();
+  const xml::Element& root = *record->document;
+  if (root.Attr("Version") == "3") {
+    return Status::FailedPrecondition(StrFormat(
+        "%s is a version 3 DTAStream log, a format this build no longer "
+        "reads; remove it or choose another checkpoint path "
+        "(--stream-checkpoint) to start a fresh service",
+        config_.checkpoint_path.c_str()));
+  }
+  if (root.Attr("Version") != "4") {
+    return Status::InvalidArgument("not a version 4 DTAStream record");
+  }
+  if (base) {
+    if (ParseU64(root.Attr("Fingerprint")) != StreamFingerprint(config_)) {
+      return Status::FailedPrecondition(
+          "delta log was written under different tuning options or stream "
+          "parameters; refusing to resume");
+    }
+  } else if (const xml::Element* evicted = root.FindChild("EvictedTemplates")) {
     // Segment evictions first, then upserts — an evicted-then-reinserted
     // template must survive.
-    if (const xml::Element* evicted = root.FindChild("EvictedTemplates")) {
-      for (const xml::Element* e : evicted->FindChildren("E")) {
-        workload_.EraseEntry(ParseU64(e->Attr("Sig")));
-      }
+    for (const xml::Element* e : evicted->FindChildren("E")) {
+      workload_.EraseEntry(ParseU64(e->Attr("Sig")));
     }
   }
   if (const xml::Element* templates = root.FindChild("Templates")) {
@@ -508,14 +475,9 @@ Status ContinuousTuner::ApplyStateXml(const xml::Element& root, bool is_base) {
   events_at_last_round_ = workload_.events();
   rounds_ = ParseU64(root.Attr("Round"));
 
-  if (const xml::Element* memo = root.FindChild("Memo")) {
-    if (is_base || root.Attr("MemoCleared") == "true") cache_.Retain({});
-    std::vector<CostLine> lines;
-    DTA_RETURN_IF_ERROR(
-        DecodeCostBlob(memo->text(), "stream checkpoint Memo", &lines));
-    for (const CostLine& line : lines) {
-      cache_.Restore(line.id, line.fingerprint, line.entry);
-    }
+  if (record->replaces_cache) cache_.Retain({});
+  for (const CostLine& line : record->lines) {
+    cache_.Restore(line.id, line.fingerprint, line.entry);
   }
 
   if (const xml::Element* created = root.FindChild("CreatedStats")) {

@@ -19,11 +19,13 @@
 //     phases are no-ops. A round that DOES create statistics invalidates
 //     costs priced without them: only its own statements' entries survive;
 //   * checkpoints are append-only delta segments in the checkpoint log that
-//     one-shot sessions also write (dta/checkpoint.h CheckpointLog, format
-//     v3): a round appends only the templates it touched, the cache (memo)
-//     entries it inserted — or the whole cache after creating statistics —
-//     and the (small) recommendation/feedback state: O(new work), not
-//     O(total state), compacted into one base record past a byte threshold.
+//     one-shot sessions also write (dta/checkpoint.h CheckpointLog), in the
+//     sessions' record layout: a <DTAStream Version="4"> document, then the
+//     cost lines. A round appends only the templates it touched, the (small)
+//     recommendation/feedback state and the cache entries it inserted — or,
+//     marked CacheCleared, the whole cache after creating statistics: O(new
+//     work), not O(total state), compacted into one base record past a byte
+//     threshold.
 //
 // The determinism contract extends the repo-wide one: with a fixed capture
 // (and fake clock), the per-round delta text is byte-identical at any
@@ -57,10 +59,6 @@
 #include "dta/tuning_options.h"
 #include "dta/tuning_session.h"
 #include "server/server.h"
-
-namespace dta::xml {
-class Element;
-}  // namespace dta::xml
 
 namespace dta::tuner::stream {
 
@@ -161,12 +159,12 @@ class ContinuousTuner {
   Status ProcessLine(std::string_view line_with_newline);
   Status MaybeRound();
   Status RunRound();
-  // Both take the cache's new entries (CostCache::TakeNew).
-  std::string EncodeBase();
-  std::string EncodeSegment();
+  // One <DTAStream Version="4"> record, a base or a segment (EncodeRecord
+  // in dta/checkpoint.h); takes the cache's new entries.
+  std::string EncodeRecord(bool base);
   Status LoadFromLog(const DeltaLogContents& log);
-  // Restores state from a base record (is_base) or applies one segment.
-  Status ApplyStateXml(const xml::Element& root, bool is_base);
+  // Restores state from a base record or applies one segment.
+  Status ApplyRecord(const std::string& payload, bool base);
   void ExportRoundMetrics();
 
   Config config_;
@@ -193,7 +191,7 @@ class ContinuousTuner {
   CheckpointLog log_;
 
   // Per-round delta bookkeeping (what the last round's segment must carry):
-  // set by RunRound for EncodeSegment. The last round created
+  // set by RunRound for EncodeRecord. The last round created
   // created_stats_[created_stats_before_round_...].
   size_t created_stats_before_round_ = 0;
   std::vector<uint64_t> dirty_templates_last_round_;

@@ -183,40 +183,33 @@ Result<std::vector<TenantOutcome>> TenantDriver::Run(
 Result<std::vector<ContinuousTenantOutcome>> TenantDriver::RunContinuous(
     const std::vector<TenantSpec>& tenants,
     const std::vector<server::Server*>& servers,
-    const ContinuousFleetSpec& fleet) {
+    const stream::ContinuousTuner::Config& fleet_config,
+    const std::string& capture, const std::string& feedback) {
   Status valid =
       ValidateTenants(tenants, servers, /*require_workloads=*/false);
   if (!valid.ok()) return valid;
-  if (fleet.retune_interval_events == 0 && fleet.retune_interval_ms <= 0) {
-    return Status::InvalidArgument(
-        "continuous fleet needs a retune cadence (events and/or ms)");
-  }
 
   std::vector<ContinuousTenantOutcome> outcomes(tenants.size());
   RunFleet(tenants, [&](size_t i, const TenantContext& tenant,
                         MetricsRegistry* registry) {
     const TenantSpec& spec = tenants[i];
     outcomes[i].name = spec.name;
-    stream::ContinuousTuner::Config config;
+    stream::ContinuousTuner::Config config = fleet_config;
     config.server = servers[i];
     config.options = spec.options;
-    config.retune_interval_events = fleet.retune_interval_events;
-    config.retune_interval_ms = fleet.retune_interval_ms;
-    config.max_templates = fleet.max_templates;
-    config.decay = fleet.decay;
-    config.quarantine_rounds = fleet.quarantine_rounds;
-    if (!fleet.checkpoint_prefix.empty()) {
-      config.checkpoint_path = fleet.checkpoint_prefix + ".tenant." + spec.name;
+    if (!config.checkpoint_path.empty()) {
+      config.checkpoint_path += ".tenant." + spec.name;
     }
-    config.compact_threshold_bytes = fleet.compact_threshold_bytes;
     config.metrics = registry;
+    config.tracer = nullptr;
     config.clock = options_.clock;
     config.tenant = tenant;
+    config.delta_sink = nullptr;
     stream::ContinuousTuner service(std::move(config));
     Status status = service.Init();
     if (status.ok()) {
-      service.ConsumeFeedback(fleet.feedback);
-      status = service.Feed(fleet.capture);
+      service.ConsumeFeedback(feedback);
+      status = service.Feed(capture);
     }
     if (status.ok()) status = service.Finish();
     outcomes[i].status = status;

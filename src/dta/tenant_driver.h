@@ -166,23 +166,6 @@ struct TenantDriverOptions {
   const Clock* clock = nullptr;
 };
 
-// Continuous-service parameters shared by every tenant of a RunContinuous
-// fleet: the capture every tenant ingests, the retune cadence, and the
-// stream-state bounds (see dta/stream/continuous.h for semantics).
-struct ContinuousFleetSpec {
-  std::string capture;   // full capture text, fed to every tenant
-  std::string feedback;  // feedback file contents (consumed before feeding)
-  size_t retune_interval_events = 0;
-  double retune_interval_ms = 0;
-  size_t max_templates = 256;
-  double decay = 1.0;
-  uint64_t quarantine_rounds = 3;
-  // When non-empty, tenant `name` checkpoints (and resumes from) the delta
-  // log at "<prefix>.tenant.<name>" — per-tenant logs, never shared.
-  std::string checkpoint_prefix;
-  size_t compact_threshold_bytes = 256 * 1024;
-};
-
 struct ContinuousTenantOutcome {
   std::string name;
   Status status;  // the service's terminal status
@@ -208,15 +191,22 @@ class TenantDriver {
   // Continuous-service mode: every tenant runs its own ContinuousTuner over
   // the same capture stream, against its own server, under the shared
   // admission controller — one thread per tenant, per-round parallelism
-  // inside each tenant's sessions. TenantSpec::workload is ignored (the
-  // capture IS the workload); everything else (options, weight, name)
-  // applies as in Run. The isolation argument carries over verbatim: each
-  // tenant's per-round delta text is byte-identical to a standalone
-  // ContinuousTuner run at any (threads x shards x tenants) combination.
+  // inside each tenant's sessions. Each tenant's service runs `config` with
+  // its own server, options (TenantSpec::options), metrics namespace,
+  // clock (options_.clock), tenant identity and, when
+  // config.checkpoint_path is set, its own delta log at
+  // "<checkpoint_path>.tenant.<name>"; the tracer and the delta sink stay
+  // unset, as tenant threads must not share them. Every tenant consumes
+  // `feedback` and then ingests `capture`. TenantSpec::workload is ignored
+  // (the capture IS the workload). The isolation argument carries over
+  // verbatim: each tenant's per-round delta text is byte-identical to a
+  // standalone ContinuousTuner run at any (threads x shards x tenants)
+  // combination.
   Result<std::vector<ContinuousTenantOutcome>> RunContinuous(
       const std::vector<TenantSpec>& tenants,
       const std::vector<server::Server*>& servers,
-      const ContinuousFleetSpec& fleet);
+      const stream::ContinuousTuner::Config& config,
+      const std::string& capture, const std::string& feedback);
 
   // Admission accounting of the last Run (valid until the next Run).
   size_t admission_waits() const { return admission_waits_; }

@@ -389,21 +389,21 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
            now_ms() - t_start > *options_.time_limit_ms;
   };
 
-  // ---- Workload compression (§5.1).
-  workload::Workload tuned;
+  // ---- Workload compression (§5.1). Without it the session tunes its
+  // input as given.
+  workload::Workload compressed;
   {
     DTA_TRACE_PHASE(obs_.tracer, "compression");
     if (options_.workload_compression) {
-      tuned = workload::CompressWorkload(input, {}, &result.compression);
+      compressed = workload::CompressWorkload(input, {}, &result.compression);
     } else {
-      for (const auto& ws : input.statements()) {
-        tuned.Add(ws.stmt.Clone(), ws.weight);
-      }
       result.compression.original_statements = input.size();
       result.compression.compressed_statements = input.size();
       result.compression.templates = input.DistinctTemplates();
     }
   }
+  const workload::Workload& tuned =
+      options_.workload_compression ? compressed : input;
   result.events_tuned = tuned.size();
   if (tuned.empty()) {
     return Status::InvalidArgument("workload is empty");

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 #include "common/strings.h"
 #include "sql/parser.h"
@@ -231,14 +232,20 @@ xml::ElementPtr TuningOptionsToXml(const TuningOptions& o) {
   return e;
 }
 
+Status BadAttr(const xml::Element& e, std::string_view name,
+               const char* expected) {
+  return Status::InvalidArgument(StrFormat(
+      "%s attribute %.*s is not %s: \"%s\"", e.name().c_str(),
+      static_cast<int>(name.size()), name.data(), expected,
+      e.Attr(name).c_str()));
+}
+
 // Reads a finite decimal attribute. strtod alone would read "abc" as 0 and
 // accept "nan", which slips past every range check downstream.
 Status ReadFiniteAttr(const xml::Element& e, std::string_view name,
                       double* out) {
   if (StrictDouble(e.Attr(name), out)) return Status::Ok();
-  return Status::InvalidArgument(StrFormat(
-      "%s attribute %.*s is not a finite number: \"%s\"", e.name().c_str(),
-      static_cast<int>(name.size()), name.data(), e.Attr(name).c_str()));
+  return BadAttr(e, name, "a finite number");
 }
 
 Result<TuningOptions> TuningOptionsFromXml(const xml::Element& e) {
@@ -250,10 +257,19 @@ Result<TuningOptions> TuningOptionsFromXml(const xml::Element& e) {
   o.workload_compression = ParseBool(e.Attr("WorkloadCompression"), true);
   o.reduced_statistics = ParseBool(e.Attr("ReducedStatistics"), true);
   if (e.HasAttr("Threads")) {
-    o.num_threads = atoi(e.Attr("Threads").c_str());
+    int64_t threads = 0;
+    if (!StrictInt64(e.Attr("Threads"), &threads) || threads < 0 ||
+        threads > std::numeric_limits<int>::max()) {
+      return BadAttr(e, "Threads", "a non-negative int");
+    }
+    o.num_threads = static_cast<int>(threads);
   }
   if (e.HasAttr("StorageBytes")) {
-    o.storage_bytes = strtoull(e.Attr("StorageBytes").c_str(), nullptr, 10);
+    uint64_t bytes = 0;
+    if (!StrictUint64(e.Attr("StorageBytes"), &bytes)) {
+      return BadAttr(e, "StorageBytes", "a byte count");
+    }
+    o.storage_bytes = bytes;
   }
   if (e.HasAttr("TimeLimitMs")) {
     double ms = 0;
@@ -296,7 +312,9 @@ Result<workload::Workload> WorkloadFromXml(const xml::Element& e) {
     if (!stmt.ok()) return stmt.status();
     double weight = 1.0;
     if (s->HasAttr("Weight")) {
-      weight = std::strtod(s->Attr("Weight").c_str(), nullptr);
+      if (!StrictDouble(s->Attr("Weight"), &weight) || weight < 0) {
+        return BadAttr(*s, "Weight", "a finite non-negative number");
+      }
     }
     w.Add(std::move(stmt).value(), weight);
   }

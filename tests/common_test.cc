@@ -132,6 +132,30 @@ TEST(StringsTest, StrictDouble) {
   }
 }
 
+TEST(StringsTest, StrictUint64) {
+  uint64_t v = 0;
+  EXPECT_TRUE(StrictUint64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(StrictUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, 18446744073709551615ull);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1e3", "0x10", "abc",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(StrictUint64(bad, &v)) << bad;
+  }
+}
+
+TEST(StringsTest, StrictInt64) {
+  int64_t v = 0;
+  EXPECT_TRUE(StrictInt64("-42", &v));
+  EXPECT_EQ(v, -42);
+  EXPECT_TRUE(StrictInt64("4294967297", &v));
+  EXPECT_EQ(v, 4294967297);
+  for (const char* bad : {"", "-", "+1", " 1", "1 ", "1.0", "abc",
+                          "9223372036854775808", "-9223372036854775809"}) {
+    EXPECT_FALSE(StrictInt64(bad, &v)) << bad;
+  }
+}
+
 TEST(RandomTest, UniformBounds) {
   Random rng(1);
   for (int i = 0; i < 1000; ++i) {
@@ -205,6 +229,16 @@ TEST(HashTest, BytesStable) {
 TEST(HashTest, CombineOrderMatters) {
   EXPECT_NE(HashCombine(HashBytes("a"), HashBytes("b")),
             HashCombine(HashBytes("b"), HashBytes("a")));
+}
+
+// Fault decisions, rendezvous ranks and backoff jitter all go through
+// Mix64: changing its output would move every one of them.
+TEST(HashTest, Mix64IsTheSplitMix64Finalizer) {
+  EXPECT_EQ(Mix64(0), 16294208416658607535ull);
+  EXPECT_EQ(Mix64(1), 10451216379200822465ull);
+  EXPECT_EQ(Mix64(0x7368617264ull), 5272449902766403757ull);
+  EXPECT_EQ(Mix64(0xdeadbeefcafebabeull), 972095092378118610ull);
+  EXPECT_EQ(Mix64(~0ull), 16490336266968443936ull);
 }
 
 TEST(ThreadPoolTest, SubmitRunsAllTasks) {

@@ -580,35 +580,81 @@ TEST(XmlSchemaTest, TuningInputRoundTrip) {
             input.options.user_specified.Fingerprint());
 }
 
-// TuningInput XML with the TimeLimitMs attribute's text replaced.
-std::string InputWithTimeLimit(const std::string& text) {
+// TuningInput XML with the text of one attribute replaced: the first
+// statement's Weight, or a TuningOptions attribute.
+std::string InputWithAttr(const std::string& name, const std::string& text) {
   TuningInput input;
   input.server_name = "prod01";
   input.workload = SelectWorkload();
+  input.workload.statements()[0].weight = 2;
   input.options.time_limit_ms = 5000;
+  input.options.storage_bytes = 1000;
+  input.options.num_threads = 2;
   std::string xml_text = TuningInputToXml(input);
-  const std::string attr = "TimeLimitMs=\"5000\"";
+  const std::string attr = " " + name + "=\"";
   const size_t at = xml_text.find(attr);
   EXPECT_NE(at, std::string::npos) << xml_text;
   if (at != std::string::npos) {
-    xml_text.replace(at, attr.size(), "TimeLimitMs=\"" + text + "\"");
+    const size_t value_at = at + attr.size();
+    xml_text.replace(value_at, xml_text.find('"', value_at) - value_at, text);
   }
   return xml_text;
 }
 
+// Expects `text` in attribute `name` to be refused, naming the attribute.
+void ExpectAttrRefused(const std::string& name, const std::string& text) {
+  auto parsed = TuningInputFromXml(InputWithAttr(name, text));
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+      << name << "=" << text;
+  EXPECT_NE(parsed.status().message().find(name), std::string::npos)
+      << parsed.status().ToString();
+}
+
 // strtod alone reads "abc" as 0 ms, which ends tuning at once.
 TEST(XmlSchemaTest, TimeLimitMsRejectsText) {
-  auto parsed = TuningInputFromXml(InputWithTimeLimit("abc"));
+  auto parsed = TuningInputFromXml(InputWithAttr("TimeLimitMs", "abc"));
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  auto plain = TuningInputFromXml(InputWithTimeLimit("5000"));
+  auto plain = TuningInputFromXml(InputWithAttr("TimeLimitMs", "5000"));
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_EQ(plain->options.time_limit_ms, 5000);
 }
 
 // NaN passes every range check downstream and runs unbounded.
 TEST(XmlSchemaTest, TimeLimitMsRejectsNan) {
-  auto parsed = TuningInputFromXml(InputWithTimeLimit("nan"));
+  auto parsed = TuningInputFromXml(InputWithAttr("TimeLimitMs", "nan"));
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+// strtod alone reads "nan" as a NaN weight (every cost becomes nan) and
+// "abc" as 0.
+TEST(XmlSchemaTest, WeightMustBeFiniteAndNonNegative) {
+  for (const char* bad : {"nan", "inf", "abc", "-1", ""}) {
+    ExpectAttrRefused("Weight", bad);
+  }
+  auto plain = TuningInputFromXml(InputWithAttr("Weight", "3.5"));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->workload.statements()[0].weight, 3.5);
+}
+
+// strtoull alone reads "abc" as a 0-byte budget, which recommends nothing.
+TEST(XmlSchemaTest, StorageBytesRejectsText) {
+  for (const char* bad : {"abc", "-5", "1e3", "12MB", ""}) {
+    ExpectAttrRefused("StorageBytes", bad);
+  }
+  auto plain = TuningInputFromXml(InputWithAttr("StorageBytes", "4096"));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->options.storage_bytes, 4096u);
+}
+
+// atoi alone reads "abc" as 0 threads (all hardware threads) and wraps
+// values past int.
+TEST(XmlSchemaTest, ThreadsMustBeANonNegativeInt) {
+  for (const char* bad : {"abc", "-1", "2.5", "4294967297", ""}) {
+    ExpectAttrRefused("Threads", bad);
+  }
+  auto plain = TuningInputFromXml(InputWithAttr("Threads", "4"));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->options.num_threads, 4);
 }
 
 TEST(XmlSchemaTest, FullOutputDocument) {

@@ -195,6 +195,8 @@ TEST(ShardFaultSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ShardFaultSpec::Parse("-1:down_after=4").ok());  // negative
   EXPECT_FALSE(ShardFaultSpec::Parse("x:down_after=4").ok());   // non-int
   EXPECT_FALSE(
+      ShardFaultSpec::Parse("4294967297:down_after=4").ok());  // past int
+  EXPECT_FALSE(
       ShardFaultSpec::Parse("1:down_after=4;1:down_after=9").ok());  // dup
   EXPECT_FALSE(ShardFaultSpec::Parse("1:bogus=1").ok());  // bad FaultSpec
 }

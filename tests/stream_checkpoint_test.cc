@@ -440,11 +440,38 @@ TEST(StreamCheckpointPropertyTest, TornTailDoesNotBuryLaterRounds) {
   run(0, 2);
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "DTAS3 seg 4096 12345\n<DTAStreamDelta Round=\"3\"";
+    out << "DTAS3 seg 4096 12345\n<DTAStream Version=\"4\" Round=\"3\"";
   }
   run(2, 4);
   run(4, 0);
   EXPECT_EQ(oracle, combined);
+}
+
+// A log whose stream records escaped their cost lines into a <Memo>
+// element (version 3) is refused with a status that names the format, the
+// way a session refuses a version 2 document, instead of being misread.
+TEST(StreamCheckpointPropertyTest, Version3LogIsRefusedByName) {
+  const std::string path = TempPath("version3");
+  std::remove(path.c_str());
+  const std::string base =
+      "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
+      "<DTAStream Version=\"3\" Fingerprint=\"1\" Round=\"1\" "
+      "LinesConsumed=\"1\" Events=\"1\">\n"
+      "  <Templates/>\n"
+      "  <Memo>4392475294053075884 0x1.2ae978d4fdf3bp+5 0 0 </Memo>\n"
+      "  <CreatedStats/>\n"
+      "</DTAStream>\n";
+  CheckpointLog writer(path);
+  ASSERT_TRUE(writer.Write(Payload(base), Payload("unused")).ok());
+  auto prod = MakeProduction();
+  ContinuousTuner::Config config = PropConfig(prod.get());
+  config.checkpoint_path = path;
+  ContinuousTuner tuner(std::move(config));
+  const Status s = tuner.Init();
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("version 3 DTAStream"), std::string::npos)
+      << s.ToString();
+  EXPECT_FALSE(tuner.resumed());
 }
 
 // Per-round appended segments must stay O(new work), not O(total state):

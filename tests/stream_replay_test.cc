@@ -474,10 +474,10 @@ TEST(StreamReplayTest, TenantFleetMatchesStandaloneByteForByte) {
   driver_options.metrics = &merged;
   TenantDriver driver(driver_options);
 
-  ContinuousFleetSpec fleet;
-  fleet.capture = capture;
+  ContinuousTuner::Config fleet;
   fleet.retune_interval_events = kInterval;
-  auto outcomes = driver.RunContinuous(tenants, server_ptrs, fleet);
+  auto outcomes = driver.RunContinuous(tenants, server_ptrs, fleet, capture,
+                                       /*feedback=*/"");
   ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
   ASSERT_EQ(outcomes->size(), kTenants);
   for (size_t i = 0; i < kTenants; ++i) {
@@ -522,10 +522,9 @@ TEST(StreamReplayTest, TenantFleetResumesFromPerTenantLogs) {
     std::remove((prefix + ".tenant." + tenants.back().name).c_str());
   }
 
-  ContinuousFleetSpec fleet;
-  fleet.capture = capture;
+  ContinuousTuner::Config fleet;
   fleet.retune_interval_events = kInterval;
-  fleet.checkpoint_prefix = prefix;
+  fleet.checkpoint_path = prefix;
 
   std::vector<std::string> combined(kTenants);
   {
@@ -550,7 +549,8 @@ TEST(StreamReplayTest, TenantFleetResumesFromPerTenantLogs) {
     server_ptrs.push_back(servers.back().get());
   }
   TenantDriver driver(TenantDriverOptions{});
-  auto outcomes = driver.RunContinuous(tenants, server_ptrs, fleet);
+  auto outcomes = driver.RunContinuous(tenants, server_ptrs, fleet, capture,
+                                       /*feedback=*/"");
   ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
   for (size_t i = 0; i < kTenants; ++i) {
     const ContinuousTenantOutcome& out = (*outcomes)[i];

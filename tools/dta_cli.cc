@@ -145,10 +145,13 @@
 //                 stream time. Combinable with --retune-interval; whichever
 //                 fires first triggers the round.
 //   --stream-checkpoint
-//                 Append-only delta-log checkpoint (checkpoint format v3:
-//                 base snapshot + per-round delta segments, compacted past
-//                 a byte threshold). A service killed at any round boundary
-//                 and restarted with the same flags resumes bit-exactly.
+//                 Append-only delta log, the checkpoint log one-shot
+//                 sessions write (a base snapshot + per-round delta
+//                 segments, compacted past a byte threshold); each record
+//                 is a <DTAStream Version="4"> document followed by its
+//                 cost lines. A service killed at any round boundary and
+//                 restarted with the same flags resumes bit-exactly. A log
+//                 of version 3 stream records is refused by name.
 //   --feedback-file
 //                 DBA feedback, re-read before every ingest step: lines of
 //                 "accept <index>" / "reject <index>" (1-based position in
@@ -175,12 +178,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -296,24 +303,61 @@ int main(int argc, char** argv) {
   bool evaluate = false, quiet = false, fake_clock = false;
   bool no_derived_costing = false, exact_costing = false;
   double derivation_error_bound = -1;  // -1: keep the input's setting
-  int threads = -1;  // -1: keep the input document's (or default) setting
-  int shards = -1;   // -1: keep the input document's (or default) setting
-  int tenants = 1;
-  long long tenant_budget = -1;  // bytes; -1: keep the input's constraint
-  double slow_threshold = -1;    // -1: keep the input's setting (off)
+  int64_t threads = -1;  // -1: keep the input document's (or default) setting
+  int64_t shards = -1;   // -1: keep the input document's (or default) setting
+  int64_t tenants = 1;
+  int64_t tenant_budget = -1;  // bytes; -1: keep the input's constraint
+  double slow_threshold = -1;   // -1: keep the input's setting (off)
   bool serve = false;
   std::string stream_path, stream_checkpoint_path, feedback_path;
-  long long retune_interval = 0;
+  int64_t retune_interval = 0;
   double retune_interval_ms = 0;
-  long long max_templates = 256;
+  int64_t max_templates = 256;
   double decay = 1.0;
-  long long quarantine_rounds = 3;
+  int64_t quarantine_rounds = 3;
+  // The integer flags: where each goes, its range (the bound past which a
+  // cast to its destination would wrap), and what its error says.
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  struct IntFlag {
+    const char* name;
+    int64_t* value;
+    int64_t min, max;
+    const char* expects;
+  };
+  const IntFlag int_flags[] = {
+      {"--threads", &threads, 0, kIntMax, "a non-negative integer"},
+      {"--shards", &shards, 1, kIntMax, "a positive integer"},
+      {"--tenants", &tenants, 1, kIntMax, "a positive integer"},
+      {"--tenant-budget", &tenant_budget, 0, kInt64Max,
+       "a non-negative byte count"},
+      {"--retune-interval", &retune_interval, 1, kInt64Max,
+       "a positive event count"},
+      {"--max-templates", &max_templates, 1, kInt64Max,
+       "a positive template count"},
+      {"--quarantine-rounds", &quarantine_rounds, 0, kInt64Max,
+       "a non-negative round count"},
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--metadata") {
+    const IntFlag* int_flag =
+        std::find_if(std::begin(int_flags), std::end(int_flags),
+                     [&](const IntFlag& f) { return arg == f.name; });
+    if (int_flag != std::end(int_flags)) {
+      const char* v = next();
+      if (v == nullptr) return Usage(argv[0]);
+      int64_t parsed = 0;
+      if (!dta::StrictInt64(v, &parsed) || parsed < int_flag->min ||
+          parsed > int_flag->max) {
+        std::fprintf(stderr, "%s expects %s\n", int_flag->name,
+                     int_flag->expects);
+        return Usage(argv[0]);
+      }
+      *int_flag->value = parsed;
+    } else if (arg == "--metadata") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       metadata_path = v;
@@ -329,24 +373,6 @@ int main(int argc, char** argv) {
       evaluate = true;
     } else if (arg == "--quiet") {
       quiet = true;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      threads = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || threads < 0) {
-        std::fprintf(stderr, "--threads expects a non-negative integer\n");
-        return Usage(argv[0]);
-      }
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      shards = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || shards < 1) {
-        std::fprintf(stderr, "--shards expects a positive integer\n");
-        return Usage(argv[0]);
-      }
     } else if (arg == "--transport") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -367,25 +393,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "--rpc-timeout expects a non-negative millisecond "
                      "count\n");
-        return Usage(argv[0]);
-      }
-    } else if (arg == "--tenants") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      tenants = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || tenants < 1) {
-        std::fprintf(stderr, "--tenants expects a positive integer\n");
-        return Usage(argv[0]);
-      }
-    } else if (arg == "--tenant-budget") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      tenant_budget = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || tenant_budget < 0) {
-        std::fprintf(stderr,
-                     "--tenant-budget expects a non-negative byte count\n");
         return Usage(argv[0]);
       }
     } else if (arg == "--slow-threshold") {
@@ -438,16 +445,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       stream_path = v;
-    } else if (arg == "--retune-interval") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      retune_interval = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || retune_interval < 1) {
-        std::fprintf(stderr,
-                     "--retune-interval expects a positive event count\n");
-        return Usage(argv[0]);
-      }
     } else if (arg == "--retune-interval-ms") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -466,32 +463,11 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       feedback_path = v;
-    } else if (arg == "--max-templates") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      max_templates = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || max_templates < 1) {
-        std::fprintf(stderr,
-                     "--max-templates expects a positive template count\n");
-        return Usage(argv[0]);
-      }
     } else if (arg == "--decay") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       if (!dta::StrictDouble(v, &decay) || decay <= 0 || decay > 1) {
         std::fprintf(stderr, "--decay expects a factor in (0, 1]\n");
-        return Usage(argv[0]);
-      }
-    } else if (arg == "--quarantine-rounds") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      quarantine_rounds = std::strtoll(v, &end, 10);
-      if (end == v || *end != '\0' || quarantine_rounds < 0) {
-        std::fprintf(stderr,
-                     "--quarantine-rounds expects a non-negative round "
-                     "count\n");
         return Usage(argv[0]);
       }
     } else {
@@ -528,8 +504,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (threads >= 0) input->options.num_threads = threads;
-  if (shards >= 1) input->options.shards = shards;
+  if (threads >= 0) input->options.num_threads = static_cast<int>(threads);
+  if (shards >= 1) input->options.shards = static_cast<int>(shards);
   if (slow_threshold >= 0) {
     input->options.shard_slow_threshold = slow_threshold;
   }
@@ -592,6 +568,27 @@ int main(int argc, char** argv) {
         fake_clock ? static_cast<const dta::Clock*>(&frozen_clock) : nullptr;
     dta::Tracer tracer(clock);
 
+    // One service configuration for the single service and, per tenant, the
+    // fleet (TenantDriver::RunContinuous sets each tenant's own fields).
+    dta::tuner::stream::ContinuousTuner::Config config;
+    config.server = server->get();
+    config.options = input->options;
+    config.retune_interval_events = static_cast<size_t>(retune_interval);
+    config.retune_interval_ms = retune_interval_ms;
+    config.max_templates = static_cast<size_t>(max_templates);
+    config.decay = decay;
+    config.quarantine_rounds = static_cast<uint64_t>(quarantine_rounds);
+    config.checkpoint_path = stream_checkpoint_path;
+    config.metrics = metrics_path.empty() ? nullptr : &metrics;
+    config.tracer = metrics_path.empty() ? nullptr : &tracer;
+    config.clock = clock;
+    if (!quiet) {
+      config.delta_sink = [](const std::string& delta) {
+        std::fputs(delta.c_str(), stdout);
+        std::fflush(stdout);
+      };
+    }
+
     // Feedback is re-read in full before every ingest step; the service's
     // line cursor makes re-reads idempotent. An absent file simply means no
     // feedback yet.
@@ -646,18 +643,8 @@ int main(int argc, char** argv) {
       driver_options.metrics = metrics_path.empty() ? nullptr : &metrics;
       driver_options.clock = clock;
       dta::tuner::TenantDriver driver(driver_options);
-      dta::tuner::ContinuousFleetSpec fleet_spec;
-      fleet_spec.capture = std::move(capture).value();
-      fleet_spec.feedback = read_feedback();
-      fleet_spec.retune_interval_events =
-          static_cast<size_t>(retune_interval);
-      fleet_spec.retune_interval_ms = retune_interval_ms;
-      fleet_spec.max_templates = static_cast<size_t>(max_templates);
-      fleet_spec.decay = decay;
-      fleet_spec.quarantine_rounds =
-          static_cast<uint64_t>(quarantine_rounds);
-      fleet_spec.checkpoint_prefix = stream_checkpoint_path;
-      auto outcomes = driver.RunContinuous(specs, tenant_servers, fleet_spec);
+      auto outcomes = driver.RunContinuous(specs, tenant_servers, config,
+                                           *capture, read_feedback());
       if (!outcomes.ok()) {
         std::fprintf(stderr, "continuous fleet failed: %s\n",
                      outcomes.status().ToString().c_str());
@@ -702,24 +689,6 @@ int main(int argc, char** argv) {
     // ---- Single service: read the capture incrementally (so a FIFO feeds
     // rounds as its writer produces them), re-reading feedback before every
     // chunk. Round deltas stream to stdout through the delta sink.
-    dta::tuner::stream::ContinuousTuner::Config config;
-    config.server = server->get();
-    config.options = input->options;
-    config.retune_interval_events = static_cast<size_t>(retune_interval);
-    config.retune_interval_ms = retune_interval_ms;
-    config.max_templates = static_cast<size_t>(max_templates);
-    config.decay = decay;
-    config.quarantine_rounds = static_cast<uint64_t>(quarantine_rounds);
-    config.checkpoint_path = stream_checkpoint_path;
-    config.metrics = metrics_path.empty() ? nullptr : &metrics;
-    config.tracer = metrics_path.empty() ? nullptr : &tracer;
-    config.clock = clock;
-    if (!quiet) {
-      config.delta_sink = [](const std::string& delta) {
-        std::fputs(delta.c_str(), stdout);
-        std::fflush(stdout);
-      };
-    }
     dta::tuner::stream::ContinuousTuner service(std::move(config));
     auto run = [&]() -> dta::Status {
       if (dta::Status s = service.Init(); !s.ok()) return s;
