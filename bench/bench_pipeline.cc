@@ -40,6 +40,12 @@
 //             it). The socket number is expected to hold at or above the
 //             in-process one: that comparison is what justifies the
 //             out-of-process transport.
+//             bench.socket.request_bytes_per_call — what-if frame bytes
+//             the socket scenario's channels wrote per call on the wire.
+//             Which call carries a statement's or structure's one
+//             registration depends on thread interleaving, so this is
+//             reported, not gated (the stderr summary also prints the
+//             in-run socket/sharded wall ratio).
 //             bench.checkpoint.delta_bytes_per_round — bytes the streaming
 //             (continuous tuning service) scenario appends to its delta log
 //             in its final, steady-state round: the capture has fully
@@ -132,10 +138,11 @@ Result<std::unique_ptr<server::Server>> MakeWarmServer(
 // clones of the warm server (clones carry the warm statistics, so the
 // timed run measures the costing wire, not statistics builds). When
 // `victim_fault` is non-empty, worker 2 prices through a FaultInjector
-// parsed from it — the fail-slow wire scenario.
+// parsed from it — the fail-slow wire scenario. The session records into
+// `metrics` when it is set.
 Result<tuner::TuningResult> RunSocketScenario(
     int shards, int threads, const std::string& victim_fault,
-    const workload::Workload& wl) {
+    const workload::Workload& wl, MetricsRegistry* metrics = nullptr) {
   auto prod = MakeWarmServer("prod", wl);
   if (!prod.ok()) return prod.status();
   // Workers shut down (joining their serve threads) before the clone
@@ -170,6 +177,9 @@ Result<tuner::TuningResult> RunSocketScenario(
   opts.transport = tuner::TuningOptions::Transport::kSocket;
   opts.socket_endpoints = endpoints;
   tuner::TuningSession session(prod->get(), opts);
+  if (metrics != nullptr) {
+    session.SetObservability({metrics, nullptr, nullptr});
+  }
   auto r = session.Tune(wl);
   for (const std::string& path : endpoints) std::remove(path.c_str());
   return r;
@@ -347,7 +357,8 @@ int Run(int argc, char** argv) {
   // a Unix socket to a CostWorker. The call counter must equal the serial
   // scenario's (the transport only moves bytes) and the recommendation must
   // stay byte-identical — this scenario gates transport-invariance in CI.
-  auto socket = RunSocketScenario(4, 4, "", wl);
+  MetricsRegistry socket_metrics;
+  auto socket = RunSocketScenario(4, 4, "", wl, &socket_metrics);
   if (!socket.ok()) {
     std::fprintf(stderr, "socket: %s\n", socket.status().ToString().c_str());
     return 1;
@@ -362,6 +373,18 @@ int Run(int argc, char** argv) {
                  serial_rec.c_str(), socket_rec.c_str());
     return 1;
   }
+  // rpc.calls counts every attempt, and each attempt writes one frame.
+  const auto rpc_counters = socket_metrics.CounterValues();
+  auto rpc_count = [&rpc_counters](const char* name) {
+    auto it = rpc_counters.find(name);
+    return it == rpc_counters.end() ? 0.0 : static_cast<double>(it->second);
+  };
+  const double request_bytes_per_call =
+      rpc_count("rpc.calls") > 0
+          ? rpc_count("rpc.request_bytes") / rpc_count("rpc.calls")
+          : 0.0;
+  metrics.GetGauge("bench.socket.request_bytes_per_call")
+      ->Set(request_bytes_per_call);
 
   // Socket transport with worker 2 fail-slow (the same latency spec the
   // in-process failslow scenario injects, applied on the worker side). A
@@ -564,6 +587,7 @@ int Run(int argc, char** argv) {
                  "serial=%.0fms underived=%.0fms parallel=%.0fms "
                  "checkpointed=%.0fms faulty=%.0fms sharded=%.0fms "
                  "sharded_faulty=%.0fms failslow=%.0fms socket=%.0fms "
+                 "(%.2fx sharded, %.0f request bytes per call) "
                  "socket_failslow=%.0fms multitenant=%.0fms "
                  "streaming=%.0fms (%llu rounds, steady-state segment "
                  "%.0f bytes, avg %.0f) "
@@ -576,7 +600,11 @@ int Run(int argc, char** argv) {
                  parallel->tuning_time_ms, checkpointed->tuning_time_ms,
                  faulty->tuning_time_ms, sharded->tuning_time_ms,
                  sharded_faulty->tuning_time_ms, failslow->tuning_time_ms,
-                 socket->tuning_time_ms, socket_failslow->tuning_time_ms,
+                 socket->tuning_time_ms,
+                 sharded->tuning_time_ms > 0
+                     ? socket->tuning_time_ms / sharded->tuning_time_ms
+                     : 0.0,
+                 request_bytes_per_call, socket_failslow->tuning_time_ms,
                  multitenant_wall_ms, streaming_wall_ms,
                  static_cast<unsigned long long>(streaming.rounds()),
                  delta_bytes_steady, delta_bytes_avg, ckpt_pct,

@@ -59,16 +59,19 @@ namespace dta::tuner {
 inline constexpr size_t kRetryHistogramBuckets = 8;
 
 // One logical what-if call as it crosses the backend seam. In-process
-// backends cost `*stmt` directly; a socket transport serializes `*text`
-// (the statement's original SQL, which the worker re-parses with the same
-// parser) so the AST never needs a wire encoding. All pointers are borrowed
-// and must outlive the call.
+// backends cost `*stmt` directly; a socket transport sends `*text` (the
+// statement's original SQL, which the worker parses with the same parser)
+// so the AST never needs a wire encoding. All pointers are borrowed and
+// must outlive the call.
 struct WhatIfCall {
   const sql::Statement* stmt = nullptr;
   // Original SQL text of the statement; null only on internal call sites
   // that are guaranteed to stay in-process (tests driving a router
-  // directly).
+  // directly). The socket transport keys its connection-local statement
+  // ids on it and sends it to a worker once per connection (rpc/wire.h).
   const std::string* text = nullptr;
+  // The socket transport names each structure by an id keyed on its
+  // stored name, so equal names must mean interchangeable structures.
   const catalog::Configuration* config = nullptr;
   const optimizer::HardwareParams* simulate_hardware = nullptr;
   // Identifies the logical call (hash of statement text + relevant

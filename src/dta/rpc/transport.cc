@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "catalog/physical_design.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "dta/xml_schema.h"
@@ -56,6 +57,60 @@ Result<server::Server::WhatIfResult> ResponseToResult(
   return result;
 }
 
+// Builds the request for `call`: its statement and structures go by their
+// ids in `statements`/`structures`, and whatever those maps lack takes the
+// next id and travels as text in this request.
+WhatIfRequestMsg ToRequest(
+    const tuner::WhatIfCall& call,
+    std::unordered_map<std::string, uint32_t>* statements,
+    std::unordered_map<std::string, uint32_t>* structures) {
+  WhatIfRequestMsg msg;
+  msg.call_key = call.call_key;
+  if (call.simulate_hardware != nullptr) {
+    msg.has_hardware = true;
+    msg.hardware = *call.simulate_hardware;
+  }
+  const auto [stmt, new_stmt] =
+      statements->try_emplace(*call.text, statements->size());
+  msg.statement = stmt->second;
+  if (new_stmt) msg.sql = *call.text;
+
+  const catalog::Configuration& config = *call.config;
+  catalog::Configuration new_structures;
+  auto id_is_new = [&](const std::string& name) {
+    const auto [it, added] = structures->try_emplace(name, structures->size());
+    msg.structures.push_back(it->second);
+    return added;
+  };
+  // A subset of a valid configuration adds cleanly.
+  for (size_t i = 0; i < config.indexes().size(); ++i) {
+    if (id_is_new(config.index_names()[i])) {
+      DTA_CHECK(new_structures
+                    .AddIndex(config.indexes()[i], config.index_names()[i])
+                    .ok(),
+                "index registration");
+    }
+  }
+  for (size_t i = 0; i < config.views().size(); ++i) {
+    if (id_is_new(config.view_names()[i])) {
+      DTA_CHECK(new_structures
+                    .AddView(config.views()[i], config.view_names()[i])
+                    .ok(),
+                "view registration");
+    }
+  }
+  for (const auto& [table, scheme] : config.table_partitioning()) {
+    if (id_is_new(catalog::TablePartitioningName(table, scheme))) {
+      new_structures.SetTablePartitioning(table, scheme);
+    }
+  }
+  if (new_structures.StructureCount() > 0 ||
+      !new_structures.table_partitioning().empty()) {
+    msg.config_xml = tuner::ConfigurationToXml(new_structures)->ToString();
+  }
+  return msg;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<SocketChannel>> SocketChannel::Connect(
@@ -80,6 +135,11 @@ SocketChannel::SocketChannel(std::string name, std::string socket_path,
   if (options_.metrics != nullptr) {
     m_connects_ = options_.metrics->GetCounter("rpc.connects");
     m_losses_ = options_.metrics->GetCounter("rpc.connection_losses");
+    m_request_bytes_ = options_.metrics->GetCounter("rpc.request_bytes");
+    m_statements_registered_ =
+        options_.metrics->GetCounter("rpc.statements_registered");
+    m_structures_registered_ =
+        options_.metrics->GetCounter("rpc.structures_registered");
   }
 }
 
@@ -193,7 +253,7 @@ void SocketChannel::ReaderLoop(int fd) {
   cv_.NotifyAll();
 }
 
-void SocketChannel::SendRequest(FrameType type, std::string payload,
+void SocketChannel::SendRequest(FrameType type, const Encoder& encode,
                                 FrameDone done) {
   uint64_t id = 0;
   Status rejected;
@@ -222,22 +282,39 @@ void SocketChannel::SendRequest(FrameType type, std::string payload,
   }
   // From here on the pending entry owns completion: the response resolves
   // it, or the reader's loss sweep fails it with Unavailable.
-  const std::string bytes = EncodeFrame(Frame{type, id, std::move(payload)});
   Status sent;
   bool on_wire = false;
   {
     MutexLock lock(write_mu_);
     int fd = -1;
+    size_t connection = 0;
     {
       MutexLock state_lock(mu_);
       if (fd_.valid()) {
         fd = fd_.get();
+        connection = connects_;
         ++sends_in_flight_;
       }
     }
     // fd < 0: the loss sweep ran between registration and here and has
     // already failed our pending entry — nothing to send.
     if (fd >= 0) {
+      if (registry_.connection != connection) {
+        registry_ = Registry{.connection = connection};
+      }
+      const size_t statements = registry_.statements.size();
+      const size_t structures = registry_.structures.size();
+      const std::string bytes =
+          EncodeFrame(Frame{type, id, encode(&registry_)});
+      if (m_request_bytes_ != nullptr) {
+        if (type == FrameType::kWhatIfRequest) {
+          m_request_bytes_->Increment(bytes.size());
+        }
+        m_statements_registered_->Increment(registry_.statements.size() -
+                                            statements);
+        m_structures_registered_->Increment(registry_.structures.size() -
+                                            structures);
+      }
       on_wire = true;
       sent = SendAll(fd, bytes.data(), bytes.size());
       MutexLock state_lock(mu_);
@@ -254,17 +331,13 @@ void SocketChannel::SendRequest(FrameType type, std::string payload,
 }
 
 void SocketChannel::Submit(const tuner::WhatIfCall& call, Done done) {
-  WhatIfRequestMsg msg;
-  msg.call_key = call.call_key;
   DTA_CHECK(call.text != nullptr,
             "socket transport requires the statement's source text");
-  msg.sql = *call.text;
-  msg.config_xml = tuner::ConfigurationToXml(*call.config)->ToString();
-  if (call.simulate_hardware != nullptr) {
-    msg.has_hardware = true;
-    msg.hardware = *call.simulate_hardware;
-  }
-  SendRequest(FrameType::kWhatIfRequest, EncodeWhatIfRequest(msg),
+  SendRequest(FrameType::kWhatIfRequest,
+              [&call](Registry* registry) {
+                return EncodeWhatIfRequest(ToRequest(
+                    call, &registry->statements, &registry->structures));
+              },
               [done = std::move(done)](Result<Frame> frame) {
                 if (!frame.ok()) {
                   done(frame.status());
@@ -310,7 +383,8 @@ Status SocketChannel::CreateStatistics(const stats::StatsKey& key) {
     Status status GUARDED_BY(mu);
   };
   auto waiter = std::make_shared<Waiter>();
-  SendRequest(FrameType::kCreateStats, EncodeCreateStats(msg),
+  SendRequest(FrameType::kCreateStats,
+              [&msg](Registry*) { return EncodeCreateStats(msg); },
               [waiter](Result<Frame> frame) {
                 Status status;
                 if (!frame.ok()) {

@@ -13,9 +13,17 @@
 // path: a worker that comes back is rediscovered by the first probe routed
 // at it.
 //
+// Ids (rpc/wire.h): the channel remembers which statements and structures
+// the current connection's worker has been sent, and a what-if request
+// names them by id, carrying text only for what is new. Each frame is
+// encoded under `write_mu_` against the connection it goes out on, so a
+// registration always reaches the worker ahead of its first use; the first
+// frame on a new connection starts an empty registry.
+//
 // Locking: `mu_` guards connection state and the pending map; `write_mu_`
-// serializes frame writes. They are never held together, and completions
-// are always invoked with no channel lock held.
+// serializes frame writes and guards the registry. `write_mu_` is taken
+// before `mu_`, never the reverse, and completions are always invoked with
+// no channel lock held.
 
 #ifndef DTA_DTA_RPC_TRANSPORT_H_
 #define DTA_DTA_RPC_TRANSPORT_H_
@@ -26,6 +34,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,8 +59,9 @@ struct SocketChannelOptions {
   // worker) waits. Kept short: a probe is supposed to be cheap.
   double reconnect_deadline_ms = 250;
   // Optional fleet-wide transport counters under "rpc." names. Connection
-  // events are scheduling/timing dependent, so these never appear in
-  // determinism-gated exports.
+  // events are scheduling/timing dependent, and so is which request
+  // carries a registration, so these never appear in determinism-gated
+  // exports.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -97,6 +107,17 @@ class SocketChannel : public ShardChannel {
   // that killed the connection while the request was pending.
   using FrameDone = std::function<void(Result<Frame>)>;
 
+  // What one connection's worker has been sent: statement text and
+  // structure name (a table partitioning's is its "tp:" name) to id.
+  struct Registry {
+    size_t connection = 0;  // the connects_ count the ids belong to
+    std::unordered_map<std::string, uint32_t> statements;
+    std::unordered_map<std::string, uint32_t> structures;
+  };
+  // Builds a request payload against the registry of the connection it
+  // goes out on, registering whatever the payload sends for the first time.
+  using Encoder = std::function<std::string(Registry*)>;
+
   SocketChannel(std::string name, std::string socket_path,
                 SocketChannelOptions options);
 
@@ -111,10 +132,11 @@ class SocketChannel : public ShardChannel {
   // hold its number); it parks in dead_fd_ until ConnectLocked or the
   // destructor can close it safely. Callbacks are invoked with no lock held.
   void HandleConnectionLoss(const Status& cause) EXCLUDES(mu_);
-  // Registers a pending entry and writes the frame. `done` runs exactly
-  // once: via the response, via the loss sweep, or directly here when the
-  // channel is closed/unreachable.
-  void SendRequest(FrameType type, std::string payload, FrameDone done)
+  // Registers a pending entry, encodes the payload and writes the frame.
+  // `done` runs exactly once: via the response, via the loss sweep, or
+  // directly here when the channel is closed/unreachable (then `encode`
+  // never runs).
+  void SendRequest(FrameType type, const Encoder& encode, FrameDone done)
       EXCLUDES(mu_, write_mu_);
   void ReaderLoop(int fd) EXCLUDES(mu_);
 
@@ -122,11 +144,11 @@ class SocketChannel : public ShardChannel {
   std::string socket_path_;
   SocketChannelOptions options_;
 
-  // Serializes frame writes on the connection's fd — it guards the write
-  // stream itself, not a member, so there is nothing to GUARDED_BY. Lock
-  // order: write_mu_ before mu_ (the fd snapshot under the write lock);
-  // never the reverse.
-  Mutex write_mu_;  // lint: unguarded-mutex, audit-guarded
+  // Serializes frame writes on the connection's fd, and the encoding that
+  // names the registry's ids with them. Lock order: write_mu_ before mu_
+  // (the fd snapshot under the write lock); never the reverse.
+  Mutex write_mu_;
+  Registry registry_ GUARDED_BY(write_mu_);
 
   mutable Mutex mu_;
   CondVar cv_;
@@ -145,6 +167,9 @@ class SocketChannel : public ShardChannel {
 
   Counter* m_connects_ = nullptr;
   Counter* m_losses_ = nullptr;
+  Counter* m_request_bytes_ = nullptr;
+  Counter* m_statements_registered_ = nullptr;
+  Counter* m_structures_registered_ = nullptr;
 };
 
 }  // namespace dta::rpc

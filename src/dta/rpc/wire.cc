@@ -34,6 +34,10 @@ class Writer {
     U32(static_cast<uint32_t>(s.size()));
     out_.append(s);
   }
+  void U32List(const std::vector<uint32_t>& v) {
+    U32(static_cast<uint32_t>(v.size()));
+    for (uint32_t item : v) U32(item);
+  }
   std::string Take() { return std::move(out_); }
 
  private:
@@ -75,6 +79,16 @@ class Reader {
     DTA_RETURN_IF_ERROR(Need(length));
     s->assign(data_, at_, length);
     at_ += length;
+    return Status::Ok();
+  }
+  // A u32 count, then that many u32s. The count is checked against the
+  // bytes left before anything is allocated, so a lying count fails clean.
+  Status U32List(std::vector<uint32_t>* v) {
+    uint32_t count = 0;
+    DTA_RETURN_IF_ERROR(U32(&count));
+    DTA_RETURN_IF_ERROR(Need(4 * static_cast<size_t>(count)));
+    v->resize(count);
+    for (uint32_t& item : *v) DTA_RETURN_IF_ERROR(U32(&item));
     return Status::Ok();
   }
   Status Done() const {
@@ -206,7 +220,9 @@ std::string EncodeWhatIfRequest(const WhatIfRequestMsg& msg) {
   w.U64(msg.call_key);
   w.U32(msg.has_hardware ? 1 : 0);
   if (msg.has_hardware) WriteHardware(&w, msg.hardware);
+  w.U32(msg.statement);
   w.Str(msg.sql);
+  w.U32List(msg.structures);
   w.Str(msg.config_xml);
   return w.Take();
 }
@@ -221,7 +237,9 @@ Result<WhatIfRequestMsg> DecodeWhatIfRequest(const std::string& payload) {
   if (msg.has_hardware) {
     DTA_RETURN_IF_ERROR(ReadHardware(&r, &msg.hardware));
   }
+  DTA_RETURN_IF_ERROR(r.U32(&msg.statement));
   DTA_RETURN_IF_ERROR(r.Str(&msg.sql));
+  DTA_RETURN_IF_ERROR(r.U32List(&msg.structures));
   DTA_RETURN_IF_ERROR(r.Str(&msg.config_xml));
   DTA_RETURN_IF_ERROR(r.Done());
   return msg;

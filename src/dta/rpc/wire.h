@@ -5,11 +5,17 @@
 // unchanged or the byte-identical recommendation contract dies on
 // serialization, not on costing). Strings are u32 length + bytes.
 //
-// The what-if request ships the statement as its original SQL text — the
-// worker re-parses with the same parser, so both sides cost the identical
-// AST — and the configuration as the project's DTAXML vocabulary
-// (ConfigurationToXml/FromXml, dta/xml_schema.h). Statistics never travel:
-// a CreateStats frame carries only the StatsKey and the worker rebuilds the
+// A what-if request names its statement and its configuration's structures
+// by connection-local ids, so each travels once per connection. The first
+// request on a connection that uses a statement registers it: it carries the
+// statement's original SQL text, which the worker parses with the same
+// parser, so both sides cost the identical AST. The first request that uses
+// an index, view or table partitioning registers it the same way, inside a
+// <Configuration> of only the new structures in the project's DTAXML
+// vocabulary (ConfigurationToXml/FromXml, dta/xml_schema.h). Ids count up
+// from 0 per kind in registration order; a connection's ids die with it, so
+// a client that reconnects registers again. Statistics never travel: a
+// CreateStats frame carries only the StatsKey and the worker rebuilds the
 // statistic from its own (identical) data, the same determinism argument
 // checkpoint resume relies on.
 
@@ -28,7 +34,7 @@ namespace dta::rpc {
 
 // Protocol revision carried in the HELLO handshake; bump on any payload
 // layout change so a stale worker fails fast instead of mis-decoding.
-inline constexpr uint32_t kWireVersion = 1;
+inline constexpr uint32_t kWireVersion = 2;
 
 struct HelloMsg {
   uint32_t version = kWireVersion;
@@ -41,10 +47,19 @@ struct HelloAckMsg {
 
 struct WhatIfRequestMsg {
   uint64_t call_key = 0;
-  std::string sql;         // original statement text; worker re-parses
-  std::string config_xml;  // ConfigurationToXml of the hypothetical config
   bool has_hardware = false;
   optimizer::HardwareParams hardware;  // simulated when has_hardware
+  // The statement's id. A request that registers the statement carries the
+  // next unused id and the SQL text; later requests carry the id alone.
+  uint32_t statement = 0;
+  std::string sql;
+  // The configuration's structures by id, in the configuration's own order:
+  // indexes, then views, then table partitionings.
+  std::vector<uint32_t> structures;
+  // ConfigurationToXml of the structures this request registers, empty when
+  // it registers none. They take the next unused ids in document order,
+  // which is the order they first appear in `structures`.
+  std::string config_xml;
 };
 
 struct WhatIfResponseMsg {

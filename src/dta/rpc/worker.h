@@ -11,7 +11,11 @@
 // What-if frames are dispatched to an internal thread pool (the client
 // pipelines up to its per-shard window on one connection; serving serially
 // would collapse that window to one). Responses carry the request id, so
-// out-of-order completion is fine. CreateStats frames are a write barrier:
+// out-of-order completion is fine. Before a frame goes to the pool, the
+// serve thread applies the statement and structures it registers (ids,
+// rpc/wire.h) to the connection's registry, in frame order, and resolves
+// its ids into a parsed statement and a Configuration; the registry lives
+// and dies with the connection. CreateStats frames are a write barrier:
 // the handler waits for in-flight what-ifs to drain before touching the
 // statistics store, mirroring the phase structure the in-process pipeline
 // relies on.
@@ -30,6 +34,7 @@
 #include "common/thread_pool.h"
 #include "dta/rpc/frame.h"
 #include "dta/rpc/socket_util.h"
+#include "dta/rpc/wire.h"
 #include "server/server.h"
 
 namespace dta::rpc {
@@ -76,7 +81,10 @@ class CostWorker {
   // Serves one connection until EOF, error, shutdown, or chaos severing.
   // Returns true when the worker should keep accepting.
   bool ServeConnection(int fd) EXCLUDES(mu_);
-  void HandleWhatIf(int fd, uint64_t request_id, std::string payload)
+  // Pool-thread tail of a what-if frame: sends the response, counts it,
+  // and severs the connection when the chaos hook says so.
+  void RespondWhatIf(int fd, uint64_t request_id,
+                     const WhatIfResponseMsg& response)
       EXCLUDES(mu_, write_mu_);
   void SendFrame(int fd, const Frame& frame) EXCLUDES(write_mu_);
 

@@ -1,8 +1,8 @@
 #include "dta/xml_schema.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 
 #include "common/strings.h"
@@ -26,10 +26,34 @@ std::string DoubleBits(double v) {
                    static_cast<unsigned long long>(
                        std::bit_cast<uint64_t>(v)));
 }
-double DoubleFromBits(const std::string& bits, double fallback) {
-  if (bits.empty()) return fallback;
-  return std::bit_cast<double>(
-      static_cast<uint64_t>(std::strtoull(bits.c_str(), nullptr, 10)));
+
+Status BadAttr(const xml::Element& e, std::string_view name,
+               const char* expected) {
+  return Status::InvalidArgument(StrFormat(
+      "%s attribute %.*s is not %s: \"%s\"", e.name().c_str(),
+      static_cast<int>(name.size()), name.data(), expected,
+      e.Attr(name).c_str()));
+}
+
+// Reads a finite decimal attribute. strtod alone would read "abc" as 0 and
+// accept "nan", which slips past every range check downstream.
+Status ReadFiniteAttr(const xml::Element& e, std::string_view name,
+                      double* out) {
+  if (StrictDouble(e.Attr(name), out)) return Status::Ok();
+  return BadAttr(e, name, "a finite number");
+}
+
+// Reads a DoubleBits companion attribute: the decimal bit pattern of a
+// finite double.
+Status ReadBitsAttr(const xml::Element& e, std::string_view name,
+                    double* out) {
+  uint64_t bits = 0;
+  if (StrictUint64(e.Attr(name), &bits) &&
+      std::isfinite(std::bit_cast<double>(bits))) {
+    *out = std::bit_cast<double>(bits);
+    return Status::Ok();
+  }
+  return BadAttr(e, name, "the bit pattern of a finite number");
 }
 
 void PartitioningToXml(const catalog::PartitionScheme& scheme,
@@ -62,12 +86,23 @@ Result<catalog::PartitionScheme> PartitioningFromXml(const xml::Element& p) {
   }
   for (const xml::Element* be : p.FindChildren("Boundary")) {
     const std::string& type = be->Attr("Type");
+    auto bad_text = [be](const char* expected) {
+      return Status::InvalidArgument(
+          StrFormat("Boundary text is not %s: \"%s\"", expected,
+                    be->text().c_str()));
+    };
     if (type == "int") {
-      scheme.boundaries.push_back(
-          sql::Value::Int(std::strtoll(be->text().c_str(), nullptr, 10)));
+      int64_t value = 0;
+      if (!StrictInt64(be->text(), &value)) return bad_text("an int");
+      scheme.boundaries.push_back(sql::Value::Int(value));
     } else if (type == "double") {
-      scheme.boundaries.push_back(sql::Value::Double(DoubleFromBits(
-          be->Attr("Bits"), std::strtod(be->text().c_str(), nullptr))));
+      double value = 0;
+      if (be->HasAttr("Bits")) {
+        DTA_RETURN_IF_ERROR(ReadBitsAttr(*be, "Bits", &value));
+      } else if (!StrictDouble(be->text(), &value)) {
+        return bad_text("a finite number");
+      }
+      scheme.boundaries.push_back(sql::Value::Double(value));
     } else {
       scheme.boundaries.push_back(sql::Value::String(be->text()));
     }
@@ -164,11 +199,26 @@ Result<catalog::Configuration> ConfigurationFromXml(
     for (const auto& tr : v.definition->from) {
       v.referenced_tables.push_back(ToLower(tr.table));
     }
-    v.estimated_rows =
-        DoubleFromBits(e->Attr("EstimatedRowsBits"),
-                       std::strtod(e->Attr("EstimatedRows").c_str(), nullptr));
-    int row_bytes = atoi(e->Attr("EstimatedRowBytes").c_str());
-    if (row_bytes > 0) v.estimated_row_bytes = row_bytes;
+    // The exact companion wins over the display value; the one read must
+    // be a finite, non-negative row count.
+    const bool exact = e->HasAttr("EstimatedRowsBits");
+    const char* rows_attr = exact ? "EstimatedRowsBits" : "EstimatedRows";
+    if (e->HasAttr(rows_attr)) {
+      DTA_RETURN_IF_ERROR(
+          exact ? ReadBitsAttr(*e, rows_attr, &v.estimated_rows)
+                : ReadFiniteAttr(*e, rows_attr, &v.estimated_rows));
+      if (v.estimated_rows < 0) {
+        return BadAttr(*e, rows_attr, "a non-negative row count");
+      }
+    }
+    if (e->HasAttr("EstimatedRowBytes")) {
+      int64_t row_bytes = 0;
+      if (!StrictInt64(e->Attr("EstimatedRowBytes"), &row_bytes) ||
+          row_bytes < 1 || row_bytes > std::numeric_limits<int>::max()) {
+        return BadAttr(*e, "EstimatedRowBytes", "a positive int");
+      }
+      v.estimated_row_bytes = static_cast<int>(row_bytes);
+    }
     for (const xml::Element* ck : e->FindChildren("ClusteredKeyColumn")) {
       v.clustered_key.push_back(ToLower(ck->text()));
     }
@@ -230,22 +280,6 @@ xml::ElementPtr TuningOptionsToXml(const TuningOptions& o) {
     u->AddChild(std::move(cfg));
   }
   return e;
-}
-
-Status BadAttr(const xml::Element& e, std::string_view name,
-               const char* expected) {
-  return Status::InvalidArgument(StrFormat(
-      "%s attribute %.*s is not %s: \"%s\"", e.name().c_str(),
-      static_cast<int>(name.size()), name.data(), expected,
-      e.Attr(name).c_str()));
-}
-
-// Reads a finite decimal attribute. strtod alone would read "abc" as 0 and
-// accept "nan", which slips past every range check downstream.
-Status ReadFiniteAttr(const xml::Element& e, std::string_view name,
-                      double* out) {
-  if (StrictDouble(e.Attr(name), out)) return Status::Ok();
-  return BadAttr(e, name, "a finite number");
 }
 
 Result<TuningOptions> TuningOptionsFromXml(const xml::Element& e) {

@@ -24,16 +24,17 @@
 //                 models a mid-stream worker crash for transport tests.
 //   --quiet       Suppress startup/shutdown lines on stderr.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/fault_injector.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "dta/rpc/worker.h"
 #include "optimizer/hardware.h"
 #include "server/server.h"
@@ -64,16 +65,44 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   std::string metadata_path, listen_path, fault_spec;
   std::string name = "cost-worker";
-  int threads = 4;
-  long sever_after = 0;
+  int64_t threads = 4;
+  int64_t sever_after = 0;
   bool quiet = false;
 
+  // atoi/atol would read "abc" as 0 and fall back to a default silently.
+  struct IntFlag {
+    const char* name;
+    int64_t* value;
+    int64_t min, max;
+    const char* expects;
+  };
+  const IntFlag int_flags[] = {
+      {"--threads", &threads, 1, std::numeric_limits<int>::max(),
+       "a positive integer"},
+      {"--sever-after-calls", &sever_after, 0,
+       std::numeric_limits<int64_t>::max(), "a non-negative integer"},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--metadata") {
+    const IntFlag* int_flag = nullptr;
+    for (const IntFlag& flag : int_flags) {
+      if (arg == flag.name) int_flag = &flag;
+    }
+    if (int_flag != nullptr) {
+      const char* v = next();
+      if (v == nullptr) return Usage(argv[0]);
+      int64_t parsed = 0;
+      if (!dta::StrictInt64(v, &parsed) || parsed < int_flag->min ||
+          parsed > int_flag->max) {
+        std::fprintf(stderr, "%s expects %s\n", int_flag->name,
+                     int_flag->expects);
+        return Usage(argv[0]);
+      }
+      *int_flag->value = parsed;
+    } else if (arg == "--metadata") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       metadata_path = v;
@@ -85,18 +114,10 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       name = v;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      threads = std::atoi(v);
     } else if (arg == "--fault-spec") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       fault_spec = v;
-    } else if (arg == "--sever-after-calls") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      sever_after = std::atol(v);
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
@@ -132,9 +153,8 @@ int main(int argc, char** argv) {
   }
 
   dta::rpc::CostWorkerOptions options;
-  options.threads = threads > 0 ? threads : 4;
-  options.sever_after_calls =
-      sever_after > 0 ? static_cast<size_t>(sever_after) : 0;
+  options.threads = static_cast<int>(threads);
+  options.sever_after_calls = static_cast<size_t>(sever_after);
   dta::rpc::CostWorker worker(server->get(), options);
   if (auto listening = worker.Listen(listen_path); !listening.ok()) {
     std::fprintf(stderr, "cannot listen on %s: %s\n", listen_path.c_str(),

@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/strings.h"
 #include "dta/candidates.h"
@@ -655,6 +662,122 @@ TEST(XmlSchemaTest, ThreadsMustBeANonNegativeInt) {
   auto plain = TuningInputFromXml(InputWithAttr("Threads", "4"));
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_EQ(plain->options.num_threads, 4);
+}
+
+// A <Configuration> of one view carrying exactly `attrs`.
+Result<Configuration> ViewWithAttrs(
+    const std::vector<std::pair<std::string, std::string>>& attrs) {
+  xml::Element root("Configuration");
+  xml::Element* view = root.AddChild("View");
+  for (const auto& [name, value] : attrs) view->SetAttr(name, value);
+  view->AddTextChild(
+      "Definition", "SELECT o_cust, COUNT(*) AS c FROM orders GROUP BY o_cust");
+  return ConfigurationFromXml(root);
+}
+
+// A <Configuration> partitioning orders at one boundary of `type`, written
+// as `text` plus, when `bits` is set, a Bits companion.
+Result<Configuration> BoundaryWith(const std::string& type,
+                                   const std::string& text,
+                                   const char* bits = nullptr) {
+  xml::Element root("Configuration");
+  xml::Element* table = root.AddChild("TablePartitioning");
+  table->SetAttr("Table", "orders");
+  xml::Element* partitioning = table->AddChild("Partitioning");
+  partitioning->SetAttr("Column", "o_price");
+  xml::Element* boundary = partitioning->AddChild("Boundary");
+  boundary->SetAttr("Type", type);
+  if (bits != nullptr) boundary->SetAttr("Bits", bits);
+  boundary->set_text(text);
+  return ConfigurationFromXml(root);
+}
+
+std::string BitsOf(double v) {
+  return std::to_string(std::bit_cast<uint64_t>(v));
+}
+
+// Expects a refusal whose message names `what`.
+void ExpectRefused(const Result<Configuration>& parsed,
+                   const std::string& what, const std::string& text) {
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+      << what << "=" << text;
+  EXPECT_NE(parsed.status().message().find(what), std::string::npos)
+      << parsed.status().ToString();
+}
+
+const sql::Value& OnlyBoundary(const Configuration& config) {
+  return config.FindTablePartitioning("orders")->boundaries.at(0);
+}
+
+// strtod alone reads "nan" as NaN rows, which prices the view at a
+// fraction of its cost, and "abc" as 0.
+TEST(XmlSchemaTest, ViewEstimatedRowsMustBeFiniteAndNonNegative) {
+  for (const char* bad : {"nan", "inf", "abc", "-1", ""}) {
+    ExpectRefused(ViewWithAttrs({{"EstimatedRows", bad}}), "EstimatedRows",
+                  bad);
+  }
+  auto plain = ViewWithAttrs({{"EstimatedRows", "1000"}});
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->views().at(0).estimated_rows, 1000);
+}
+
+// strtoull alone reads "abc" as the bits of 0.0, and any pattern decodes,
+// NaN and negative ones included.
+TEST(XmlSchemaTest, ViewEstimatedRowsBitsMustBeAFiniteBitPattern) {
+  for (const std::string& bad :
+       {std::string("abc"), std::string("-1"), std::string(""),
+        BitsOf(std::nan("")), BitsOf(-1.0)}) {
+    ExpectRefused(ViewWithAttrs({{"EstimatedRows", "2.50"},
+                                 {"EstimatedRowsBits", bad}}),
+                  "EstimatedRowsBits", bad);
+  }
+  auto exact = ViewWithAttrs(
+      {{"EstimatedRows", "0.33"}, {"EstimatedRowsBits", BitsOf(1.0 / 3)}});
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(exact->views().at(0).estimated_rows, 1.0 / 3);
+}
+
+// atoi alone reads "abc" as 0, which silently kept the default width.
+TEST(XmlSchemaTest, ViewEstimatedRowBytesMustBeAPositiveInt) {
+  for (const char* bad : {"abc", "0", "-4", "2.5", "4294967297", ""}) {
+    ExpectRefused(ViewWithAttrs({{"EstimatedRowBytes", bad}}),
+                  "EstimatedRowBytes", bad);
+  }
+  auto plain = ViewWithAttrs({{"EstimatedRowBytes", "48"}});
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->views().at(0).estimated_row_bytes, 48);
+}
+
+// strtoll alone reads "abc" as a boundary at 0 and "12abc" as 12.
+TEST(XmlSchemaTest, IntBoundaryMustBeAnInt) {
+  for (const char* bad : {"abc", "12abc", " 12", "", "9223372036854775808"}) {
+    ExpectRefused(BoundaryWith("int", bad), "Boundary", bad);
+  }
+  auto plain = BoundaryWith("int", "12");
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(OnlyBoundary(*plain).AsInt(), 12);
+}
+
+// strtod alone reads "nan" as a boundary no value ever compares against.
+TEST(XmlSchemaTest, DoubleBoundaryMustBeFinite) {
+  for (const char* bad : {"nan", "inf", "abc", "2.5x"}) {
+    ExpectRefused(BoundaryWith("double", bad), "Boundary", bad);
+  }
+  auto plain = BoundaryWith("double", "2.5");
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(OnlyBoundary(*plain).AsDoubleStrict(), 2.5);
+}
+
+// strtoull alone reads "abc" as the bits of 0.0.
+TEST(XmlSchemaTest, DoubleBoundaryBitsMustBeAFiniteBitPattern) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::string& bad : {std::string("abc"), std::string(""),
+                                 BitsOf(std::nan("")), BitsOf(inf)}) {
+    ExpectRefused(BoundaryWith("double", "2.5", bad.c_str()), "Bits", bad);
+  }
+  auto exact = BoundaryWith("double", "0.333333", BitsOf(1.0 / 3).c_str());
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(OnlyBoundary(*exact).AsDoubleStrict(), 1.0 / 3);
 }
 
 TEST(XmlSchemaTest, FullOutputDocument) {

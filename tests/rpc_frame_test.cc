@@ -1,7 +1,8 @@
 // Edge-case tests for the DTR1 frame codec and for how the socket transport
 // reacts to a misbehaving peer. The invariant under test everywhere: a
 // malformed byte stream produces a clean transport error — which the
-// shard router turns into a requeue on another shard — and never a hang.
+// shard router turns into a requeue on another shard — and never a hang;
+// a request that breaks the id rules gets an error response of its own.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +16,15 @@
 #include <utility>
 #include <vector>
 
+#include "catalog/schema.h"
 #include "common/strings.h"
 #include "dta/rpc/frame.h"
 #include "dta/rpc/socket_util.h"
 #include "dta/rpc/transport.h"
 #include "dta/rpc/wire.h"
+#include "dta/rpc/worker.h"
+#include "optimizer/hardware.h"
+#include "server/server.h"
 #include "stats/statistics.h"
 
 namespace dta::rpc {
@@ -121,6 +126,56 @@ TEST(FrameCodecTest, ByteAtATimeFeedDecodesBothFrames) {
   EXPECT_EQ(got[0].type, FrameType::kHello);
   EXPECT_EQ(got[1].type, FrameType::kWhatIfRequest);
   EXPECT_EQ(got[1].payload, "q");
+}
+
+TEST(FrameCodecTest, WhatIfRequestIdsRoundTrip) {
+  WhatIfRequestMsg msg;
+  msg.call_key = 0x0123456789abcdefull;
+  msg.has_hardware = true;
+  msg.hardware.cpu_count = 8;
+  msg.statement = 7;
+  msg.sql = "SELECT o_price FROM orders WHERE o_id = 5";
+  msg.structures = {3, 0, 0xffffffffu};
+  msg.config_xml = "<Configuration/>";
+  auto got = DecodeWhatIfRequest(EncodeWhatIfRequest(msg));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->call_key, msg.call_key);
+  EXPECT_TRUE(got->has_hardware);
+  EXPECT_EQ(got->hardware.cpu_count, 8);
+  EXPECT_EQ(got->statement, 7u);
+  EXPECT_EQ(got->sql, msg.sql);
+  EXPECT_EQ(got->structures, msg.structures);
+  EXPECT_EQ(got->config_xml, msg.config_xml);
+
+  // A request that registers nothing carries ids alone.
+  WhatIfRequestMsg ids_only;
+  ids_only.statement = 2;
+  ids_only.structures = {1, 4};
+  auto bare = DecodeWhatIfRequest(EncodeWhatIfRequest(ids_only));
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  EXPECT_EQ(bare->statement, 2u);
+  EXPECT_TRUE(bare->sql.empty());
+  EXPECT_EQ(bare->structures, ids_only.structures);
+  EXPECT_TRUE(bare->config_xml.empty());
+}
+
+TEST(FrameCodecTest, TruncatedIdListIsRefused) {
+  WhatIfRequestMsg msg;
+  msg.structures = {1, 2, 3};
+  const std::string payload = EncodeWhatIfRequest(msg);
+  // call_key, has_hardware, statement and the empty sql precede the
+  // list's count.
+  const size_t count_at = 8 + 4 + 4 + 4;
+  // Cut inside the list: the count promises three ids, two arrive.
+  auto cut = DecodeWhatIfRequest(payload.substr(0, count_at + 4 + 8));
+  EXPECT_EQ(cut.status().code(), StatusCode::kInvalidArgument)
+      << cut.status().ToString();
+  // A count no payload could hold is refused before anything is reserved.
+  std::string lying = payload;
+  lying.replace(count_at, 4, std::string(4, '\xff'));
+  auto huge = DecodeWhatIfRequest(lying);
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument)
+      << huge.status().ToString();
 }
 
 // ---------------------------------------------------------- torn streams
@@ -336,6 +391,200 @@ TEST(MisbehavingPeerTest, ConnectToMissingWorkerFailsWithinDeadline) {
   ASSERT_FALSE(channel.ok());
   EXPECT_EQ(channel.status().code(), StatusCode::kUnavailable)
       << channel.status().ToString();
+}
+
+// ----------------------------------------------------- misbehaving clients
+//
+// A raw client that breaks the id rules SocketChannel keeps (rpc/wire.h)
+// against a live CostWorker. Each broken request gets an InvalidArgument
+// response of its own, and the worker goes on serving the connection.
+
+std::unique_ptr<server::Server> MakeShop() {
+  auto server = std::make_unique<server::Server>(
+      "shop-worker", optimizer::HardwareParams());
+  catalog::TableSchema orders("orders",
+                              {{"o_id", catalog::ColumnType::kInt, 8},
+                               {"o_cust", catalog::ColumnType::kInt, 8},
+                               {"o_price", catalog::ColumnType::kDouble, 8}});
+  orders.set_row_count(30000);
+  orders.SetPrimaryKey({"o_id"});
+  catalog::Database db("shop");
+  EXPECT_TRUE(db.AddTable(orders).ok());
+  EXPECT_TRUE(server->AttachDatabase(std::move(db)).ok());
+  return server;
+}
+
+struct LiveWorker {
+  LiveWorker()
+      : server(MakeShop()),
+        worker(server.get(), CostWorkerOptions{.threads = 2}),
+        path(UniqueSocketPath()) {
+    EXPECT_TRUE(worker.Listen(path).ok());
+  }
+  ~LiveWorker() {
+    worker.Shutdown();
+    ::unlink(path.c_str());
+  }
+
+  std::unique_ptr<server::Server> server;
+  CostWorker worker;
+  std::string path;
+};
+
+// Sends what-if requests exactly as given, one at a time.
+class RawClient {
+ public:
+  explicit RawClient(const std::string& path) {
+    auto fd = ConnectUnix(path, 5000);
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    if (!fd.ok()) return;
+    fd_ = std::move(fd).value();
+    EXPECT_TRUE(SetRecvTimeout(fd_.get(), 5000).ok());
+    Send(FrameType::kHello, EncodeHello(HelloMsg{}));
+    EXPECT_EQ(Receive().type, FrameType::kHelloAck);
+  }
+
+  WhatIfResponseMsg Call(const WhatIfRequestMsg& msg) {
+    Send(FrameType::kWhatIfRequest, EncodeWhatIfRequest(msg));
+    const Frame frame = Receive();
+    EXPECT_EQ(frame.type, FrameType::kWhatIfResponse);
+    auto response = DecodeWhatIfResponse(frame.payload);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    if (!response.ok()) return WhatIfResponseMsg{.code = StatusCode::kInternal};
+    return std::move(response).value();
+  }
+
+ private:
+  void Send(FrameType type, std::string payload) {
+    const std::string bytes =
+        EncodeFrame(Frame{type, next_request_++, std::move(payload)});
+    EXPECT_TRUE(SendAll(fd_.get(), bytes.data(), bytes.size()).ok());
+  }
+
+  Frame Receive() {
+    Frame frame;
+    char buffer[4096];
+    while (!decoder_.Next(&frame)) {
+      auto n = RecvSome(fd_.get(), buffer, sizeof(buffer));
+      if (!n.ok() || *n == 0) {
+        ADD_FAILURE() << "worker closed the connection";
+        return frame;
+      }
+      EXPECT_TRUE(decoder_.Feed(buffer, *n).ok());
+    }
+    return frame;
+  }
+
+  OwnedFd fd_;
+  FrameDecoder decoder_;
+  uint64_t next_request_ = 1;
+};
+
+constexpr char kSql[] = "SELECT o_price FROM orders WHERE o_cust = 5";
+
+// A registration of one index on orders(`column`).
+std::string IndexXml(const char* column) {
+  return StrFormat(
+      "<Configuration><Index Table=\"orders\"><KeyColumn>%s</KeyColumn>"
+      "</Index></Configuration>",
+      column);
+}
+
+WhatIfRequestMsg Request(uint32_t statement, std::string sql,
+                         std::vector<uint32_t> structures = {},
+                         std::string config_xml = "") {
+  WhatIfRequestMsg msg;
+  msg.call_key = 1;
+  msg.statement = statement;
+  msg.sql = std::move(sql);
+  msg.structures = std::move(structures);
+  msg.config_xml = std::move(config_xml);
+  return msg;
+}
+
+void ExpectRefused(const WhatIfResponseMsg& response,
+                   const std::string& says) {
+  EXPECT_EQ(response.code, StatusCode::kInvalidArgument) << response.message;
+  EXPECT_NE(response.message.find(says), std::string::npos)
+      << response.message;
+}
+
+void ExpectPriced(const WhatIfResponseMsg& response) {
+  EXPECT_EQ(response.code, StatusCode::kOk) << response.message;
+  EXPECT_GT(response.cost, 0);
+}
+
+void ExpectSameError(const WhatIfResponseMsg& got,
+                     const WhatIfResponseMsg& want) {
+  EXPECT_NE(want.code, StatusCode::kOk);
+  EXPECT_EQ(got.code, want.code) << got.message;
+  EXPECT_EQ(got.message, want.message);
+}
+
+TEST(MisbehavingPeerTest, UnregisteredStatementIdIsRefused) {
+  LiveWorker live;
+  RawClient client(live.path);
+  ExpectRefused(client.Call(Request(0, "")),
+                "statement id 0 is not registered");
+  ExpectPriced(client.Call(Request(0, kSql)));
+  ExpectPriced(client.Call(Request(0, "")));
+}
+
+TEST(MisbehavingPeerTest, UnregisteredStructureIdIsRefused) {
+  LiveWorker live;
+  RawClient client(live.path);
+  ExpectRefused(client.Call(Request(0, kSql, {0})),
+                "structure id 0 is not registered");
+  // The statement registered all the same.
+  ExpectPriced(client.Call(Request(0, "", {0}, IndexXml("o_cust"))));
+  ExpectRefused(client.Call(Request(0, "", {0, 5})),
+                "structure id 5 is not registered");
+  ExpectPriced(client.Call(Request(0, "", {0})));
+}
+
+TEST(MisbehavingPeerTest, OutOfSequenceRegistrationIsRefused) {
+  LiveWorker live;
+  RawClient client(live.path);
+  ExpectRefused(client.Call(Request(3, kSql)),
+                "statement id 3 registered out of sequence");
+  ExpectPriced(client.Call(Request(0, kSql)));
+  ExpectRefused(client.Call(Request(0, "", {2}, IndexXml("o_cust"))),
+                "structure id 2 registered out of sequence");
+  ExpectPriced(client.Call(Request(0, "", {0}, IndexXml("o_cust"))));
+}
+
+TEST(MisbehavingPeerTest, IdsFromAPreviousConnectionAreRefused) {
+  LiveWorker live;
+  {
+    RawClient first(live.path);
+    ExpectPriced(first.Call(Request(0, kSql, {0}, IndexXml("o_cust"))));
+  }
+  RawClient second(live.path);
+  ExpectRefused(second.Call(Request(0, "")),
+                "statement id 0 is not registered");
+  ExpectRefused(second.Call(Request(0, kSql, {0})),
+                "structure id 0 is not registered");
+  ExpectPriced(second.Call(Request(0, "", {0}, IndexXml("o_cust"))));
+}
+
+// A registration the worker cannot read binds exactly the ids it defines
+// to its error: every later call naming them fails the same way, and the
+// next ids register cleanly.
+TEST(MisbehavingPeerTest, UnreadableRegistrationPoisonsExactlyItsIds) {
+  LiveWorker live;
+  RawClient client(live.path);
+  const WhatIfResponseMsg bad_sql = client.Call(Request(0, "SELEKT o_price"));
+  ExpectSameError(client.Call(Request(0, "")), bad_sql);
+  ExpectPriced(client.Call(Request(1, kSql)));
+
+  // An index without key columns.
+  const WhatIfResponseMsg bad_index = client.Call(Request(
+      1, "", {0}, "<Configuration><Index Table=\"orders\"/></Configuration>"));
+  ExpectSameError(client.Call(Request(1, "", {0})), bad_index);
+  ExpectPriced(client.Call(Request(1, "", {1}, IndexXml("o_cust"))));
+  ExpectSameError(client.Call(Request(1, "", {1, 0})), bad_index);
+  ExpectPriced(client.Call(Request(1, "", {1})));
+  ExpectSameError(client.Call(Request(0, "", {1})), bad_sql);
 }
 
 }  // namespace

@@ -340,6 +340,42 @@ TEST(SocketTransportTest, WorkerSeverMidStreamKeepsRecommendationIdentical) {
   ExpectCallsConserved(*chaos, "severed worker");
 }
 
+// Ids die with their connection (rpc/wire.h): after the worker severs, the
+// reconnected channel registers its statements and structures again, past
+// what one connection needs, and the recommendation does not move.
+TEST(SocketTransportTest, ReconnectRegistersAgain) {
+  auto baseline = TuneInproc(1, 1);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  MetricsRegistry clean_metrics;
+  auto clean = TuneSocket({.shards = 1, .threads = 1,
+                           .metrics = &clean_metrics});
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  MetricsRegistry sever_metrics;
+  auto severed = TuneSocket({.shards = 1,
+                             .threads = 1,
+                             .sever_victim = 0,
+                             .sever_after_calls = 20,
+                             .metrics = &sever_metrics});
+  ASSERT_TRUE(severed.ok()) << severed.status().ToString();
+  for (const TuningResult* r : {&*clean, &*severed}) {
+    EXPECT_EQ(RecommendationXml(*baseline), RecommendationXml(*r));
+    EXPECT_EQ(baseline->whatif_calls, r->whatif_calls);
+    EXPECT_EQ(r->degraded_calls, 0u);
+  }
+
+  const auto once = clean_metrics.CounterValues();
+  const auto twice = sever_metrics.CounterValues();
+  EXPECT_EQ(once.at("rpc.connects"), 1u);
+  EXPECT_EQ(twice.at("rpc.connects"), 2u);
+  EXPECT_GT(once.at("rpc.structures_registered"), 0u);
+  EXPECT_GT(twice.at("rpc.structures_registered"),
+            once.at("rpc.structures_registered"));
+  EXPECT_GT(twice.at("rpc.statements_registered"),
+            once.at("rpc.statements_registered"));
+  EXPECT_GT(once.at("rpc.request_bytes"), 0u);
+}
+
 // A worker whose server answers with random transient faults: the error
 // travels back as a clean WhatIfResponse status, the queue requeues the
 // statement on another shard, and the result is unchanged.
