@@ -12,6 +12,10 @@
 //             bench.checkpointed.checkpoint_bytes — records and record bytes
 //             the checkpointed run's checkpoint log wrote (deterministic,
 //             gated like the call counts)
+//             bench.serial.optimizer_stats_lookups — the serial session's
+//             optimizer.stats_lookups: requests the optimizer's cardinality
+//             estimator made to the statistics (deterministic, gated like
+//             the call counts)
 //   gauges    bench.checkpoint_overhead_pct   — checkpoint I/O time as a
 //             percentage of the checkpointed run's wall-clock (span-based,
 //             not run-vs-run, so it is robust to machine noise)
@@ -100,9 +104,11 @@ constexpr uint64_t kSeed = 42;
 
 // One pipeline run on a fresh, statistics-warm server (the warm-up tune
 // creates the statistics so the timed run measures the costing-dominated
-// pipeline, exactly like the TunePipeline micro-benchmark).
+// pipeline, exactly like the TunePipeline micro-benchmark). The timed
+// session records into `metrics` when it is set.
 Result<tuner::TuningResult> RunScenario(const tuner::TuningOptions& opts,
-                                        const workload::Workload& wl) {
+                                        const workload::Workload& wl,
+                                        MetricsRegistry* metrics = nullptr) {
   auto server = std::make_unique<server::Server>(
       "prod", optimizer::HardwareParams());
   DTA_RETURN_IF_ERROR(workloads::AttachTpch(server.get(), kScaleFactor,
@@ -115,6 +121,9 @@ Result<tuner::TuningResult> RunScenario(const tuner::TuningOptions& opts,
     if (!w.ok()) return w.status();
   }
   tuner::TuningSession session(server.get(), opts);
+  if (metrics != nullptr) {
+    session.SetObservability({metrics, nullptr, nullptr});
+  }
   return session.Tune(wl);
 }
 
@@ -226,12 +235,16 @@ int Run(int argc, char** argv) {
 
   tuner::TuningOptions serial_opts;
   serial_opts.num_threads = 1;
-  auto serial = RunScenario(serial_opts, wl);
+  MetricsRegistry serial_metrics;
+  auto serial = RunScenario(serial_opts, wl, &serial_metrics);
   if (!serial.ok()) {
     std::fprintf(stderr, "serial: %s\n", serial.status().ToString().c_str());
     return 1;
   }
   Record(&metrics, "serial", *serial);
+  metrics.GetCounter("bench.serial.optimizer_stats_lookups")
+      ->Increment(
+          serial_metrics.GetCounter("optimizer.stats_lookups")->value());
 
   // Derivation switched off: every cache miss makes a real what-if call.
   // The delta against the (derived) serial run is the calls-saved gauge,

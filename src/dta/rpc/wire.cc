@@ -1,5 +1,6 @@
 #include "dta/rpc/wire.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "common/strings.h"
@@ -136,6 +137,15 @@ Status ReadHardware(Reader* r, optimizer::HardwareParams* hw) {
   DTA_RETURN_IF_ERROR(r->F64(&hw->cmp_row_ms));
   DTA_RETURN_IF_ERROR(r->F64(&hw->cached_io_fraction));
   DTA_RETURN_IF_ERROR(r->F64(&hw->parallel_threshold_rows));
+  // The server keeps one optimizer per parameter set, compared with ==: a
+  // NaN would never match and build a new optimizer on every call.
+  for (double v : {hw->memory_mb, hw->seq_page_ms, hw->rand_page_ms,
+                   hw->cpu_row_ms, hw->hash_row_ms, hw->cmp_row_ms,
+                   hw->cached_io_fraction, hw->parallel_threshold_rows}) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("rpc hardware parameter is not finite");
+    }
+  }
   return Status::Ok();
 }
 

@@ -935,11 +935,13 @@ Result<TuningResult> TuningSession::Tune(const workload::Workload& input) {
     auto rc = costs.StatementCost(i, result.recommendation);
     sr.current_cost = cc.ok() ? *cc : 0;
     sr.recommended_cost = rc.ok() ? *rc : 0;
-    // Structure usage from the recommended plan.
+    // Structure usage from the recommended plan, on the hardware every
+    // what-if call of the session modelled.
     const auto& stmt = tuned.statements()[i].stmt;
     if (stmt.is_select()) {
-      auto plan =
-          tuning_server->WhatIfPlan(stmt.select(), result.recommendation);
+      auto plan = tuning_server->WhatIfPlan(
+          stmt.select(), result.recommendation,
+          test_ != nullptr ? &production_->hardware() : nullptr);
       if (plan.ok()) {
         std::vector<std::string> used;
         plan->root->CollectUsedStructures(&used);

@@ -11,6 +11,26 @@ double Clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
 }  // namespace
 
+CardinalityEstimator::CardinalityEstimator(const BoundQuery& query,
+                                           const StatsProvider& stats,
+                                           Counter* lookups)
+    : q_(query),
+      stats_(stats),
+      lookups_counter_(lookups),
+      atom_selectivity_(query.atoms.size(), -1.0) {
+  column_base_.reserve(q_.tables.size());
+  size_t columns = 0;
+  for (const BoundTable& bt : q_.tables) {
+    column_base_.push_back(columns);
+    columns += bt.schema->columns().size();
+  }
+  distinct_.assign(columns, -1.0);
+}
+
+CardinalityEstimator::~CardinalityEstimator() {
+  if (lookups_counter_ != nullptr) lookups_counter_->Increment(lookups_);
+}
+
 double CardinalityEstimator::TableRows(int table) const {
   return std::max<double>(
       1.0, static_cast<double>(
@@ -18,12 +38,24 @@ double CardinalityEstimator::TableRows(int table) const {
 }
 
 double CardinalityEstimator::ColumnDistinct(int table, int column) const {
-  const BoundTable& bt = q_.tables[static_cast<size_t>(table)];
-  return std::max(1.0, stats_.DistinctCount(bt.database->name(), *bt.schema,
-                                            {bt.schema->column(column).name}));
+  double& d = distinct_[column_base_[static_cast<size_t>(table)] +
+                        static_cast<size_t>(column)];
+  if (d < 0) {
+    const BoundTable& bt = q_.tables[static_cast<size_t>(table)];
+    ++lookups_;
+    d = std::max(1.0, stats_.DistinctCount(bt.database->name(), *bt.schema,
+                                           {bt.schema->column(column).name}));
+  }
+  return d;
 }
 
 double CardinalityEstimator::AtomSelectivity(int atom_index) const {
+  double& s = atom_selectivity_[static_cast<size_t>(atom_index)];
+  if (s < 0) s = ComputeAtomSelectivity(atom_index);
+  return s;
+}
+
+double CardinalityEstimator::ComputeAtomSelectivity(int atom_index) const {
   const BoundAtom& atom = q_.atoms[static_cast<size_t>(atom_index)];
   const sql::Predicate& p = *atom.pred;
   const BoundTable& bt = q_.tables[static_cast<size_t>(atom.table)];
@@ -39,6 +71,7 @@ double CardinalityEstimator::AtomSelectivity(int atom_index) const {
     return 1.0;
   }
 
+  ++lookups_;
   const stats::Statistics* s =
       stats_.Histogram(bt.database->name(), *bt.schema, col_name);
   const stats::Histogram* h =
@@ -164,6 +197,7 @@ double CardinalityEstimator::GroupCardinality(
     }
     if (names.empty()) continue;
     const BoundTable& bt = q_.tables[t];
+    ++lookups_;
     double d =
         stats_.DistinctCount(bt.database->name(), *bt.schema, names);
     total *= std::max(1.0, d);

@@ -5,9 +5,11 @@
 #ifndef DTA_OPTIMIZER_CARDINALITY_H_
 #define DTA_OPTIMIZER_CARDINALITY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "catalog/physical_design.h"
+#include "common/metrics.h"
 #include "optimizer/bound_query.h"
 #include "optimizer/stats_provider.h"
 
@@ -22,10 +24,19 @@ struct DefaultSelectivity {
   static constexpr double kNotEqual = 0.90;
 };
 
+// Estimates for one query block. An estimator lives for one plan, during
+// which neither the query, the statistics nor the configuration change, so
+// it computes each column's distinct count and each atom's selectivity once
+// and answers repeats from its memo.
 class CardinalityEstimator {
  public:
-  CardinalityEstimator(const BoundQuery& query, const StatsProvider& stats)
-      : q_(query), stats_(stats) {}
+  // When `lookups` is set, the estimator adds the number of requests it made
+  // to `stats` to it when destroyed.
+  CardinalityEstimator(const BoundQuery& query, const StatsProvider& stats,
+                       Counter* lookups = nullptr);
+  ~CardinalityEstimator();
+  CardinalityEstimator(const CardinalityEstimator&) = delete;
+  CardinalityEstimator& operator=(const CardinalityEstimator&) = delete;
 
   double TableRows(int table) const;
 
@@ -55,8 +66,17 @@ class CardinalityEstimator {
   double ColumnDistinct(int table, int column) const;
 
  private:
+  double ComputeAtomSelectivity(int atom_index) const;
+
   const BoundQuery& q_;
   const StatsProvider& stats_;
+  Counter* const lookups_counter_;
+  mutable uint64_t lookups_ = 0;
+  // Memo: negative until computed. Distinct counts are indexed by
+  // column_base_[table] + column ordinal, selectivities by atom.
+  std::vector<size_t> column_base_;
+  mutable std::vector<double> distinct_;
+  mutable std::vector<double> atom_selectivity_;
 };
 
 }  // namespace dta::optimizer

@@ -28,6 +28,8 @@ struct HardwareParams {
   // Rows above which the optimizer assumes a parallel plan.
   double parallel_threshold_rows = 100000;
 
+  bool operator==(const HardwareParams&) const = default;
+
   static HardwareParams ProductionClass() {
     HardwareParams p;
     p.cpu_count = 16;

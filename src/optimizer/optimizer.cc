@@ -536,7 +536,7 @@ double RowBytesOf(const BoundQuery& q, uint32_t mask) {
 
 Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
     BoundQuery q, const catalog::Configuration& config) const {
-  CardinalityEstimator est(q, stats_);
+  CardinalityEstimator est(q, stats_, m_stats_lookups_);
   const size_t n = q.tables.size();
   if (n > 31) return Status::InvalidArgument("too many tables in FROM");
 
@@ -557,161 +557,166 @@ Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
     return *best;
   };
 
-  struct DpEntry {
+  // Inner seek paths by (join atom, inner side): a path depends on its
+  // table and atom, never on the outer input, so each is built once.
+  struct InnerSeek {
+    bool built = false;
+    std::optional<AccessPath> path;
+  };
+  std::vector<InnerSeek> inner_seeks(2 * q.atoms.size());
+  auto inner_seek = [&](size_t t, int a) -> const AccessPath* {
+    const BoundAtom& atom = q.atoms[static_cast<size_t>(a)];
+    InnerSeek& memo = inner_seeks[2 * static_cast<size_t>(a) +
+                                  (atom.table == static_cast<int>(t) ? 0 : 1)];
+    if (!memo.built) {
+      memo.path = InnerSeekPath(q, est, config, static_cast<int>(t), a);
+      memo.built = true;
+    }
+    return memo.path.has_value() ? &*memo.path : nullptr;
+  };
+
+  // Equality join atoms connecting the tables in `left_mask` to table `t`.
+  auto connecting_atoms = [&](uint32_t left_mask, size_t t) {
+    std::vector<int> connecting;
+    for (int a : q.join_atoms) {
+      const BoundAtom& atom = q.atoms[static_cast<size_t>(a)];
+      uint32_t lbit = 1u << atom.table;
+      uint32_t rbit = 1u << atom.rhs_table;
+      uint32_t tbit = 1u << t;
+      if (((left_mask & lbit) != 0 && rbit == tbit) ||
+          ((left_mask & rbit) != 0 && lbit == tbit)) {
+        connecting.push_back(a);
+      }
+    }
+    return connecting;
+  };
+
+  // A join-search entry keeps its cost, its rows and how it was built:
+  // either the leaf access path `right` into `table` (no `left`), or `op`
+  // joining the entry `left` (the tables of `left_mask`) with the path
+  // `right` into `table`. Entries point into `dp`, `chain`, `table_paths`
+  // and `inner_seeks`, none of which moves during the search, and only the
+  // winning tree is built, once, at the end.
+  struct JoinEntry {
     bool valid = false;
     double rows = 0;
     double cost = 0;
-    PlanNodePtr plan;
-    // Ordering info survives only for single-table plans.
-    std::vector<int> order_cols;
-    int single_table = -1;
+    PlanOp op = PlanOp::kTableScan;
+    int table = -1;
+    const JoinEntry* left = nullptr;
+    uint32_t left_mask = 0;
+    const AccessPath* right = nullptr;
+    bool right_first = false;  // a hash join building on `right`
+  };
+  auto leaf = [&](size_t t) {
+    const AccessPath& p = cheapest(t);
+    JoinEntry e;
+    e.valid = true;
+    e.rows = p.rows;
+    e.cost = p.cost;
+    e.table = static_cast<int>(t);
+    e.right = &p;
+    return e;
   };
 
-  DpEntry final_entry;
+  std::vector<JoinEntry> dp;     // by table mask, up to kDpTableLimit
+  std::vector<JoinEntry> chain;  // the greedy chain beyond it, by step
+  const JoinEntry* final_entry = nullptr;
+  const size_t full = (1u << n) - 1;
+  const bool use_dp = n <= kDpTableLimit;
+  if (use_dp) dp.resize(1u << n);
 
-  if (n == 1) {
-    // Choose among all paths later (ordering matters for aggregation);
-    // stash the whole set by picking at aggregation time. For now take the
-    // cheapest and remember alternatives via table_paths.
-    const AccessPath& p = cheapest(0);
-    final_entry.valid = true;
-    final_entry.rows = p.rows;
-    final_entry.cost = p.cost;
-    final_entry.plan = p.node->Clone();
-    final_entry.order_cols = p.order_cols;
-    final_entry.single_table = 0;
-  } else {
-    const size_t full = (1u << n) - 1;
-    const bool use_dp = n <= kDpTableLimit;
-    std::vector<DpEntry> dp;
-    if (use_dp) dp.resize(1u << n);
+  auto join_step = [&](const JoinEntry& left, uint32_t left_mask, size_t t,
+                       JoinEntry* out) {
+    const std::vector<int> connecting = connecting_atoms(left_mask, t);
+    double join_sel = 1.0;
+    for (int a : connecting) join_sel *= est.JoinSelectivity(a);
 
-    auto join_step = [&](const DpEntry& left, uint32_t left_mask, size_t t,
-                         DpEntry* out) {
-      // Connecting equality join atoms.
-      std::vector<int> connecting;
-      for (int a : q.join_atoms) {
-        const BoundAtom& atom = q.atoms[static_cast<size_t>(a)];
-        uint32_t lbit = 1u << atom.table;
-        uint32_t rbit = 1u << atom.rhs_table;
-        uint32_t tbit = 1u << t;
-        if (((left_mask & lbit) != 0 && rbit == tbit) ||
-            ((left_mask & rbit) != 0 && lbit == tbit)) {
-          connecting.push_back(a);
-        }
-      }
-      double join_sel = 1.0;
-      for (int a : connecting) join_sel *= est.JoinSelectivity(a);
-
-      const AccessPath& right = cheapest(t);
-      double out_rows =
-          std::max(0.01, left.rows * right.rows * join_sel);
-
-      // Hash join: build on the smaller input.
-      {
-        bool build_left = left.rows <= right.rows;
-        double build_rows = build_left ? left.rows : right.rows;
-        double probe_rows = build_left ? right.rows : left.rows;
-        double build_bytes =
-            build_left ? RowBytesOf(q, left_mask) : RowBytesOf(q, 1u << t);
-        double cost = left.cost + right.cost +
-                      cm_.HashJoinCost(build_rows, probe_rows, build_bytes);
-        if (!out->valid || cost < out->cost) {
-          auto node = std::make_unique<PlanNode>();
-          node->op = PlanOp::kHashJoin;
-          node->join_atoms = connecting;
-          node->est_rows = out_rows;
-          node->est_cost = cost;
-          if (build_left) {
-            node->children.push_back(left.plan->Clone());
-            node->children.push_back(right.node->Clone());
-          } else {
-            node->children.push_back(right.node->Clone());
-            node->children.push_back(left.plan->Clone());
-          }
-          out->valid = true;
-          out->rows = out_rows;
-          out->cost = cost;
-          out->plan = std::move(node);
-          out->order_cols.clear();
-          out->single_table = -1;
-        }
-      }
-
-      // Index nested-loop join (inner = new table) on one eq join atom.
-      for (int a : connecting) {
-        auto inner = InnerSeekPath(q, est, config, static_cast<int>(t), a);
-        if (!inner.has_value()) continue;
-        double cost = left.cost + cm_.NestLoopCost(left.rows, inner->cost);
-        if (cost < out->cost || !out->valid) {
-          auto node = std::make_unique<PlanNode>();
-          node->op = PlanOp::kNestLoopJoin;
-          node->join_atoms = connecting;
-          node->est_rows = out_rows;
-          node->est_cost = cost;
-          node->children.push_back(left.plan->Clone());
-          node->children.push_back(inner->node->Clone());
-          out->valid = true;
-          out->rows = out_rows;
-          out->cost = cost;
-          out->plan = std::move(node);
-          out->order_cols.clear();
-          out->single_table = -1;
-        }
-      }
-
-      // Merge join: both sides single-table paths already ordered on the
-      // join columns.
-      if (left.single_table >= 0 && connecting.size() == 1) {
-        const BoundAtom& atom =
-            q.atoms[static_cast<size_t>(connecting[0])];
-        int lcol = atom.table == left.single_table ? atom.column
-                                                   : atom.rhs_column;
-        int rcol =
-            atom.table == static_cast<int>(t) ? atom.column : atom.rhs_column;
-        if (!left.order_cols.empty() && left.order_cols[0] == lcol) {
-          for (const AccessPath& rp : table_paths[t]) {
-            if (rp.order_cols.empty() || rp.order_cols[0] != rcol) continue;
-            double cost = left.cost + rp.cost +
-                          cm_.MergeJoinCost(left.rows, rp.rows);
-            if (cost < out->cost || !out->valid) {
-              auto node = std::make_unique<PlanNode>();
-              node->op = PlanOp::kMergeJoin;
-              node->join_atoms = connecting;
-              node->est_rows = out_rows;
-              node->est_cost = cost;
-              node->children.push_back(left.plan->Clone());
-              node->children.push_back(rp.node->Clone());
-              out->valid = true;
-              out->rows = out_rows;
-              out->cost = cost;
-              out->plan = std::move(node);
-              out->order_cols.clear();
-              out->single_table = -1;
-            }
-          }
-        }
-      }
+    const AccessPath& right = cheapest(t);
+    double out_rows = std::max(0.01, left.rows * right.rows * join_sel);
+    auto consider = [&](PlanOp op, double cost, const AccessPath& path,
+                        bool right_first) {
+      if (out->valid && !(cost < out->cost)) return;
+      out->valid = true;
+      out->rows = out_rows;
+      out->cost = cost;
+      out->op = op;
+      out->table = static_cast<int>(t);
+      out->left = &left;
+      out->left_mask = left_mask;
+      out->right = &path;
+      out->right_first = right_first;
     };
 
-    if (use_dp) {
-      for (size_t t = 0; t < n; ++t) {
-        DpEntry& e = dp[1u << t];
-        const AccessPath& p = cheapest(t);
-        e.valid = true;
-        e.rows = p.rows;
-        e.cost = p.cost;
-        e.plan = p.node->Clone();
-        e.order_cols = p.order_cols;
-        e.single_table = static_cast<int>(t);
+    // Hash join: build on the smaller input.
+    {
+      bool build_left = left.rows <= right.rows;
+      double build_rows = build_left ? left.rows : right.rows;
+      double probe_rows = build_left ? right.rows : left.rows;
+      double build_bytes =
+          build_left ? RowBytesOf(q, left_mask) : RowBytesOf(q, 1u << t);
+      consider(PlanOp::kHashJoin,
+               left.cost + right.cost +
+                   cm_.HashJoinCost(build_rows, probe_rows, build_bytes),
+               right, !build_left);
+    }
+
+    // Index nested-loop join (inner = new table) on one eq join atom.
+    for (int a : connecting) {
+      const AccessPath* inner = inner_seek(t, a);
+      if (inner == nullptr) continue;
+      consider(PlanOp::kNestLoopJoin,
+               left.cost + cm_.NestLoopCost(left.rows, inner->cost), *inner,
+               false);
+    }
+
+    // Merge join: both sides single-table paths already ordered on the
+    // join columns.
+    if (left.left == nullptr && connecting.size() == 1) {
+      const BoundAtom& atom = q.atoms[static_cast<size_t>(connecting[0])];
+      int lcol = atom.table == left.table ? atom.column : atom.rhs_column;
+      int rcol =
+          atom.table == static_cast<int>(t) ? atom.column : atom.rhs_column;
+      const std::vector<int>& left_order = left.right->order_cols;
+      if (!left_order.empty() && left_order[0] == lcol) {
+        for (const AccessPath& rp : table_paths[t]) {
+          if (rp.order_cols.empty() || rp.order_cols[0] != rcol) continue;
+          consider(PlanOp::kMergeJoin,
+                   left.cost + rp.cost + cm_.MergeJoinCost(left.rows, rp.rows),
+                   rp, false);
+        }
       }
-      for (uint32_t mask = 1; mask <= full; ++mask) {
-        if (!dp[mask].valid) continue;
-        // Prefer connected extensions; allow cartesian only when no table
-        // connects.
-        bool any_connected = false;
-        for (size_t t = 0; t < n; ++t) {
-          if ((mask & (1u << t)) != 0) continue;
+    }
+  };
+
+  if (use_dp) {
+    // A lone table ends as its cheapest path; aggregation below may still
+    // switch to an ordered one from table_paths.
+    for (size_t t = 0; t < n; ++t) dp[1u << t] = leaf(t);
+    for (uint32_t mask = 1; mask <= full; ++mask) {
+      if (!dp[mask].valid) continue;
+      // Prefer connected extensions; allow cartesian only when no table
+      // connects.
+      bool any_connected = false;
+      for (size_t t = 0; t < n; ++t) {
+        if ((mask & (1u << t)) != 0) continue;
+        for (int a : q.join_atoms) {
+          const BoundAtom& atom = q.atoms[static_cast<size_t>(a)];
+          uint32_t tb = 1u << t;
+          if (((1u << atom.table) == tb &&
+               (mask & (1u << atom.rhs_table)) != 0) ||
+              ((1u << atom.rhs_table) == tb &&
+               (mask & (1u << atom.table)) != 0)) {
+            any_connected = true;
+            break;
+          }
+        }
+        if (any_connected) break;
+      }
+      for (size_t t = 0; t < n; ++t) {
+        if ((mask & (1u << t)) != 0) continue;
+        if (any_connected) {
+          bool connected = false;
           for (int a : q.join_atoms) {
             const BoundAtom& atom = q.atoms[static_cast<size_t>(a)];
             uint32_t tb = 1u << t;
@@ -719,81 +724,72 @@ Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
                  (mask & (1u << atom.rhs_table)) != 0) ||
                 ((1u << atom.rhs_table) == tb &&
                  (mask & (1u << atom.table)) != 0)) {
-              any_connected = true;
+              connected = true;
               break;
             }
           }
-          if (any_connected) break;
+          if (!connected) continue;
         }
-        for (size_t t = 0; t < n; ++t) {
-          if ((mask & (1u << t)) != 0) continue;
-          if (any_connected) {
-            bool connected = false;
-            for (int a : q.join_atoms) {
-              const BoundAtom& atom = q.atoms[static_cast<size_t>(a)];
-              uint32_t tb = 1u << t;
-              if (((1u << atom.table) == tb &&
-                   (mask & (1u << atom.rhs_table)) != 0) ||
-                  ((1u << atom.rhs_table) == tb &&
-                   (mask & (1u << atom.table)) != 0)) {
-                connected = true;
-                break;
-              }
-            }
-            if (!connected) continue;
-          }
-          join_step(dp[mask], mask, t, &dp[mask | (1u << t)]);
-        }
+        join_step(dp[mask], mask, t, &dp[mask | (1u << t)]);
       }
-      final_entry = std::move(dp[full]);
-    } else {
-      // Greedy left-deep chain: start from the smallest table, repeatedly
-      // join the connected table with the smallest output.
-      std::vector<bool> used(n, false);
-      size_t start = 0;
-      for (size_t t = 1; t < n; ++t) {
-        if (cheapest(t).rows < cheapest(start).rows) start = t;
-      }
-      DpEntry cur;
-      const AccessPath& sp = cheapest(start);
-      cur.valid = true;
-      cur.rows = sp.rows;
-      cur.cost = sp.cost;
-      cur.plan = sp.node->Clone();
-      cur.order_cols = sp.order_cols;
-      cur.single_table = static_cast<int>(start);
-      used[start] = true;
-      uint32_t mask = 1u << start;
-      for (size_t step = 1; step < n; ++step) {
-        DpEntry best_next;
-        size_t best_t = n;
-        for (size_t t = 0; t < n; ++t) {
-          if (used[t]) continue;
-          DpEntry cand;
-          join_step(cur, mask, t, &cand);
-          if (cand.valid && (best_t == n || cand.cost < best_next.cost)) {
-            best_next = std::move(cand);
-            best_t = t;
-          }
-        }
-        if (best_t == n) {
-          return Status::Internal("greedy join ordering failed");
-        }
-        cur = std::move(best_next);
-        used[best_t] = true;
-        mask |= 1u << best_t;
-      }
-      final_entry = std::move(cur);
     }
+    final_entry = &dp[full];
+  } else {
+    // Greedy left-deep chain: start from the smallest table, repeatedly
+    // join the connected table with the smallest output.
+    chain.resize(n);
+    std::vector<bool> used(n, false);
+    size_t start = 0;
+    for (size_t t = 1; t < n; ++t) {
+      if (cheapest(t).rows < cheapest(start).rows) start = t;
+    }
+    chain[0] = leaf(start);
+    used[start] = true;
+    uint32_t mask = 1u << start;
+    for (size_t step = 1; step < n; ++step) {
+      JoinEntry& next = chain[step];
+      size_t best_t = n;
+      for (size_t t = 0; t < n; ++t) {
+        if (used[t]) continue;
+        JoinEntry cand;
+        join_step(chain[step - 1], mask, t, &cand);
+        if (cand.valid && (best_t == n || cand.cost < next.cost)) {
+          next = cand;
+          best_t = t;
+        }
+      }
+      if (best_t == n) {
+        return Status::Internal("greedy join ordering failed");
+      }
+      used[best_t] = true;
+      mask |= 1u << best_t;
+    }
+    final_entry = &chain[n - 1];
   }
 
-  if (!final_entry.valid) {
+  if (!final_entry->valid) {
     return Status::Internal("join enumeration produced no plan");
   }
 
-  double rows = final_entry.rows;
-  double cost = final_entry.cost;
-  PlanNodePtr root = std::move(final_entry.plan);
+  // The winning tree; its leaves are copies of the chosen access paths.
+  auto build = [&](auto&& self, const JoinEntry& e) -> PlanNodePtr {
+    if (e.left == nullptr) return e.right->node->Clone();
+    auto node = std::make_unique<PlanNode>();
+    node->op = e.op;
+    node->join_atoms =
+        connecting_atoms(e.left_mask, static_cast<size_t>(e.table));
+    node->est_rows = e.rows;
+    node->est_cost = e.cost;
+    PlanNodePtr left = self(self, *e.left);
+    PlanNodePtr right = e.right->node->Clone();
+    if (e.right_first) std::swap(left, right);
+    node->children.push_back(std::move(left));
+    node->children.push_back(std::move(right));
+    return node;
+  };
+  double rows = final_entry->rows;
+  double cost = final_entry->cost;
+  PlanNodePtr root = build(build, *final_entry);
 
   // Post-join cross-table comparisons.
   if (!q.post_join_atoms.empty()) {
@@ -808,8 +804,11 @@ Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
 
   const sql::SelectStatement& stmt = *q.stmt;
   bool has_aggs = stmt.HasAggregates();
-  std::vector<int> order_cols = final_entry.order_cols;
-  int single_table = final_entry.single_table;
+  // Ordering survives only for single-table plans.
+  const bool single_path = final_entry->left == nullptr;
+  std::vector<int> order_cols =
+      single_path ? final_entry->right->order_cols : std::vector<int>();
+  int single_table = single_path ? final_entry->table : -1;
 
   // Aggregation.
   if (!q.group_by.empty() || has_aggs) {

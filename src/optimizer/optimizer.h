@@ -72,9 +72,10 @@ class Optimizer {
   const catalog::Catalog& catalog() const { return catalog_; }
 
   // Attaches (or clears, with nullptr) profiling counters: statements
-  // costed and access paths considered. Counts only — never timings — so
-  // they are deterministic at any thread count. Must not race concurrent
-  // costing; the server attaches metrics before the tuner fans out.
+  // costed, access paths considered and the estimator's requests to the
+  // statistics. Counts only — never timings — so they are deterministic at
+  // any thread count. Must not race concurrent costing; the server attaches
+  // metrics before the tuner fans out.
   void set_metrics(MetricsRegistry* metrics) {
     m_statements_ = metrics != nullptr
                         ? metrics->GetCounter("optimizer.statements_costed")
@@ -82,6 +83,9 @@ class Optimizer {
     m_access_paths_ = metrics != nullptr
                           ? metrics->GetCounter("optimizer.access_paths")
                           : nullptr;
+    m_stats_lookups_ = metrics != nullptr
+                           ? metrics->GetCounter("optimizer.stats_lookups")
+                           : nullptr;
   }
 
  private:
@@ -100,7 +104,9 @@ class Optimizer {
       const catalog::Configuration& config, int t) const;
 
   // Cheapest inner-side seek path for an index-nested-loop join into table
-  // `t` on the join atom; returns nullopt when no usable index exists.
+  // `t` on the join atom; returns nullopt when no usable index exists. It
+  // does not depend on the outer input, so PlanQueryBlock builds it once
+  // per (table, atom).
   std::optional<AccessPath> InnerSeekPath(const BoundQuery& q,
                                           const CardinalityEstimator& est,
                                           const catalog::Configuration& config,
@@ -137,6 +143,7 @@ class Optimizer {
   // concurrently.
   Counter* m_statements_ = nullptr;
   Counter* m_access_paths_ = nullptr;
+  Counter* m_stats_lookups_ = nullptr;
 };
 
 }  // namespace dta::optimizer

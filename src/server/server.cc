@@ -186,23 +186,7 @@ Result<Server::WhatIfResult> Server::WhatIfCost(
       return outcome.status;
     }
   }
-  const optimizer::Optimizer* opt = optimizer_.get();
-  if (simulate_hardware != nullptr) {
-    std::string key = StrFormat(
-        "%d/%.0f/%.3f/%.3f", simulate_hardware->cpu_count,
-        simulate_hardware->memory_mb, simulate_hardware->seq_page_ms,
-        simulate_hardware->rand_page_ms);
-    MutexLock lock(simulated_mu_);
-    auto it = simulated_.find(key);
-    if (it == simulated_.end()) {
-      it = simulated_
-               .emplace(key, std::make_unique<optimizer::Optimizer>(
-                                 catalog_, *provider_, *simulate_hardware))
-               .first;
-      it->second->set_metrics(metrics_);
-    }
-    opt = it->second.get();
-  }
+  const optimizer::Optimizer* opt = OptimizerFor(simulate_hardware);
   WhatIfResult out;
   // The recorder is thread-local: concurrent callers each collect their own
   // missing-statistics set.
@@ -217,6 +201,20 @@ Result<Server::WhatIfResult> Server::WhatIfCost(
   return out;
 }
 
+const optimizer::Optimizer* Server::OptimizerFor(
+    const optimizer::HardwareParams* simulate_hardware) {
+  if (simulate_hardware == nullptr) return optimizer_.get();
+  MutexLock lock(simulated_mu_);
+  for (const auto& [hardware, opt] : simulated_) {
+    if (hardware == *simulate_hardware) return opt.get();
+  }
+  simulated_.emplace_back(*simulate_hardware,
+                          std::make_unique<optimizer::Optimizer>(
+                              catalog_, *provider_, *simulate_hardware));
+  simulated_.back().second->set_metrics(metrics_);
+  return simulated_.back().second.get();
+}
+
 void Server::SetMetrics(MetricsRegistry* metrics) {
   metrics_ = metrics;
   m_stats_created_ =
@@ -224,18 +222,17 @@ void Server::SetMetrics(MetricsRegistry* metrics) {
                          : nullptr;
   optimizer_->set_metrics(metrics);
   MutexLock lock(simulated_mu_);
-  for (auto& [key, opt] : simulated_) opt->set_metrics(metrics);
+  for (auto& [hardware, opt] : simulated_) opt->set_metrics(metrics);
 }
 
 Result<optimizer::Optimizer::QueryPlan> Server::WhatIfPlan(
     const sql::SelectStatement& stmt, const catalog::Configuration& config,
     const optimizer::HardwareParams* simulate_hardware) {
-  (void)simulate_hardware;  // plan shape is hardware-sensitive only via cost
   sql::Statement wrapper;
   wrapper.node = stmt.Clone();
   AccrueOverhead(SimulatedOptimizeDurationMs(wrapper, config));
   whatif_calls_.fetch_add(1, std::memory_order_relaxed);
-  return optimizer_->OptimizeSelect(stmt, config);
+  return OptimizerFor(simulate_hardware)->OptimizeSelect(stmt, config);
 }
 
 Status Server::ImplementConfiguration(catalog::Configuration config) {

@@ -25,6 +25,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/physical_design.h"
@@ -135,7 +136,7 @@ class Server : public engine::DataSource {
   // the tuning session attaches it before any fan-out starts.
   void SetMetrics(MetricsRegistry* metrics) EXCLUDES(simulated_mu_);
 
-  // Full plan variant (same accounting).
+  // Full plan variant (same accounting and hardware simulation).
   Result<optimizer::Optimizer::QueryPlan> WhatIfPlan(
       const sql::SelectStatement& stmt, const catalog::Configuration& config,
       const optimizer::HardwareParams* simulate_hardware = nullptr);
@@ -221,12 +222,20 @@ class Server : public engine::DataSource {
 
   std::unique_ptr<optimizer::StatsProvider> provider_;
   std::unique_ptr<optimizer::Optimizer> optimizer_;
-  // Optimizers for simulated hardware are built per distinct parameter set,
-  // lazily and possibly from concurrent what-if calls (guarded by
-  // simulated_mu_; unique_ptr values keep handed-out pointers stable).
+  // The optimizer modelling `simulate_hardware`, or this server's own when
+  // it is null.
+  const optimizer::Optimizer* OptimizerFor(
+      const optimizer::HardwareParams* simulate_hardware)
+      EXCLUDES(simulated_mu_);
+
+  // Optimizers for simulated hardware are built per distinct parameter set
+  // (every field compared exactly), lazily and possibly from concurrent
+  // what-if calls (guarded by simulated_mu_; unique_ptr values keep
+  // handed-out pointers stable).
   Mutex simulated_mu_;
-  std::map<std::string, std::unique_ptr<optimizer::Optimizer>> simulated_
-      GUARDED_BY(simulated_mu_);
+  std::vector<std::pair<optimizer::HardwareParams,
+                        std::unique_ptr<optimizer::Optimizer>>>
+      simulated_ GUARDED_BY(simulated_mu_);
 
   catalog::Configuration current_config_;
   std::unique_ptr<engine::Executor> executor_;

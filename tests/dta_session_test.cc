@@ -459,6 +459,80 @@ TEST(TuningSessionTest, TestServerRecommendationMatchesLocalTuning) {
               r_remote->ImprovementPercent(), 1.0);
 }
 
+// A ProductionClass server with one 2M-row generated table (specs only).
+std::unique_ptr<server::Server> MakeBigProduction() {
+  auto s = std::make_unique<server::Server>(
+      "prod", optimizer::HardwareParams::ProductionClass());
+  TableSchema sales("sales", {{"s_id", ColumnType::kInt, 8},
+                              {"s_region", ColumnType::kInt, 8},
+                              {"s_amount", ColumnType::kDouble, 8}});
+  sales.set_row_count(2000000);
+  sales.SetPrimaryKey({"s_id"});
+  catalog::Database db("shop");
+  EXPECT_TRUE(db.AddTable(sales).ok());
+  EXPECT_TRUE(s->AttachDatabase(std::move(db)).ok());
+  EXPECT_TRUE(s->RegisterColumnSpecs(
+                   "shop", "sales",
+                   {storage::ColumnSpec::Sequential(),
+                    storage::ColumnSpec::UniformInt(1, 6000),
+                    storage::ColumnSpec::UniformReal(0, 1000)})
+                  .ok());
+  // The clustered primary key leaves only nonclustered candidates.
+  Configuration raw;
+  EXPECT_TRUE(raw.AddIndex(IndexDef{.table = "sales",
+                                    .key_columns = {"s_id"},
+                                    .clustered = true,
+                                    .constraint_enforcing = true})
+                  .ok());
+  EXPECT_TRUE(s->ImplementConfiguration(raw).ok());
+  return s;
+}
+
+TEST(TuningSessionTest, TestServerReportsProductionPlanUsage) {
+  // The test server's own hardware would seek the recommended index for
+  // the four-value IN list; production hardware scans instead.
+  auto script = workload::Workload::FromScript(
+      "SELECT s_amount FROM sales WHERE s_region IN (1);"
+      "SELECT s_amount FROM sales WHERE s_region IN (1,2,3,4);");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+
+  auto prod1 = MakeBigProduction();
+  // The DBA asks for an index on s_region, and the storage bound leaves
+  // no room for one that also covers s_amount (which production would seek
+  // for both statements).
+  TuningOptions opts = TuningOptions::IndexesOnly();
+  ASSERT_TRUE(opts.user_specified
+                  .AddIndex(IndexDef{.table = "sales",
+                                     .key_columns = {"s_region"}})
+                  .ok());
+  auto sales = prod1->catalog().ResolveTable("shop", "sales");
+  ASSERT_TRUE(sales.ok());
+  opts.storage_bytes = IndexDef{.table = "sales",
+                                .key_columns = {"s_region"},
+                                .included_columns = {"s_amount"}}
+                           .EstimateBytes(*sales->table) -
+                       1;
+  TuningSession local(prod1.get(), opts);
+  auto r_local = local.Tune(*script);
+  ASSERT_TRUE(r_local.ok()) << r_local.status().ToString();
+
+  auto prod2 = MakeBigProduction();
+  auto test = server::Server::FromMetadataScript(
+      prod2->ScriptMetadata(), "test",
+      optimizer::HardwareParams::TestClass());
+  ASSERT_TRUE(test.ok()) << test.status().ToString();
+  TuningSession remote(prod2.get(), opts);
+  ASSERT_TRUE(remote.UseTestServer(test->get()).ok());
+  auto r_remote = remote.Tune(*script);
+  ASSERT_TRUE(r_remote.ok()) << r_remote.status().ToString();
+
+  ASSERT_EQ(r_local->recommendation.Fingerprint(),
+            r_remote->recommendation.Fingerprint());
+  ASSERT_FALSE(r_local->report.structure_usage.empty());
+  EXPECT_EQ(r_remote->report.structure_usage,
+            r_local->report.structure_usage);
+}
+
 TEST(TuningSessionTest, TimeLimitShortCircuits) {
   auto prod = MakeProduction();
   TuningOptions opts;

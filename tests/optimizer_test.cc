@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 #include "catalog/physical_design.h"
+#include "common/hash.h"
 #include "common/strings.h"
 #include "optimizer/optimizer.h"
 #include "sql/parser.h"
@@ -653,6 +656,9 @@ TEST_F(OptimizerTest, MissingStatsAreRecorded) {
       "SELECT o_custkey, COUNT(*) FROM orders WHERE o_orderdate < "
       "'1995-01-01' GROUP BY o_custkey");
   ASSERT_TRUE(opt.OptimizeSelect(stmt.select(), Configuration()).ok());
+  // The recorder is per thread, not per provider: later tests on this
+  // thread must not write into `missing`.
+  provider.set_missing_recorder(nullptr);
   // Both predicate and grouping columns were wanted.
   bool saw_orderdate = false, saw_custkey = false;
   for (const auto& k : missing) {
@@ -698,6 +704,100 @@ TEST_F(OptimizerTest, IndexedViewSeekOnGroupByPrefix) {
   ASSERT_TRUE(p1->root->UsesStructure(config.views()[0].CanonicalName()))
       << p1->root->Describe(p1->bound);
   EXPECT_LT(lead, non_lead * 0.5);
+}
+
+// Past kDpTableLimit (12) tables the join search is a greedy left-deep
+// chain. Pins the plan text (hashed) and the cost's bit pattern of a
+// 14-table chain and a 14-table star, each under the raw design and under
+// indexes on every join column. No statistics: heuristic estimates only.
+TEST_F(OptimizerTest, GreedyJoinOrderBeyondDpLimit) {
+  catalog::Catalog catalog;
+  catalog::Database db("wide");
+  auto add_table = [&](const std::string& name,
+                       const std::vector<std::string>& columns,
+                       uint64_t rows) {
+    std::vector<catalog::Column> cols;
+    for (const auto& c : columns) cols.push_back({c, ColumnType::kInt, 8});
+    TableSchema t(name, cols);
+    t.set_row_count(rows);
+    t.SetPrimaryKey({columns[0]});
+    ASSERT_TRUE(db.AddTable(t).ok());
+  };
+  // Chain c0 - c1 - ... - c13 on ci_next = c(i+1)_id.
+  std::string chain_from, chain_where;
+  Configuration chain_indexes;
+  for (int i = 0; i < 14; ++i) {
+    std::string t = StrFormat("c%d", i);
+    add_table(t, {t + "_id", t + "_next", t + "_val"},
+              100000 * static_cast<uint64_t>((i * 7) % 13 + 1));
+    chain_from += (i > 0 ? ", " : "") + t;
+    for (const char* col : {"_id", "_next"}) {
+      ASSERT_TRUE(chain_indexes
+                      .AddIndex(IndexDef{.table = t, .key_columns = {t + col}})
+                      .ok());
+    }
+    if (i > 0) {
+      chain_where += StrFormat("%sc%d_next = c%d_id", i > 1 ? " AND " : "",
+                               i - 1, i);
+    }
+  }
+  // Star: fact f with one foreign key per dimension d1..d13.
+  std::vector<std::string> fact_cols = {"f_id", "f_amt"};
+  std::string star_from = "f", star_where;
+  Configuration star_indexes;
+  for (int i = 1; i < 14; ++i) {
+    std::string d = StrFormat("d%d", i);
+    add_table(d, {d + "_id", d + "_attr"},
+              10000 * static_cast<uint64_t>(i * i));
+    fact_cols.push_back(StrFormat("f_d%d", i));
+    star_from += ", " + d;
+    star_where += StrFormat("%sf_d%d = d%d_id", i > 1 ? " AND " : "", i, i);
+    ASSERT_TRUE(star_indexes
+                    .AddIndex(IndexDef{.table = "f",
+                                       .key_columns = {fact_cols.back()}})
+                    .ok());
+    ASSERT_TRUE(
+        star_indexes.AddIndex(IndexDef{.table = d, .key_columns = {d + "_id"}})
+            .ok());
+  }
+  add_table("f", fact_cols, 5000000);
+  ASSERT_TRUE(catalog.AddDatabase(std::move(db)).ok());
+
+  const std::string chain_sql = "SELECT c0_val, c13_val FROM " + chain_from +
+                                " WHERE " + chain_where +
+                                " AND c5_id = 3 AND c9_val < 10";
+  const std::string star_sql = "SELECT d2_attr, SUM(f_amt) FROM " +
+                               star_from + " WHERE " + star_where +
+                               " AND f_id = 7 AND d4_attr = 2 AND d11_attr < 5 "
+                               "GROUP BY d2_attr";
+  stats::StatsManager no_stats;
+  StatsProvider provider(&no_stats);
+  Optimizer opt(catalog, provider, HardwareParams());
+  struct Case {
+    const std::string* sql;
+    const Configuration* config;
+    uint64_t describe_hash;
+    uint64_t cost_bits;
+  };
+  const Configuration raw;
+  const Case cases[] = {
+      {&chain_sql, &raw, 0x0496c000a7669f97ull, 0x44a1270c4e75489dull},
+      {&chain_sql, &chain_indexes, 0x7d6a5e3402aed2c3ull,
+       0x4047c6dd03028894ull},
+      {&star_sql, &raw, 0x3ad227bc22729d53ull, 0x40ba00e4d197e852ull},
+      {&star_sql, &star_indexes, 0x03d096baacd6f2cdull,
+       0x40a729b814ff8d59ull},
+  };
+  for (const Case& c : cases) {
+    sql::Statement stmt = Parse(*c.sql);
+    auto plan = opt.OptimizeSelect(stmt.select(), *c.config);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const std::string desc = plan->root->Describe(plan->bound);
+    EXPECT_EQ(HashBytes(desc), c.describe_hash)
+        << std::hex << HashBytes(desc) << "\n" << desc;
+    EXPECT_EQ(std::bit_cast<uint64_t>(plan->cost), c.cost_bits)
+        << std::hex << std::bit_cast<uint64_t>(plan->cost);
+  }
 }
 
 }  // namespace

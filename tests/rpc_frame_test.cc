@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -157,6 +158,15 @@ TEST(FrameCodecTest, WhatIfRequestIdsRoundTrip) {
   EXPECT_TRUE(bare->sql.empty());
   EXPECT_EQ(bare->structures, ids_only.structures);
   EXPECT_TRUE(bare->config_xml.empty());
+}
+
+TEST(FrameCodecTest, NonFiniteHardwareIsRefused) {
+  WhatIfRequestMsg msg;
+  msg.has_hardware = true;
+  msg.hardware.cpu_row_ms = std::numeric_limits<double>::quiet_NaN();
+  auto got = DecodeWhatIfRequest(EncodeWhatIfRequest(msg));
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument)
+      << got.status().ToString();
 }
 
 TEST(FrameCodecTest, TruncatedIdListIsRefused) {

@@ -203,6 +203,97 @@ TEST(ServerTest, WhatIfWithSimulatedHardware) {
   EXPECT_LT(simulated->cost, own->cost);
 }
 
+// A metadata-only TestClass server with one 2M-row table, the §5.3 test
+// server of the hardware-simulation tests below.
+std::unique_ptr<Server> MakeBigTestServer() {
+  auto s =
+      std::make_unique<Server>("test", optimizer::HardwareParams::TestClass());
+  TableSchema t("sales", {{"s_id", ColumnType::kInt, 8},
+                          {"s_region", ColumnType::kInt, 8},
+                          {"s_amount", ColumnType::kDouble, 8}});
+  t.set_row_count(2000000);
+  t.SetPrimaryKey({"s_id"});
+  catalog::Database db("shop");
+  EXPECT_TRUE(db.AddTable(t).ok());
+  EXPECT_TRUE(s->AttachDatabase(std::move(db)).ok());
+  return s;
+}
+
+TEST(ServerTest, SimulatedHardwareKeysOnEveryParameter) {
+  sql::Statement q =
+      Q("SELECT s_region, SUM(s_amount) FROM sales WHERE s_region = 3 "
+        "GROUP BY s_region ORDER BY s_region");
+  // The raw design scans and hash-aggregates; the covering index seeks, so
+  // between them every parameter moves some cost.
+  Configuration covering;
+  ASSERT_TRUE(covering
+                  .AddIndex(IndexDef{.table = "sales",
+                                     .key_columns = {"s_region"},
+                                     .included_columns = {"s_amount"}})
+                  .ok());
+  auto costs = [&](Server* s, const optimizer::HardwareParams& hw) {
+    auto raw = s->WhatIfCost(q, Configuration(), &hw);
+    auto seek = s->WhatIfCost(q, covering, &hw);
+    EXPECT_TRUE(raw.ok() && seek.ok());
+    return std::make_pair(raw.ok() ? raw->cost : -1,
+                          seek.ok() ? seek->cost : -1);
+  };
+
+  const optimizer::HardwareParams prod =
+      optimizer::HardwareParams::ProductionClass();
+  using Hw = optimizer::HardwareParams;
+  // One change per field. The page costs move by less than the third
+  // decimal, and the memory size drops below the table's size.
+  const std::vector<std::pair<const char*, void (*)(Hw*)>> cases = {
+      {"cpu_count", [](Hw* h) { h->cpu_count = 8; }},
+      {"memory_mb", [](Hw* h) { h->memory_mb = 32; }},
+      {"seq_page_ms", [](Hw* h) { h->seq_page_ms += 0.0004; }},
+      {"rand_page_ms", [](Hw* h) { h->rand_page_ms += 0.0004; }},
+      {"cpu_row_ms", [](Hw* h) { h->cpu_row_ms *= 10; }},
+      {"hash_row_ms", [](Hw* h) { h->hash_row_ms *= 10; }},
+      {"cmp_row_ms", [](Hw* h) { h->cmp_row_ms *= 10; }},
+      {"cached_io_fraction", [](Hw* h) { h->cached_io_fraction = 0.5; }},
+      {"parallel_threshold_rows",
+       [](Hw* h) { h->parallel_threshold_rows = 1e7; }},
+  };
+  auto shared = MakeBigTestServer();
+  const auto base = costs(shared.get(), prod);
+  for (const auto& [field, change] : cases) {
+    Hw hw = prod;
+    change(&hw);
+    const auto fresh = costs(MakeBigTestServer().get(), hw);
+    EXPECT_NE(fresh, base) << field << " moves no cost";
+    EXPECT_EQ(costs(shared.get(), hw), fresh) << field;
+  }
+  // Back to the first parameter set: its optimizer is still there.
+  EXPECT_EQ(costs(shared.get(), prod), base);
+}
+
+TEST(ServerTest, WhatIfPlanSimulatesHardware) {
+  auto s = MakeBigTestServer();
+  Configuration config;
+  ASSERT_TRUE(
+      config.AddIndex(IndexDef{.table = "sales", .key_columns = {"s_region"}})
+          .ok());
+  sql::Statement q =
+      Q("SELECT s_amount FROM sales WHERE s_region IN (1,2,3,4)");
+  const optimizer::HardwareParams prod =
+      optimizer::HardwareParams::ProductionClass();
+  auto own = s->WhatIfCost(q, config);
+  auto simulated = s->WhatIfCost(q, config, &prod);
+  ASSERT_TRUE(own.ok() && simulated.ok());
+  ASSERT_NE(own->cost, simulated->cost);
+
+  auto own_plan = s->WhatIfPlan(q.select(), config);
+  auto simulated_plan = s->WhatIfPlan(q.select(), config, &prod);
+  ASSERT_TRUE(own_plan.ok() && simulated_plan.ok());
+  EXPECT_EQ(own_plan->cost, own->cost);
+  EXPECT_EQ(simulated_plan->cost, simulated->cost);
+  // Production hardware scans where the test server's own would seek.
+  EXPECT_TRUE(own_plan->root->UsesStructure(config.index_names()[0]));
+  EXPECT_FALSE(simulated_plan->root->UsesStructure(config.index_names()[0]));
+}
+
 TEST(ServerTest, ImplementAndExecute) {
   auto s = MakeServer(/*with_data=*/true);
   Configuration config;
