@@ -334,7 +334,6 @@ Result<CheckpointRecord> SplitRecord(const std::string& payload, bool base,
 // ---- Session records -----------------------------------------------------
 
 std::string EncodeSessionRecord(const SessionCheckpoint& ckpt,
-                                const std::vector<Candidate>* pool,
                                 CostCache* cache, bool base, bool cleared) {
   xml::Element root("DTASession");
   root.SetAttr("Version", "3");
@@ -370,9 +369,10 @@ std::string EncodeSessionRecord(const SessionCheckpoint& ckpt,
                       U64List(ckpt.degraded_statements));
   }
 
-  if (pool != nullptr && (base || ckpt.phase == kCheckpointPoolReady)) {
+  if (ckpt.phase == kCheckpointPoolReady ||
+      (base && ckpt.phase > kCheckpointPoolReady)) {
     xml::Element* pool_elem = root.AddChild("CandidatePool");
-    for (const auto& cand : *pool) CandidateToXml(cand, pool_elem);
+    for (const auto& cand : ckpt.pool) CandidateToXml(cand, pool_elem);
   }
 
   if (ckpt.phase >= kCheckpointEnumeration) {

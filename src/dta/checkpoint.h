@@ -148,13 +148,15 @@ inline constexpr int kCheckpointCurrentCosts = 1;  // current-cost pass done
 inline constexpr int kCheckpointPoolReady = 2;     // candidate pool final
 inline constexpr int kCheckpointEnumeration = 3;   // greedy state present
 
-// A session's state, folded from its log's base and segments.
+// A session's progress: the state a running session keeps and writes as
+// it stands, and the state its log folds back to (base, then segments). A
+// fresh session's is phase 0.
 struct SessionCheckpoint {
   // Guard against resuming with a different workload or different options:
   // either would silently produce a recommendation that matches neither run.
   uint64_t workload_fingerprint = 0;
   uint64_t options_fingerprint = 0;
-  int phase = kCheckpointCurrentCosts;
+  int phase = 0;
   // The writing session's shard topology and transport, informational:
   // entries are keyed by (statement, fingerprint), so a 4-shard inproc log
   // resumes on 2 shards or over sockets. A corrupt topology (< 1) is
@@ -165,6 +167,8 @@ struct SessionCheckpoint {
   std::vector<double> current_costs;  // per tuned statement, in order
   std::set<stats::StatsKey> missing_stats;
   std::vector<stats::StatsKey> created_stats;  // creation order
+  // Folded from a log only: a running session's entries live in its cost
+  // cache, which the encoder reads.
   std::vector<CostLine> cache;
   // Statements whose pricing degraded at any point before the record. The
   // flag cannot be rebuilt from `cache`: statistics creation clears the
@@ -176,8 +180,8 @@ struct SessionCheckpoint {
 
   EnumerationResume enumeration;  // phase == kCheckpointEnumeration
 
-  // Report counters accumulated before the snapshot; restored verbatim so a
-  // resumed session's report matches the uninterrupted one.
+  // Report counters accumulated so far; a resumed session carries them on,
+  // so its report matches the uninterrupted one.
   size_t stats_requested = 0;
   size_t stats_created = 0;
   double stats_creation_ms = 0;
@@ -193,13 +197,12 @@ uint64_t WorkloadFingerprint(const workload::Workload& workload);
 uint64_t OptionsFingerprint(const TuningOptions& options);
 
 // Encodes one session record (EncodeRecord): a <DTASession> document with
-// `checkpoint`'s scalars and small sections (its `cache` and `pool` are not
-// read), marked CacheCleared in a segment when `cleared` says a statistics
-// request cleared the cache since the previous record, then `cache`'s cost
-// lines. `pool` (null until it is final) is carried by a base and by the
+// `checkpoint`'s scalars and small sections (its `cache` is not read),
+// marked CacheCleared in a segment when `cleared` says a statistics request
+// cleared the cache since the previous record, then `cache`'s cost lines.
+// The pool is carried from kCheckpointPoolReady on by a base and by the
 // pool-ready segment; the greedy state by records of the enumeration phase.
 std::string EncodeSessionRecord(const SessionCheckpoint& checkpoint,
-                                const std::vector<Candidate>* pool,
                                 CostCache* cache, bool base, bool cleared);
 // Folds one record into `checkpoint`: a base replaces it, a segment updates
 // it. `catalog` rebuilds candidate identities (canonical names, storage

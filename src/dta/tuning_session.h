@@ -16,6 +16,7 @@
 #define DTA_DTA_TUNING_SESSION_H_
 
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -38,6 +39,7 @@ namespace dta::tuner {
 
 class AdmissionController;
 class ShardRouter;
+struct SessionCheckpoint;
 
 // Identity a session carries when it runs as one tenant of a multi-tenant
 // fleet (dta/tenant_driver.h): its name and the shared admission controller
@@ -167,12 +169,13 @@ class TuningSession {
   // from the production server automatically.
   Status UseTestServer(server::Server* test);
 
-  // Runs the full tuning pipeline.
+  // Runs the full tuning pipeline; with options().resume_path set, from
+  // where that checkpoint log stops.
   Result<TuningResult> Tune(const workload::Workload& workload);
 
   // Exploratory analysis (paper §6.3): costs the workload under a
   // user-provided configuration vs. the current one, without tuning. Prices
-  // through the same costing setup as Tune (threads, shards, transport,
+  // through the same kind of run as Tune (threads, shards, transport,
   // faults), and the report carries the same costing summary.
   Result<EvaluationResult> EvaluateConfiguration(
       const workload::Workload& workload,
@@ -224,21 +227,38 @@ class TuningSession {
   void SetCostCache(CostCache* cache) { cache_ = cache; }
 
  private:
+  // One Tune or EvaluateConfiguration call: its costing and, for Tune, its
+  // progress record (tuning_session.cc).
+  struct Run;
+
   server::Server* TuningServer() {
     return test_ != nullptr ? test_ : production_;
   }
+  const Clock* clock() const {  // the injected clock or the monotonic one
+    return obs_.clock != nullptr ? obs_.clock : MonotonicClock::Instance();
+  }
+  // Validates the costing options and builds a run over `workload` (which
+  // must outlive it) for a call that started at `t_start`.
+  Result<std::unique_ptr<Run>> NewRun(const workload::Workload& workload,
+                                      double t_start);
+
+  // Tune's phases over the run's progress record. Start sets it to phase 0
+  // or to the log at resume_path; the next two run only while the phase is
+  // below their marker, so a fresh and a resumed run take one path.
+  Status Start(Run* run);
+  Status PriceCurrentCosts(Run* run);   // up to kCheckpointCurrentCosts
+  Status BuildCandidatePool(Run* run);  // up to kCheckpointPoolReady
+  Status Enumerate(Run* run);           // from the progress's greedy state
+  Status Finish(Run* run);              // final costs and the report
+  // Writes the progress, as it stands, as the next checkpoint record.
+  Status WriteCheckpoint(Run* run);
+
   // Creates statistics on the production server and brings the test
-  // server (in test-server mode) and every shard of `fleet` (the sharded
-  // backend, null without one) up to each of them, so every shard keeps
-  // pricing with identical information. When non-null, accumulates
-  // `result`'s creation counters and logs each key it created to
-  // `created_log` (checkpointing). Resume passes null for both: statistics
-  // builds are deterministic in the data, so re-creating a checkpointed
-  // run's statistics matches the originals, and the checkpoint carries that
-  // run's counters.
+  // server (in test-server mode) and every shard of `fleet` (null without
+  // one) up to each of them, so every shard prices with identical
+  // information. A non-null `progress` counts and logs each one created.
   Status CreateAndImportStats(const std::vector<stats::StatsKey>& keys,
-                              ShardRouter* fleet, TuningResult* result,
-                              std::vector<stats::StatsKey>* created_log);
+                              ShardRouter* fleet, SessionCheckpoint* progress);
   // Base configuration: constraint-enforcing indexes of the current design
   // plus the user-specified configuration.
   Result<catalog::Configuration> BaseConfiguration() const;

@@ -13,10 +13,12 @@ double Clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
 CardinalityEstimator::CardinalityEstimator(const BoundQuery& query,
                                            const StatsProvider& stats,
-                                           Counter* lookups)
+                                           Counter* lookups,
+                                           std::set<stats::StatsKey>* missing)
     : q_(query),
       stats_(stats),
       lookups_counter_(lookups),
+      missing_(missing),
       atom_selectivity_(query.atoms.size(), -1.0) {
   column_base_.reserve(q_.tables.size());
   size_t columns = 0;
@@ -44,7 +46,8 @@ double CardinalityEstimator::ColumnDistinct(int table, int column) const {
     const BoundTable& bt = q_.tables[static_cast<size_t>(table)];
     ++lookups_;
     d = std::max(1.0, stats_.DistinctCount(bt.database->name(), *bt.schema,
-                                           {bt.schema->column(column).name}));
+                                           {bt.schema->column(column).name},
+                                           missing_));
   }
   return d;
 }
@@ -73,7 +76,7 @@ double CardinalityEstimator::ComputeAtomSelectivity(int atom_index) const {
 
   ++lookups_;
   const stats::Statistics* s =
-      stats_.Histogram(bt.database->name(), *bt.schema, col_name);
+      stats_.Histogram(bt.database->name(), *bt.schema, col_name, missing_);
   const stats::Histogram* h =
       (s != nullptr && !s->histogram.empty()) ? &s->histogram : nullptr;
   // Histograms can be stale relative to the logical row count; normalize by
@@ -198,8 +201,8 @@ double CardinalityEstimator::GroupCardinality(
     if (names.empty()) continue;
     const BoundTable& bt = q_.tables[t];
     ++lookups_;
-    double d =
-        stats_.DistinctCount(bt.database->name(), *bt.schema, names);
+    double d = stats_.DistinctCount(bt.database->name(), *bt.schema, names,
+                                    missing_);
     total *= std::max(1.0, d);
   }
   return std::min(total, std::max(1.0, input_rows));

@@ -6,6 +6,7 @@
 #define DTA_OPTIMIZER_CARDINALITY_H_
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "catalog/physical_design.h"
@@ -31,9 +32,11 @@ struct DefaultSelectivity {
 class CardinalityEstimator {
  public:
   // When `lookups` is set, the estimator adds the number of requests it made
-  // to `stats` to it when destroyed.
+  // to `stats` to it when destroyed. When `missing` is set, every lookup
+  // that fell back to a heuristic records the statistic it wanted there.
   CardinalityEstimator(const BoundQuery& query, const StatsProvider& stats,
-                       Counter* lookups = nullptr);
+                       Counter* lookups = nullptr,
+                       std::set<stats::StatsKey>* missing = nullptr);
   ~CardinalityEstimator();
   CardinalityEstimator(const CardinalityEstimator&) = delete;
   CardinalityEstimator& operator=(const CardinalityEstimator&) = delete;
@@ -71,6 +74,7 @@ class CardinalityEstimator {
   const BoundQuery& q_;
   const StatsProvider& stats_;
   Counter* const lookups_counter_;
+  std::set<stats::StatsKey>* const missing_;
   mutable uint64_t lookups_ = 0;
   // Memo: negative until computed. Distinct counts are indexed by
   // column_base_[table] + column ordinal, selectivities by atom.

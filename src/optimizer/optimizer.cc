@@ -535,8 +535,9 @@ double RowBytesOf(const BoundQuery& q, uint32_t mask) {
 }  // namespace
 
 Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
-    BoundQuery q, const catalog::Configuration& config) const {
-  CardinalityEstimator est(q, stats_, m_stats_lookups_);
+    BoundQuery q, const catalog::Configuration& config,
+    std::set<stats::StatsKey>* missing) const {
+  CardinalityEstimator est(q, stats_, m_stats_lookups_, missing);
   const size_t n = q.tables.size();
   if (n > 31) return Status::InvalidArgument("too many tables in FROM");
 
@@ -590,6 +591,23 @@ Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
     }
     return connecting;
   };
+  // The one connectivity rule of both join searches: the tables they may
+  // join to the tables in `mask`, as a mask. Those an equality join atom
+  // connects to `mask`; every other table (a cartesian product) only when
+  // none connects.
+  const uint32_t all_tables = (1u << n) - 1;
+  auto extensions = [&](uint32_t mask) {
+    uint32_t connected = 0;
+    for (int a : q.join_atoms) {
+      const BoundAtom& atom = q.atoms[static_cast<size_t>(a)];
+      const uint32_t lbit = 1u << atom.table;
+      const uint32_t rbit = 1u << atom.rhs_table;
+      if ((mask & lbit) != 0) connected |= rbit;
+      if ((mask & rbit) != 0) connected |= lbit;
+    }
+    connected &= ~mask;
+    return connected != 0 ? connected : all_tables & ~mask;
+  };
 
   // A join-search entry keeps its cost, its rows and how it was built:
   // either the leaf access path `right` into `table` (no `left`), or `op`
@@ -622,7 +640,6 @@ Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
   std::vector<JoinEntry> dp;     // by table mask, up to kDpTableLimit
   std::vector<JoinEntry> chain;  // the greedy chain beyond it, by step
   const JoinEntry* final_entry = nullptr;
-  const size_t full = (1u << n) - 1;
   const bool use_dp = n <= kDpTableLimit;
   if (use_dp) dp.resize(1u << n);
 
@@ -693,64 +710,33 @@ Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
     // A lone table ends as its cheapest path; aggregation below may still
     // switch to an ordered one from table_paths.
     for (size_t t = 0; t < n; ++t) dp[1u << t] = leaf(t);
-    for (uint32_t mask = 1; mask <= full; ++mask) {
+    for (uint32_t mask = 1; mask <= all_tables; ++mask) {
       if (!dp[mask].valid) continue;
-      // Prefer connected extensions; allow cartesian only when no table
-      // connects.
-      bool any_connected = false;
+      const uint32_t allowed = extensions(mask);
       for (size_t t = 0; t < n; ++t) {
-        if ((mask & (1u << t)) != 0) continue;
-        for (int a : q.join_atoms) {
-          const BoundAtom& atom = q.atoms[static_cast<size_t>(a)];
-          uint32_t tb = 1u << t;
-          if (((1u << atom.table) == tb &&
-               (mask & (1u << atom.rhs_table)) != 0) ||
-              ((1u << atom.rhs_table) == tb &&
-               (mask & (1u << atom.table)) != 0)) {
-            any_connected = true;
-            break;
-          }
+        if ((allowed & (1u << t)) != 0) {
+          join_step(dp[mask], mask, t, &dp[mask | (1u << t)]);
         }
-        if (any_connected) break;
-      }
-      for (size_t t = 0; t < n; ++t) {
-        if ((mask & (1u << t)) != 0) continue;
-        if (any_connected) {
-          bool connected = false;
-          for (int a : q.join_atoms) {
-            const BoundAtom& atom = q.atoms[static_cast<size_t>(a)];
-            uint32_t tb = 1u << t;
-            if (((1u << atom.table) == tb &&
-                 (mask & (1u << atom.rhs_table)) != 0) ||
-                ((1u << atom.rhs_table) == tb &&
-                 (mask & (1u << atom.table)) != 0)) {
-              connected = true;
-              break;
-            }
-          }
-          if (!connected) continue;
-        }
-        join_step(dp[mask], mask, t, &dp[mask | (1u << t)]);
       }
     }
-    final_entry = &dp[full];
+    final_entry = &dp[all_tables];
   } else {
-    // Greedy left-deep chain: start from the smallest table, repeatedly
-    // join the connected table with the smallest output.
+    // Greedy left-deep chain: start from the smallest table, then join the
+    // cheapest table the connectivity rule allows, so an unconnected table
+    // joins only once no remaining table connects.
     chain.resize(n);
-    std::vector<bool> used(n, false);
     size_t start = 0;
     for (size_t t = 1; t < n; ++t) {
       if (cheapest(t).rows < cheapest(start).rows) start = t;
     }
     chain[0] = leaf(start);
-    used[start] = true;
     uint32_t mask = 1u << start;
     for (size_t step = 1; step < n; ++step) {
       JoinEntry& next = chain[step];
+      const uint32_t allowed = extensions(mask);
       size_t best_t = n;
       for (size_t t = 0; t < n; ++t) {
-        if (used[t]) continue;
+        if ((allowed & (1u << t)) == 0) continue;
         JoinEntry cand;
         join_step(chain[step - 1], mask, t, &cand);
         if (cand.valid && (best_t == n || cand.cost < next.cost)) {
@@ -761,7 +747,6 @@ Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
       if (best_t == n) {
         return Status::Internal("greedy join ordering failed");
       }
-      used[best_t] = true;
       mask |= 1u << best_t;
     }
     final_entry = &chain[n - 1];
@@ -958,11 +943,11 @@ Result<Optimizer::QueryPlan> Optimizer::PlanQueryBlock(
 }
 
 Result<Optimizer::QueryPlan> Optimizer::OptimizeSelect(
-    const sql::SelectStatement& stmt,
-    const catalog::Configuration& config) const {
+    const sql::SelectStatement& stmt, const catalog::Configuration& config,
+    std::set<stats::StatsKey>* missing) const {
   auto bound = BindSelect(stmt, catalog_);
   if (!bound.ok()) return bound.status();
-  return PlanQueryBlock(std::move(bound).value(), config);
+  return PlanQueryBlock(std::move(bound).value(), config, missing);
 }
 
 // --------------------------------------------------------------------------
@@ -986,7 +971,8 @@ std::vector<int> ViewColumnsOfTable(const BoundQuery& vq,
 }  // namespace
 
 Result<double> Optimizer::CostDml(const sql::Statement& stmt,
-                                  const catalog::Configuration& config) const {
+                                  const catalog::Configuration& config,
+                                  std::set<stats::StatsKey>* missing) const {
   auto bound = BindDml(stmt, catalog_);
   if (!bound.ok()) return bound.status();
   const BoundDml& dml = *bound;
@@ -1019,7 +1005,7 @@ Result<double> Optimizer::CostDml(const sql::Statement& stmt,
         locate.items.push_back(std::move(item));
       }
     }
-    auto plan = OptimizeSelect(locate, config);
+    auto plan = OptimizeSelect(locate, config, missing);
     if (!plan.ok()) return plan.status();
     affected = std::max(1.0, plan->root->est_rows);
     cost += plan->cost;
@@ -1096,14 +1082,15 @@ Result<double> Optimizer::CostDml(const sql::Statement& stmt,
 }
 
 Result<double> Optimizer::CostStatement(
-    const sql::Statement& stmt, const catalog::Configuration& config) const {
+    const sql::Statement& stmt, const catalog::Configuration& config,
+    std::set<stats::StatsKey>* missing) const {
   if (m_statements_ != nullptr) m_statements_->Increment();
   if (stmt.is_select()) {
-    auto plan = OptimizeSelect(stmt.select(), config);
+    auto plan = OptimizeSelect(stmt.select(), config, missing);
     if (!plan.ok()) return plan.status();
     return plan->cost;
   }
-  return CostDml(stmt, config);
+  return CostDml(stmt, config, missing);
 }
 
 }  // namespace dta::optimizer

@@ -23,6 +23,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "catalog/physical_design.h"
@@ -55,18 +56,25 @@ class Optimizer {
     double cost = 0;
   };
 
+  // Each entry point below records, when `missing` is set, every statistic
+  // the call wanted and did not find: the per-call set that drives
+  // statistics creation (paper §5.2).
+
   // Optimizes a SELECT against the configuration.
-  Result<QueryPlan> OptimizeSelect(const sql::SelectStatement& stmt,
-                                   const catalog::Configuration& config) const;
+  Result<QueryPlan> OptimizeSelect(
+      const sql::SelectStatement& stmt, const catalog::Configuration& config,
+      std::set<stats::StatsKey>* missing = nullptr) const;
 
   // Estimated cost of any statement (SELECT or DML) under the configuration.
-  Result<double> CostStatement(const sql::Statement& stmt,
-                               const catalog::Configuration& config) const;
+  Result<double> CostStatement(
+      const sql::Statement& stmt, const catalog::Configuration& config,
+      std::set<stats::StatsKey>* missing = nullptr) const;
 
   // Estimated cost of INSERT/UPDATE/DELETE: row location plus maintenance of
   // every affected index and materialized view.
   Result<double> CostDml(const sql::Statement& stmt,
-                         const catalog::Configuration& config) const;
+                         const catalog::Configuration& config,
+                         std::set<stats::StatsKey>* missing = nullptr) const;
 
   const CostModel& cost_model() const { return cm_; }
   const catalog::Catalog& catalog() const { return catalog_; }
@@ -114,7 +122,8 @@ class Optimizer {
 
   // Joins, aggregation, ordering on top of base paths.
   Result<QueryPlan> PlanQueryBlock(BoundQuery q,
-                                   const catalog::Configuration& config) const;
+                                   const catalog::Configuration& config,
+                                   std::set<stats::StatsKey>* missing) const;
 
   // Best whole-query replacement using a materialized view, if any.
   std::optional<AccessPath> BestViewPlan(

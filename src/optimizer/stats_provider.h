@@ -2,9 +2,9 @@
 //
 // Wraps a StatsManager and (a) serves histogram / distinct-count lookups,
 // (b) records every *missing* statistic that the optimizer would have wanted
-// — the "required statistics" discovery that drives both reduced statistics
-// creation (paper §5.2) and statistics import in the production/test-server
-// scenario (§5.3).
+// into the set its caller passes with the lookup — the "required statistics"
+// discovery that drives both reduced statistics creation (paper §5.2) and
+// statistics import in the production/test-server scenario (§5.3).
 
 #ifndef DTA_OPTIMIZER_STATS_PROVIDER_H_
 #define DTA_OPTIMIZER_STATS_PROVIDER_H_
@@ -24,38 +24,36 @@ class StatsProvider {
   explicit StatsProvider(const stats::StatsManager* manager)
       : manager_(manager) {}
 
-  // When set, every lookup that had to fall back to a heuristic records the
-  // statistic it wanted. The recorder is thread-local: each thread sets its
-  // own recorder around an optimization and observes only its own misses,
-  // so concurrent what-if calls through a shared provider do not race or
-  // cross-contaminate.
-  void set_missing_recorder(std::set<stats::StatsKey>* recorder) {
-    tls_missing_ = recorder;
-  }
-
   // Histogram describing `column` (leading column of some statistic), or
-  // nullptr with the miss recorded.
+  // nullptr with the miss recorded in `missing` when it is set.
   const stats::Statistics* Histogram(const std::string& database,
                                      const catalog::TableSchema& table,
-                                     const std::string& column) const {
+                                     const std::string& column,
+                                     std::set<stats::StatsKey>* missing) const {
     const stats::Statistics* s =
         manager_ != nullptr
             ? manager_->FindHistogram(database, table.name(), column)
             : nullptr;
-    if (s == nullptr) RecordMissing(database, table.name(), {column});
+    if (s == nullptr && missing != nullptr) {
+      missing->insert(stats::StatsKey(database, table.name(), {column}));
+    }
     return s;
   }
 
   // Distinct-count estimate for a column group; falls back to a heuristic
-  // when no density information exists (and records the miss).
+  // when no density information exists (and records the miss in `missing`
+  // when it is set).
   double DistinctCount(const std::string& database,
                        const catalog::TableSchema& table,
-                       const std::vector<std::string>& columns) const {
+                       const std::vector<std::string>& columns,
+                       std::set<stats::StatsKey>* missing) const {
     if (manager_ != nullptr) {
       auto d = manager_->DistinctCount(database, table.name(), columns);
       if (d.has_value()) return std::max(1.0, *d);
     }
-    RecordMissing(database, table.name(), columns);
+    if (missing != nullptr) {
+      missing->insert(stats::StatsKey(database, table.name(), columns));
+    }
     return FallbackDistinct(table, columns);
   }
 
@@ -78,16 +76,7 @@ class StatsProvider {
   const stats::StatsManager* manager() const { return manager_; }
 
  private:
-  void RecordMissing(const std::string& database, const std::string& table,
-                     const std::vector<std::string>& columns) const {
-    if (tls_missing_ != nullptr) {
-      tls_missing_->insert(stats::StatsKey(database, table, columns));
-    }
-  }
-
   const stats::StatsManager* manager_;
-  inline static thread_local std::set<stats::StatsKey>* tls_missing_ =
-      nullptr;
 };
 
 }  // namespace dta::optimizer

@@ -188,11 +188,7 @@ Result<Server::WhatIfResult> Server::WhatIfCost(
   }
   const optimizer::Optimizer* opt = OptimizerFor(simulate_hardware);
   WhatIfResult out;
-  // The recorder is thread-local: concurrent callers each collect their own
-  // missing-statistics set.
-  provider_->set_missing_recorder(&out.missing_stats);
-  auto cost = opt->CostStatement(stmt, config);
-  provider_->set_missing_recorder(nullptr);
+  auto cost = opt->CostStatement(stmt, config, &out.missing_stats);
   out.simulated_ms = SimulatedOptimizeDurationMs(stmt, config);
   AccrueOverhead(out.simulated_ms);
   whatif_calls_.fetch_add(1, std::memory_order_relaxed);

@@ -10,12 +10,14 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "dta/checkpoint.h"
 #include "dta/tuning_session.h"
 #include "dta/xml_schema.h"
@@ -111,8 +113,8 @@ std::string BaseRecord(const SessionCheckpoint& checkpoint) {
   for (const CostLine& line : checkpoint.cache) {
     cache.Restore(line.id, line.fingerprint, line.entry);
   }
-  return EncodeSessionRecord(checkpoint, &checkpoint.pool, &cache,
-                             /*base=*/true, /*cleared=*/false);
+  return EncodeSessionRecord(checkpoint, &cache, /*base=*/true,
+                             /*cleared=*/false);
 }
 
 // The recommendation serialized exactly as the output document renders it;
@@ -127,6 +129,15 @@ void ExpectIdenticalOutcome(const TuningResult& expected,
   EXPECT_EQ(expected.current_cost, actual.current_cost) << label;
   EXPECT_EQ(expected.recommended_cost, actual.recommended_cost) << label;
   EXPECT_EQ(RecommendationXml(expected), RecommendationXml(actual)) << label;
+  // The counters a checkpoint record carries. enumeration_evaluations is
+  // left out: a resumed search does not redo the evaluations before its
+  // snapshot.
+  EXPECT_EQ(expected.stats_requested, actual.stats_requested) << label;
+  EXPECT_EQ(expected.stats_created, actual.stats_created) << label;
+  EXPECT_EQ(expected.stats_creation_ms, actual.stats_creation_ms) << label;
+  EXPECT_EQ(expected.candidates_generated, actual.candidates_generated)
+      << label;
+  EXPECT_EQ(expected.created_stats, actual.created_stats) << label;
   ASSERT_EQ(expected.report.statements.size(),
             actual.report.statements.size())
       << label;
@@ -504,6 +515,68 @@ TEST(CheckpointResumeTest, TornTailIsReplacedByTheResumedBase) {
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_TRUE(resumed->resumed);
   ExpectIdenticalOutcome(*baseline, *resumed, "resume after a torn tail");
+}
+
+// ------------------------------------------------------------- log bytes
+
+// The hash of the whole log file after each checkpoint write of one run,
+// which a probe may kill at `kill_at`.
+std::vector<uint64_t> LogHashes(const TuningOptions& opts, int kill_at = 0) {
+  std::vector<uint64_t> hashes;
+  auto run = RunTune(opts, [&](int ordinal) {
+    std::ifstream in(opts.checkpoint_path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    hashes.push_back(HashBytes(bytes));
+    return ordinal == kill_at ? Status::Aborted("simulated crash")
+                              : Status::Ok();
+  });
+  EXPECT_EQ(run.ok(), kill_at == 0) << run.status().ToString();
+  return hashes;
+}
+
+// Every byte a session writes to its log, pinned after each write under
+// four option sets and for a run resumed mid-log: a change to what a record
+// carries, or to when it is written, fails here by name.
+TEST(CheckpointResumeTest, SessionLogBytesArePinned) {
+  TuningOptions plain = BaseOptions();
+  plain.checkpoint_path = CheckpointPath("pinned");
+  TuningOptions underived = plain;
+  underived.derived_costing = false;
+  TuningOptions faulty = plain;
+  faulty.fault_spec = "seed=17,permanent=0.3";
+  faulty.retry.initial_backoff_ms = 0.01;
+  TuningOptions sharded = plain;
+  sharded.shards = 4;
+
+  const std::vector<uint64_t> plain_hashes = {
+      0x7cdaa9a5be75d335ull, 0x4302fd97c1a0b5a8ull, 0xe3e9507c8ef611f4ull,
+      0xdc83a0b049150d14ull};
+  const std::vector<uint64_t> underived_hashes = {
+      0x53b951d450f1b0c1ull, 0x55862a254e8fbc2bull, 0x94aa2e83d65b5cebull,
+      0x52e0c068afaf8409ull};
+  const std::vector<uint64_t> faulty_hashes = {
+      0x40ec57cbe5034dafull, 0x348821b3a377c05dull, 0x0d70e14a82a83d5cull,
+      0xfb8650206061b8d0ull, 0xbbb6c4904f455ec5ull, 0x8b9adc6564f9f185ull};
+  const std::vector<uint64_t> sharded_hashes = {
+      0xef7d5ca8cf5a0268ull, 0xb84fa4a1e7ff416bull, 0x2b7e9bd473e8401bull,
+      0x96101ed63c6619caull};
+  EXPECT_EQ(LogHashes(plain), plain_hashes);
+  EXPECT_EQ(LogHashes(underived), underived_hashes);
+  EXPECT_EQ(LogHashes(faulty), faulty_hashes);
+  EXPECT_EQ(LogHashes(sharded), sharded_hashes);
+
+  // Killed after the middle write, then resumed into the same path: the
+  // resumed run's first record is a base that replaces the file.
+  const int middle = static_cast<int>(plain_hashes.size() + 1) / 2;
+  EXPECT_EQ(LogHashes(plain, middle),
+            std::vector<uint64_t>(plain_hashes.begin(),
+                                  plain_hashes.begin() + middle));
+  TuningOptions resuming = plain;
+  resuming.resume_path = plain.checkpoint_path;
+  const std::vector<uint64_t> resumed_hashes = {0xaa98733974bdb850ull,
+                                                0x3d511ad1cb389280ull};
+  EXPECT_EQ(LogHashes(resuming), resumed_hashes);
 }
 
 // Version 2 wrote one <DTACheckpoint> document; resuming from one names the

@@ -514,6 +514,7 @@ TEST(DerivedCostCheckpointTest, MemoizedAtomsRoundTripThroughCheckpoint) {
     exported.push_back({id, fingerprint, entry});
   });
   SessionCheckpoint ckpt;
+  ckpt.phase = kCheckpointCurrentCosts;
   ckpt.degraded_statements = {1, 3};
   bool any_derived = false;
   for (const auto& e : exported) any_derived |= e.entry.derived;
@@ -521,7 +522,7 @@ TEST(DerivedCostCheckpointTest, MemoizedAtomsRoundTripThroughCheckpoint) {
 
   SessionCheckpoint parsed;
   const Status applied = ApplySessionRecord(
-      EncodeSessionRecord(ckpt, nullptr, &first.cache(), /*base=*/true,
+      EncodeSessionRecord(ckpt, &first.cache(), /*base=*/true,
                           /*cleared=*/false),
       /*base=*/true, prod->catalog(), &parsed);
   ASSERT_TRUE(applied.ok()) << applied.ToString();
