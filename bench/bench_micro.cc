@@ -233,7 +233,7 @@ void BM_GreedySearch(benchmark::State& state) {
     return cost;
   };
   for (auto _ : state) {
-    auto r = tuner::GreedySearch(n, 1, 10, 1000, eval);
+    auto r = tuner::GreedySearch(n, 1, 10, 1000, tuner::EvaluateEach(eval));
     benchmark::DoNotOptimize(r);
   }
 }

@@ -350,6 +350,12 @@ std::string EncodeSessionRecord(const SessionCheckpoint& ckpt,
   root.SetAttr("StatsCreated", U64Str(ckpt.stats_created));
   root.SetAttr("StatsCreationMs", HexStr(ckpt.stats_creation_ms));
   root.SetAttr("CandidatesGenerated", U64Str(ckpt.candidates_generated));
+  // Written only when nonzero, so a session without quarantines writes the
+  // bytes it always did.
+  if (ckpt.quarantined_candidates != 0) {
+    root.SetAttr("QuarantinedCandidates",
+                 U64Str(ckpt.quarantined_candidates));
+  }
 
   // Fixed once the current-cost pass is done, and every session's first
   // record is a base: segments never need them.
@@ -427,6 +433,10 @@ Status ApplySessionRecord(const std::string& payload, bool base,
   ckpt->stats_creation_ms = ParseDouble(root.Attr("StatsCreationMs"));
   ckpt->candidates_generated =
       static_cast<size_t>(ParseU64(root.Attr("CandidatesGenerated")));
+  ckpt->quarantined_candidates =
+      root.HasAttr("QuarantinedCandidates")
+          ? static_cast<size_t>(ParseU64(root.Attr("QuarantinedCandidates")))
+          : 0;
 
   ckpt->missing_stats.clear();
   if (const xml::Element* missing = root.FindChild("MissingStats")) {

@@ -186,6 +186,9 @@ struct SessionCheckpoint {
   size_t stats_created = 0;
   double stats_creation_ms = 0;
   size_t candidates_generated = 0;
+  // Pool candidates the DBA's quarantine removed (the pool is filtered
+  // once, before the pool-ready record).
+  size_t quarantined_candidates = 0;
 };
 
 // Fingerprint of the (compressed) workload actually tuned: statement texts

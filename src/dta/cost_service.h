@@ -10,12 +10,25 @@
 //
 // The service is thread-safe: the cache is sharded per statement id with a
 // per-shard mutex, counters are atomic, and the missing-statistics set is
-// mutex-guarded, so the tuner's worker pool can hammer StatementCost
-// concurrently. What-if calls run outside any lock; a cold (statement,
-// fingerprint) pair is priced exactly once — the first thread to miss marks
-// the pair in-flight and later arrivals block on the shard's condition
-// variable until the price lands, so whatif_calls() is identical at any
-// thread count. Statements repeated verbatim share an id, hence a shard.
+// mutex-guarded, so the tuner's worker pool can hammer it concurrently.
+// What-if calls run outside any lock; a cold (statement, fingerprint) pair
+// is priced exactly once — the first lookup to miss claims the pair, and
+// later arrivals wait for the price to land, so whatif_calls() is identical
+// at any thread count. Statements repeated verbatim share an id, hence a
+// shard.
+//
+// Batches: StatementCosts prices a list of lookups as one batch. It claims
+// each cold pair in the order a one-at-a-time loop would (a lookup's pair,
+// then the atoms of its decomposition), hands each real call to the backend
+// without waiting for it, and finishes atoms, real answers and derived
+// answers as they land. An in-process backend answers inside its Submit, so
+// an in-process batch does the one-at-a-time loop's work in its order; a
+// socket fleet keeps the whole batch on the wire. A batch publishes every
+// pair it prices with a real call before it waits on a pair another thread
+// claimed. Only its derived pairs, which wait on nothing but atoms (always
+// real calls), may stay open across a wait on another batch's atom, and a
+// batch waits on another's lookup pair, which may be derived, only once it
+// has no pair open, so no two batches wait on each other.
 //
 // Robustness (production servers fail): each what-if call runs under a
 // retry policy — transient failures (Unavailable/DeadlineExceeded) retry
@@ -45,7 +58,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "dta/tuning_options.h"
 #include "optimizer/hardware.h"
 #include "server/server.h"
@@ -90,11 +102,20 @@ struct WhatIfCall {
 // recommendations bit-identical across backend topologies.
 class CostBackend {
  public:
+  using Done = std::function<void(Result<server::Server::WhatIfResult>)>;
+
   virtual ~CostBackend() = default;
 
-  // Mirrors server::Server::WhatIfCost. Must be safe for concurrent calls.
-  virtual Result<server::Server::WhatIfResult> WhatIfCost(
-      const WhatIfCall& call) = 0;
+  // Starts `call` without waiting for its answer. `done` runs exactly once:
+  // inside Submit for an in-process backend, or later on a completion
+  // thread. `call` and everything it points to must stay valid until `done`
+  // has run. `done` only hands the answer over: it may run under the
+  // backend's dispatch, so it must neither block nor submit. Must be safe
+  // for concurrent calls.
+  virtual void Submit(const WhatIfCall& call, Done done) = 0;
+
+  // A batch of one: Submit, then wait for the answer.
+  Result<server::Server::WhatIfResult> WhatIfCost(const WhatIfCall& call);
 
   // The server whose catalog and hardware stand in for the backend's shared
   // state: heuristic degradation, plan reports, and catalog resolution all
@@ -102,15 +123,14 @@ class CostBackend {
   virtual server::Server* primary() const = 0;
 };
 
-// Default backend: every call prices on one server.
+// Default backend: every call prices on one server, inside Submit.
 class SingleServerBackend : public CostBackend {
  public:
   explicit SingleServerBackend(server::Server* server) : server_(server) {}
 
-  Result<server::Server::WhatIfResult> WhatIfCost(
-      const WhatIfCall& call) override {
-    return server_->WhatIfCost(*call.stmt, *call.config,
-                               call.simulate_hardware, call.call_key);
+  void Submit(const WhatIfCall& call, Done done) override {
+    done(server_->WhatIfCost(*call.stmt, *call.config, call.simulate_hardware,
+                             call.call_key));
   }
 
   server::Server* primary() const override { return server_; }
@@ -137,20 +157,27 @@ class CostCache {
     bool derived = false;
   };
 
+  // A pair in flight: the batch pricing it (an opaque owner token) and the
+  // pair's slot in that batch.
+  struct Claim {
+    const void* owner = nullptr;
+    size_t pair = 0;
+  };
+
   // Selection work for a statement stays on one thread, so per-statement
   // shards confine lock contention to enumeration, where different subsets
   // price the same statement concurrently.
   //
   // Protocol (statically checked under clang -Wthread-safety): `entries`
-  // and `inflight` are only touched under `mu`; the first thread to miss a
-  // (statement, fingerprint) pair inserts it into `inflight`, prices it
+  // and `inflight` are only touched under `mu`; the first batch to miss a
+  // (statement, fingerprint) pair claims it in `inflight`, prices it
   // *outside* the lock, then re-locks to publish the entry, clear the
-  // in-flight mark, and NotifyAll the waiters parked on `cv`.
+  // claim, and NotifyAll the waiters parked on `cv`.
   struct Shard {
     mutable Mutex mu;
     CondVar cv;
     std::map<std::string, Entry> entries GUARDED_BY(mu);
-    std::set<std::string> inflight GUARDED_BY(mu);
+    std::map<std::string, Claim> inflight GUARDED_BY(mu);
     // Entries published since the last TakeNew, in publication order;
     // listed only once a log has taken from the cache (lists_new()).
     std::vector<std::map<std::string, Entry>::const_iterator> fresh
@@ -241,18 +268,29 @@ class CostService {
               const workload::Workload* workload, Config config,
               CostCache* cache = nullptr);
 
-  // Optimizer-estimated cost of statement i under the configuration
-  // (cached; weight NOT applied). Safe to call from many threads. Fails for
-  // a statement whose id the cache has bound to another text.
+  // One cost lookup: statement `statement` under `*config`, which must stay
+  // valid until the StatementCosts call pricing it returns.
+  struct Lookup {
+    size_t statement = 0;
+    const catalog::Configuration* config = nullptr;
+  };
+
+  // Optimizer-estimated cost of each lookup (cached; weight NOT applied),
+  // in lookup order, priced as one batch (see the file comment). Safe to
+  // call from many threads. A lookup fails for a statement whose id the
+  // cache has bound to another text.
+  std::vector<Result<double>> StatementCosts(const std::vector<Lookup>& lookups)
+      EXCLUDES(missing_mu_, degraded_mu_);
+
+  // A batch of one.
   Result<double> StatementCost(size_t index,
                                const catalog::Configuration& config)
       EXCLUDES(missing_mu_, degraded_mu_);
 
-  // Sum over statements of weight * cost. When `pool` is given, statements
-  // are priced in parallel; the reduction is performed serially in
-  // statement order, so the total is bit-identical to the serial sum.
-  Result<double> WorkloadCost(const catalog::Configuration& config,
-                              ThreadPool* pool = nullptr);
+  // Sum over statements of weight * cost, every statement one lookup of a
+  // single batch; summed serially in statement order.
+  Result<double> WorkloadCost(const catalog::Configuration& config)
+      EXCLUDES(missing_mu_, degraded_mu_);
 
   // Statistics the optimizer wanted but could not find, accumulated across
   // all calls (drives reduced statistics creation and test-server import).
@@ -345,31 +383,21 @@ class CostService {
 
  private:
   using Entry = CostCache::Entry;
+  class Batch;  // one StatementCosts call (cost_service.cc)
 
-  // The cached-entry protocol behind StatementCost: look up / claim
-  // in-flight / price by calling `price()` (on a miss only) / publish,
-  // returning the full entry. Derivation re-enters it per atom, so atoms
-  // land in the ordinary cache, memoized and checkpointed like any entry.
-  template <typename PriceFn>
-  Result<Entry> CachedEntry(size_t index, const std::string& fingerprint,
-                            const PriceFn& price)
-      EXCLUDES(missing_mu_, degraded_mu_);
-  // Prices one claimed (statement, fingerprint) pair: by derivation when
-  // enabled, eligible, and valid; by a real what-if call otherwise.
-  Result<Entry> PriceOrDerive(size_t index,
-                              const catalog::Configuration& config,
-                              const RelevantSet& relevant)
-      EXCLUDES(missing_mu_, degraded_mu_);
-  // Prices one cold (statement, fingerprint) pair: what-if call with
-  // retry/backoff/deadline, falling back to the heuristic estimate when the
-  // failure is persistent and degradation is enabled. Runs outside any
-  // shard lock (the what-if call dominates; holding a shard lock across it
-  // would serialize enumeration and deadlock the in-flight protocol).
-  Result<Entry> PriceWithRetries(size_t index,
-                                 const catalog::Configuration& config,
-                                 const std::string& fingerprint)
+  // The real what-if call for (statement `index`, `config`), counted as one
+  // logical pricing; `config` and the statement must outlive it.
+  WhatIfCall MakeCall(size_t index, const catalog::Configuration& config,
+                      const std::string& fingerprint);
+  // Settles a real call whose first attempt answered `first`: a transient
+  // failure retries with backoff from attempt 2 (synchronously, under the
+  // remaining time budget), and a persistent one falls back to the
+  // heuristic estimate when degradation is enabled.
+  Result<Entry> SettleCall(size_t index, const WhatIfCall& call,
+                           Result<server::Server::WhatIfResult> first)
       EXCLUDES(missing_mu_, degraded_mu_);
   void RecordAttempts(int attempts);
+  void CountFallback();
   void Init(CostCache* cache);
 
   // Declared before backend_ so the Server* constructors can point backend_
@@ -403,6 +431,9 @@ class CostService {
   std::atomic<size_t> calls_saved_{0};
   std::atomic<size_t> errors_exceeded_{0};
   std::array<std::atomic<size_t>, kRetryHistogramBuckets> attempt_histogram_{};
+  // A batch with nothing left to do but wait for the backend parks here,
+  // on its own mutex; a completion notifies under that mutex.
+  CondVar landed_cv_;
 
   // Metrics handles (null when Config::metrics is unset); resolved once in
   // the constructor so the hot path never locks the registry.

@@ -145,11 +145,12 @@ Result<EnumerationResult> EnumerateConfiguration(
     };
   }
 
-  GreedyResult greedy =
-      GreedySearch(pool.size(), options.enumeration_m, options.enumeration_k,
-                   *base_cost, eval, should_stop,
-                   options.min_improvement_fraction, thread_pool, seed_ptr,
-                   progress);
+  // A round's subsets fan out over the pool, and each subset's workload
+  // cost is one batch of lookups.
+  GreedyResult greedy = GreedySearch(
+      pool.size(), options.enumeration_m, options.enumeration_k, *base_cost,
+      EvaluateEach(eval, thread_pool, should_stop), should_stop,
+      options.min_improvement_fraction, seed_ptr, progress);
 
   EnumerationResult out;
   out.eval_work_ms = eval_work_ms.load();

@@ -14,6 +14,7 @@
 
 #include "catalog/physical_design.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "dta/candidates.h"
 #include "dta/cost_service.h"
 #include "dta/tuning_options.h"
@@ -44,8 +45,9 @@ struct EnumerationResume {
 // indexes and the user-specified configuration).
 //
 // When `pool` is given, the per-candidate evaluations inside each greedy
-// round are priced in parallel; the chosen configuration and cost are
-// identical to the serial search (see GreedySearch).
+// round are priced in parallel, each configuration's workload cost as one
+// batch of lookups (CostService::WorkloadCost); the chosen configuration
+// and cost are identical to the serial search (see GreedySearch).
 //
 // `resume`, when provided with phase1_done set, continues an interrupted
 // search (the greedy rounds pick up exactly where the snapshot left off);

@@ -4,47 +4,33 @@
 
 namespace dta::tuner {
 
-namespace {
-
-// Outcome of evaluating one subset in a fanned-out batch.
-struct Evaluation {
-  bool ran = false;  // false when should_stop() preempted the evaluation
-  bool ok = false;
-  double cost = 0;
-};
-
-// Evaluates every subset of a batch, in parallel when a pool is given. The
-// caller consumes the outcomes with a serial scan in batch order, which
-// reproduces the single-threaded search's decisions exactly.
-std::vector<Evaluation> EvaluateBatch(
-    const std::vector<std::vector<size_t>>& subsets,
-    const std::function<Result<double>(const std::vector<size_t>&)>& eval,
-    const std::function<bool()>& should_stop, ThreadPool* pool) {
-  std::vector<Evaluation> out(subsets.size());
-  // `should_stop` doubles as ParallelFor's cancel predicate: workers stop
-  // claiming new subsets once the deadline passes, instead of starting every
-  // remaining evaluation just to bail inside it.
-  ParallelFor(
-      pool, subsets.size(),
-      [&](size_t i) {
-        if (should_stop != nullptr && should_stop()) return;
-        auto c = eval(subsets[i]);
-        out[i].ran = true;
-        out[i].ok = c.ok();
-        if (c.ok()) out[i].cost = *c;
-      },
-      should_stop);
-  return out;
+RoundEvaluator EvaluateEach(
+    std::function<Result<double>(const std::vector<size_t>&)> eval,
+    ThreadPool* pool, std::function<bool()> should_stop) {
+  return [eval = std::move(eval), pool, should_stop = std::move(should_stop)](
+             const std::vector<std::vector<size_t>>& subsets) {
+    std::vector<Evaluation> out(subsets.size());
+    // `should_stop` doubles as ParallelFor's cancel predicate: workers stop
+    // claiming new subsets once the deadline passes, instead of starting
+    // every remaining evaluation just to bail inside it.
+    ParallelFor(
+        pool, subsets.size(),
+        [&](size_t i) {
+          if (should_stop != nullptr && should_stop()) return;
+          auto c = eval(subsets[i]);
+          out[i].ran = true;
+          out[i].ok = c.ok();
+          if (c.ok()) out[i].cost = *c;
+        },
+        should_stop);
+    return out;
+  };
 }
-
-}  // namespace
 
 GreedyResult GreedySearch(
     size_t candidate_count, int m, int k, double empty_cost,
-    const std::function<Result<double>(const std::vector<size_t>&)>& eval,
-    const std::function<bool()>& should_stop,
-    double min_relative_improvement, ThreadPool* pool,
-    const GreedyState* resume,
+    const RoundEvaluator& evaluate, const std::function<bool()>& should_stop,
+    double min_relative_improvement, const GreedyState* resume,
     const std::function<void(const GreedyState&)>& on_progress) {
   GreedyResult best;
   best.cost = empty_cost;
@@ -84,8 +70,7 @@ GreedyResult GreedySearch(
         }
       }
     }
-    std::vector<Evaluation> evals =
-        EvaluateBatch(subsets, eval, should_stop, pool);
+    const std::vector<Evaluation> evals = evaluate(subsets);
     for (size_t s = 0; s < subsets.size(); ++s) {
       if (!evals[s].ran) continue;
       ++best.evaluations;
@@ -116,8 +101,7 @@ GreedyResult GreedySearch(
       subset.push_back(i);
       subsets.push_back(std::move(subset));
     }
-    std::vector<Evaluation> evals =
-        EvaluateBatch(subsets, eval, should_stop, pool);
+    const std::vector<Evaluation> evals = evaluate(subsets);
 
     double round_best_cost = best.cost;
     size_t round_best_candidate = candidate_count;

@@ -33,25 +33,39 @@ struct GreedyState {
   std::vector<int> strikes;  // per-candidate elimination strikes
 };
 
-// `eval` returns the objective (lower is better) for a subset of candidate
-// indexes, or an error when the subset is infeasible (e.g. conflicting
-// clustered indexes, storage bound exceeded) — infeasible subsets are
-// skipped. `empty_cost` is the objective of the empty subset.
-// `should_stop`, when provided, is polled between evaluations (time-bound
-// tuning); when it returns true the best answer so far is returned.
-// `min_relative_improvement`: the greedy extension stops when a round's
-// best addition improves the objective by less than this fraction —
+// One subset's outcome in a round of the search.
+struct Evaluation {
+  bool ran = false;  // false when should_stop preempted the evaluation
+  bool ok = false;   // false when the subset is infeasible (e.g. conflicting
+                     // clustered indexes, storage bound exceeded)
+  double cost = 0;   // the objective (lower is better) when ok
+};
+
+// Prices one round of the search — the exhaustive sweep over subsets of
+// size <= m, or one greedy round's extensions of the chosen subset — and
+// returns one Evaluation per subset, in order. The search picks each
+// round's winner by a serial scan in subset order with the serial
+// tie-breaking (first strictly better subset wins), so an evaluator may
+// price a round's subsets in any order, on any threads, or as one batch,
+// without changing the search.
+using RoundEvaluator = std::function<std::vector<Evaluation>(
+    const std::vector<std::vector<size_t>>& subsets)>;
+
+// The round evaluator that calls `eval` once per subset (an error means
+// infeasible): fanned out across `pool` when one is given (`eval` must
+// then be thread-safe), and skipping every subset not yet started once
+// `should_stop` returns true.
+RoundEvaluator EvaluateEach(
+    std::function<Result<double>(const std::vector<size_t>&)> eval,
+    ThreadPool* pool = nullptr, std::function<bool()> should_stop = nullptr);
+
+// `evaluate` prices each round; `empty_cost` is the objective of the empty
+// subset. `should_stop`, when provided, is polled between rounds
+// (time-bound tuning); when it returns true the best answer so far is
+// returned. `min_relative_improvement`: the greedy extension stops when a
+// round's best addition improves the objective by less than this fraction —
 // structures with negligible benefit are not worth their storage and
 // maintenance (and each round costs a sweep of what-if calls).
-//
-// When `pool` is provided, the independent evaluations of each phase — the
-// size-<=m exhaustive sweep and every greedy round — are fanned out across
-// the pool; `eval` must then be thread-safe. Winners are still picked by a
-// serial scan in candidate order with the serial tie-breaking (first
-// strictly better subset wins), so the chosen subsets and costs are
-// identical to the single-threaded search (time-bounded runs excepted:
-// threads poll `should_stop` independently, exactly as the serial loop
-// polls it between evaluations).
 //
 // `resume`, when provided with phase1_done set, skips the exhaustive phase
 // and continues the greedy rounds from the snapshot. `on_progress`, when
@@ -59,9 +73,9 @@ struct GreedyState {
 // and after every round that extends the chosen subset.
 GreedyResult GreedySearch(
     size_t candidate_count, int m, int k, double empty_cost,
-    const std::function<Result<double>(const std::vector<size_t>&)>& eval,
+    const RoundEvaluator& evaluate,
     const std::function<bool()>& should_stop = nullptr,
-    double min_relative_improvement = 1e-9, ThreadPool* pool = nullptr,
+    double min_relative_improvement = 1e-9,
     const GreedyState* resume = nullptr,
     const std::function<void(const GreedyState&)>& on_progress = nullptr);
 

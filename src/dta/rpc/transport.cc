@@ -44,6 +44,13 @@ Status Handshake(int fd) {
   }
 }
 
+// True while this thread delivers a loss sweep's failures. A delivery can
+// launch the next attempt of a call on any channel (the router dispatches
+// a credit's next waiter on the thread that returned the credit), and a
+// sweeping thread must never wait out a sweep: not its own channel's,
+// which could never finish, nor another's, which may be waiting on it.
+thread_local bool sweeping = false;
+
 // Maps a decoded what-if response back into the Result the in-process
 // backend would have produced.
 Result<server::Server::WhatIfResult> ResponseToResult(
@@ -166,8 +173,12 @@ Status SocketChannel::ConnectLocked(double deadline_ms) {
   while (!fd_.valid()) {
     if (reader_.joinable()) {
       // The previous reader must finish its loss sweep (which needs mu_)
-      // before it can be joined.
+      // before it can be joined; a sweeping thread fails the probe instead.
       if (!reader_done_) {
+        if (sweeping) {
+          return Status::Unavailable(
+              "previous connection is still failing its requests");
+        }
         cv_.Wait(mu_);
         continue;
       }
@@ -216,7 +227,10 @@ void SocketChannel::HandleConnectionLoss(const Status& cause) {
   const Status error = Status::Unavailable(
       StrFormat("shard %s: connection lost: %s", name_.c_str(),
                 cause.message().c_str()));
+  const bool outer = sweeping;
+  sweeping = true;
   for (auto& done : victims) done(error);
+  sweeping = outer;
 }
 
 void SocketChannel::ReaderLoop(int fd) {

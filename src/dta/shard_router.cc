@@ -71,10 +71,9 @@ std::string ShardFaultSpec::ToString() const {
   return StrJoin(parts, ";");
 }
 
-// One WhatIfCost invocation. Lives on the caller's stack; registered in
-// `live_` (and therefore reachable from other threads) only between
-// registration and the caller observing it finished with no launch still
-// inside Submit — every mutation happens under mu_.
+// One submitted call. Owned by `live_` from Submit until it retires
+// (finished, with no launch still inside a channel's Submit); every
+// mutation happens under mu_, and only `done` runs after retirement.
 struct ShardRouter::Call {
   enum class State { kIdle, kWaitingCredit, kInflight, kFinished };
 
@@ -89,13 +88,14 @@ struct ShardRouter::Call {
   uint64_t generation = 0;  // bumped per dispatch; stale completions differ
   size_t attempts = 0;
   // Launches whose Submit has not returned. An in-process attempt prices
-  // inside Submit through `what_if`'s borrowed pointers, so the caller may
-  // not return while one runs — even one abandoned at its deadline.
+  // inside Submit through `what_if`'s borrowed pointers, so the call may
+  // not retire while one runs — even one abandoned at its deadline.
   int launching = 0;
   double deadline_ms = 0;  // real monotonic clock
   Status last_error = Status::Unavailable("what-if call failed on every shard");
   Result<server::Server::WhatIfResult> result{
       Status::Internal("shard router: unset result")};
+  Done done;
 };
 
 ShardRouter::ShardRouter(
@@ -178,43 +178,25 @@ std::vector<size_t> ShardRouter::RankShards(uint64_t key) const {
   return order;
 }
 
-Result<server::Server::WhatIfResult> ShardRouter::WhatIfCost(
-    const WhatIfCall& what_if) {
-  Call call;
-  call.what_if = &what_if;
-  call.ranking = RankShards(what_if.call_key);
-  call.tried.assign(channels_.size(), false);
-  std::vector<Launch> launches;
+void ShardRouter::Submit(const WhatIfCall& what_if, Done done) {
+  auto owned = std::make_unique<Call>();
+  Call* call = owned.get();
+  call->what_if = &what_if;
+  call->done = std::move(done);
+  call->ranking = RankShards(what_if.call_key);
+  call->tried.assign(channels_.size(), false);
+  Work work;
   {
     MutexLock lock(mu_);
-    call.id = next_call_id_++;
-    live_[call.id] = &call;
+    call->id = next_call_id_++;
+    live_.emplace(call->id, std::move(owned));
     if (m_rpc_calls_ != nullptr) m_rpc_calls_->Increment();
-    AdvanceLocked(&call, Status::Ok(), &launches);
+    AdvanceLocked(call, Status::Ok(), &work);
   }
-  RunLaunches(std::move(launches));
-  MutexLock lock(mu_);
-  while (call.state != Call::State::kFinished || call.launching > 0) {
-    cv_.Wait(mu_);
-  }
-  live_.erase(call.id);
-  // Every attempt but the last moved the call on to another shard.
-  if (call.attempts > 1) {
-    failovers_ += call.attempts - 1;
-    if (m_failovers_ != nullptr) m_failovers_->Increment(call.attempts - 1);
-  }
-  if (call.result.ok()) {
-    ++successes_;
-  } else {
-    // Every shard failed this call; the last failure surfaces.
-    ++exhausted_;
-    if (m_exhausted_ != nullptr) m_exhausted_->Increment();
-  }
-  return std::move(call.result);
+  RunWork(std::move(work));
 }
 
-void ShardRouter::AdvanceLocked(Call* call, Status failure,
-                                std::vector<Launch>* launches) {
+void ShardRouter::AdvanceLocked(Call* call, Status failure, Work* work) {
   if (!failure.ok()) call->last_error = std::move(failure);
   size_t shard = NextShardLocked(call);
   if (shard == shard_count() && call->pass == 0) {
@@ -223,7 +205,7 @@ void ShardRouter::AdvanceLocked(Call* call, Status failure,
     shard = NextShardLocked(call);
   }
   if (shard == shard_count()) {
-    FinishLocked(call, call->last_error);
+    FinishLocked(call, call->last_error, work);
     return;
   }
   // A non-first attempt is a requeue: the call moved shards instead of a
@@ -231,7 +213,7 @@ void ShardRouter::AdvanceLocked(Call* call, Status failure,
   if (call->attempts > 0 && m_requeues_ != nullptr) {
     m_requeues_->Increment();
   }
-  StartAttemptLocked(call, shard, launches);
+  StartAttemptLocked(call, shard, work);
 }
 
 size_t ShardRouter::NextShardLocked(Call* call) {
@@ -255,8 +237,7 @@ bool ShardRouter::AdmitLocked(Shard& shard) {
   return false;
 }
 
-void ShardRouter::StartAttemptLocked(Call* call, size_t shard,
-                                     std::vector<Launch>* launches) {
+void ShardRouter::StartAttemptLocked(Call* call, size_t shard, Work* work) {
   Shard& s = shards_[shard];
   call->tried[shard] = true;
   call->shard = shard;
@@ -271,7 +252,7 @@ void ShardRouter::StartAttemptLocked(Call* call, size_t shard,
     }
   }
   if (s.credits > 0) {
-    DispatchLocked(call, shard, launches);
+    DispatchLocked(call, shard, work);
     return;
   }
   // Shard window saturated: wait for a returning credit, bounded by the
@@ -282,8 +263,7 @@ void ShardRouter::StartAttemptLocked(Call* call, size_t shard,
   ArmDeadlineLocked(call->deadline_ms);
 }
 
-void ShardRouter::DispatchLocked(Call* call, size_t shard,
-                                 std::vector<Launch>* launches) {
+void ShardRouter::DispatchLocked(Call* call, size_t shard, Work* work) {
   Shard& s = shards_[shard];
   --s.credits;
   s.inflight_peak = std::max(
@@ -293,15 +273,35 @@ void ShardRouter::DispatchLocked(Call* call, size_t shard,
   ++call->generation;
   ++call->launching;
   call->deadline_ms = MonotonicNowMs() + options_.attempt_timeout_ms;
-  launches->push_back(Launch{call->what_if, call->id, call->generation, shard});
+  work->launches.push_back(
+      Launch{call->what_if, call->id, call->generation, shard});
   ArmDeadlineLocked(call->deadline_ms);
 }
 
 void ShardRouter::FinishLocked(Call* call,
-                               Result<server::Server::WhatIfResult> result) {
+                               Result<server::Server::WhatIfResult> result,
+                               Work* work) {
   call->result = std::move(result);
   call->state = Call::State::kFinished;
-  cv_.NotifyAll();
+  if (call->launching == 0) RetireLocked(call, work);
+}
+
+void ShardRouter::RetireLocked(Call* call, Work* work) {
+  // Every attempt but the last moved the call on to another shard.
+  if (call->attempts > 1) {
+    failovers_ += call->attempts - 1;
+    if (m_failovers_ != nullptr) m_failovers_->Increment(call->attempts - 1);
+  }
+  if (call->result.ok()) {
+    ++successes_;
+  } else {
+    // Every shard failed this call; the last failure surfaces.
+    ++exhausted_;
+    if (m_exhausted_ != nullptr) m_exhausted_->Increment();
+  }
+  auto it = live_.find(call->id);
+  work->retired.push_back(std::move(it->second));
+  live_.erase(it);
 }
 
 void ShardRouter::ArmDeadlineLocked(double deadline_ms) {
@@ -312,7 +312,7 @@ void ShardRouter::ArmDeadlineLocked(double deadline_ms) {
 
 void ShardRouter::OnCompletion(const Launch& launch, double latency_ms,
                                Result<server::Server::WhatIfResult> result) {
-  std::vector<Launch> launches;
+  Work work;
   {
     MutexLock lock(mu_);
     Shard& shard = shards_[launch.shard];
@@ -321,9 +321,9 @@ void ShardRouter::OnCompletion(const Launch& launch, double latency_ms,
     // shard, which is what the slowness detector needs.
     if (result.ok()) RecordLatencyLocked(shard, latency_ms);
     if (m_latency_ != nullptr) m_latency_->Observe(latency_ms);
-    ReleaseCreditLocked(launch.shard, &launches);
+    ReleaseCreditLocked(launch.shard, &work);
     auto it = live_.find(launch.call_id);
-    Call* call = it == live_.end() ? nullptr : it->second;
+    Call* call = it == live_.end() ? nullptr : it->second.get();
     if (call == nullptr || call->generation != launch.generation ||
         call->state != Call::State::kInflight) {
       // The attempt was abandoned at its deadline, which already recorded
@@ -333,17 +333,16 @@ void ShardRouter::OnCompletion(const Launch& launch, double latency_ms,
     } else {
       RecordOutcomeLocked(shard, result.ok());
       if (result.ok()) {
-        FinishLocked(call, std::move(result));
+        FinishLocked(call, std::move(result), &work);
       } else {
-        AdvanceLocked(call, result.status(), &launches);
+        AdvanceLocked(call, result.status(), &work);
       }
     }
   }
-  RunLaunches(std::move(launches));
+  RunWork(std::move(work));
 }
 
-void ShardRouter::ReleaseCreditLocked(size_t shard,
-                                      std::vector<Launch>* launches) {
+void ShardRouter::ReleaseCreditLocked(size_t shard, Work* work) {
   Shard& s = shards_[shard];
   ++s.credits;
   while (s.credits > 0 && !s.waiting.empty()) {
@@ -351,7 +350,7 @@ void ShardRouter::ReleaseCreditLocked(size_t shard,
     s.waiting.pop_front();
     // Stale entries are skipped, not dispatched.
     if (Call* waiter = WaiterLocked(id, shard)) {
-      DispatchLocked(waiter, shard, launches);
+      DispatchLocked(waiter, shard, work);
     }
   }
 }
@@ -359,7 +358,7 @@ void ShardRouter::ReleaseCreditLocked(size_t shard,
 ShardRouter::Call* ShardRouter::WaiterLocked(uint64_t id, size_t shard) {
   auto it = live_.find(id);
   if (it == live_.end()) return nullptr;
-  Call* call = it->second;
+  Call* call = it->second.get();
   // A call tries each shard once, so a call that left this shard's FIFO
   // never waits on it again.
   if (call->state != Call::State::kWaitingCredit || call->shard != shard) {
@@ -430,12 +429,12 @@ double ShardRouter::FleetMedianEwmaLocked() const {
 
 void ShardRouter::TimerLoop() {
   while (true) {
-    std::vector<Launch> launches;
+    Work work;
     {
       MutexLock lock(mu_);
       if (stop_) return;
-      ExpireLocked(MonotonicNowMs(), &launches);
-      if (launches.empty()) {
+      ExpireLocked(MonotonicNowMs(), &work);
+      if (work.launches.empty() && work.retired.empty()) {
         timer_wake_ms_ = NextDeadlineLocked();
         if (timer_wake_ms_ == kNoDeadline) {
           timer_cv_.Wait(mu_);
@@ -447,11 +446,11 @@ void ShardRouter::TimerLoop() {
     }
     // Requeues born from expiry launch with no lock held: Submit can
     // complete synchronously and completions take mu_.
-    RunLaunches(std::move(launches));
+    RunWork(std::move(work));
   }
 }
 
-void ShardRouter::ExpireLocked(double now_ms, std::vector<Launch>* launches) {
+void ShardRouter::ExpireLocked(double now_ms, Work* work) {
   // Credit waiters: FIFO order per shard is also deadline order (constant
   // timeout), so only fronts can expire.
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
@@ -460,20 +459,23 @@ void ShardRouter::ExpireLocked(double now_ms, std::vector<Launch>* launches) {
       Call* call = WaiterLocked(waiting.front(), shard);
       if (call != nullptr && call->deadline_ms > now_ms) break;
       waiting.pop_front();  // expired, or a stale entry
-      if (call != nullptr) AbandonLocked(call, "no credit", launches);
+      if (call != nullptr) AbandonLocked(call, "no credit", work);
     }
   }
   // In-flight attempts: abandon (the credit stays with the shard; the late
-  // response or loss sweep returns it) and requeue the call.
-  for (auto& [id, call] : live_) {
+  // response or loss sweep returns it) and requeue the call. Collected
+  // first: a call that exhausts its ranking may retire out of live_.
+  std::vector<Call*> expired;
+  for (const auto& [id, call] : live_) {
     if (call->state == Call::State::kInflight && call->deadline_ms <= now_ms) {
-      AbandonLocked(call, "no response", launches);
+      expired.push_back(call.get());
     }
   }
+  for (Call* call : expired) AbandonLocked(call, "no response", work);
 }
 
 void ShardRouter::AbandonLocked(Call* call, const char* waited_for,
-                                std::vector<Launch>* launches) {
+                                Work* work) {
   const size_t shard = call->shard;
   call->state = Call::State::kIdle;
   if (m_timeouts_ != nullptr) m_timeouts_->Increment();
@@ -483,7 +485,7 @@ void ShardRouter::AbandonLocked(Call* call, const char* waited_for,
                     "shard %s: %s within %.0f ms",
                     channels_[shard]->name().c_str(), waited_for,
                     options_.attempt_timeout_ms)),
-                launches);
+                work);
 }
 
 double ShardRouter::NextDeadlineLocked() const {
@@ -497,7 +499,11 @@ double ShardRouter::NextDeadlineLocked() const {
   return next;
 }
 
-void ShardRouter::RunLaunches(std::vector<Launch> launches) {
+void ShardRouter::RunWork(Work work) {
+  // A `done` only hands the answer back to its caller: it touches no
+  // router state and submits nothing, so it may run anywhere, nested or
+  // not.
+  for (auto& call : work.retired) call->done(std::move(call->result));
   // An in-process Submit completes on this thread, and its completion can
   // make the next attempt ready (a requeue, or the FIFO head its credit
   // freed). Such launches join the loop already running here instead of
@@ -505,6 +511,7 @@ void ShardRouter::RunLaunches(std::vector<Launch> launches) {
   // waiters keeps a flat stack.
   static thread_local const ShardRouter* loop_owner = nullptr;
   static thread_local std::vector<Launch>* loop = nullptr;
+  std::vector<Launch>& launches = work.launches;
   if (loop_owner == this) {
     loop->insert(loop->end(), launches.begin(), launches.end());
     return;
@@ -527,11 +534,15 @@ void ShardRouter::RunLaunches(std::vector<Launch> launches) {
           OnCompletion(launch, clock->NowMs() - started_ms,
                        std::move(result));
         });
-    MutexLock lock(mu_);
-    Call* call = live_.at(launch.call_id);
-    if (--call->launching == 0 && call->state == Call::State::kFinished) {
-      cv_.NotifyAll();
+    Work retired;
+    {
+      MutexLock lock(mu_);
+      Call* call = live_.at(launch.call_id).get();
+      if (--call->launching == 0 && call->state == Call::State::kFinished) {
+        RetireLocked(call, &retired);
+      }
     }
+    for (auto& call : retired.retired) call->done(std::move(call->result));
   }
   loop_owner = outer_owner;
   loop = outer_loop;

@@ -168,13 +168,16 @@ class ShardRouter : public CostBackend {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  // Blocks until a shard answers or every shard of the call's ranking has
-  // been tried in both passes, then returns that answer or the last
-  // failure. The caller parks on a condvar, never in a backoff sleep, and
-  // returns only once no attempt of this call is still inside Submit.
-  // Thread-safe; any number of concurrent callers.
-  Result<server::Server::WhatIfResult> WhatIfCost(const WhatIfCall& call)
-      override EXCLUDES(mu_);
+  // Starts `call` on the best admitted shard of its ranking and returns
+  // without waiting. `done` runs once, when a shard answers or every shard
+  // of the ranking has failed in both passes (with the last failure), on
+  // whichever thread finished the call: inside Submit when an in-process
+  // shard had a credit free, else a completion, credit-return or timer
+  // thread. It never runs while an attempt of the call is still inside a
+  // channel's Submit, so `call`'s borrowed pointers need only outlive
+  // `done`. Thread-safe; any number of concurrent callers and calls.
+  // WhatIfCost (CostBackend) is a batch of one over it.
+  void Submit(const WhatIfCall& call, Done done) override EXCLUDES(mu_);
 
   server::Server* primary() const override { return primary_; }
 
@@ -222,7 +225,7 @@ class ShardRouter : public CostBackend {
   void RecordLatencyForTest(size_t shard, double latency_ms) EXCLUDES(mu_);
 
  private:
-  struct Call;  // one WhatIfCost invocation's state machine
+  struct Call;  // one submitted call's state machine
 
   struct Shard {
     int credits = 0;
@@ -256,10 +259,16 @@ class ShardRouter : public CostBackend {
     size_t shard = 0;
   };
 
+  // What a section under mu_ leaves for after it: attempts to launch, and
+  // retired calls whose `done` is due.
+  struct Work {
+    std::vector<Launch> launches;
+    std::vector<std::unique_ptr<Call>> retired;
+  };
+
   // Starts the next attempt for `call`, or finishes it when both passes
-  // are exhausted. Appends any ready-to-go dispatch to `launches`.
-  void AdvanceLocked(Call* call, Status failure,
-                     std::vector<Launch>* launches) REQUIRES(mu_);
+  // are exhausted. Appends any ready-to-go dispatch to `work`.
+  void AdvanceLocked(Call* call, Status failure, Work* work) REQUIRES(mu_);
   // Next untried shard of the current pass, walking the ranking once per
   // pass; shard_count() when the pass has nothing left.
   size_t NextShardLocked(Call* call) REQUIRES(mu_);
@@ -268,12 +277,14 @@ class ShardRouter : public CostBackend {
   bool AdmitLocked(Shard& shard) REQUIRES(mu_);
   // Begins an attempt on `shard`: dispatches if a credit is free, else
   // queues on the shard FIFO with a deadline.
-  void StartAttemptLocked(Call* call, size_t shard,
-                          std::vector<Launch>* launches) REQUIRES(mu_);
-  void DispatchLocked(Call* call, size_t shard,
-                      std::vector<Launch>* launches) REQUIRES(mu_);
-  void FinishLocked(Call* call, Result<server::Server::WhatIfResult> result)
+  void StartAttemptLocked(Call* call, size_t shard, Work* work)
       REQUIRES(mu_);
+  void DispatchLocked(Call* call, size_t shard, Work* work) REQUIRES(mu_);
+  void FinishLocked(Call* call, Result<server::Server::WhatIfResult> result,
+                    Work* work) REQUIRES(mu_);
+  // Counts a finished call with no attempt left inside Submit, and moves
+  // it out of live_ into `work` for its `done`.
+  void RetireLocked(Call* call, Work* work) REQUIRES(mu_);
   // Wakes the timer when `deadline_ms` is earlier than the one it sleeps
   // toward.
   void ArmDeadlineLocked(double deadline_ms) REQUIRES(mu_);
@@ -283,8 +294,7 @@ class ShardRouter : public CostBackend {
                     Result<server::Server::WhatIfResult> result)
       EXCLUDES(mu_);
   // Returns a freed credit to `shard` and dispatches its FIFO head.
-  void ReleaseCreditLocked(size_t shard, std::vector<Launch>* launches)
-      REQUIRES(mu_);
+  void ReleaseCreditLocked(size_t shard, Work* work) REQUIRES(mu_);
   // The live call `id` if it is still waiting for a credit on `shard`;
   // null for a stale FIFO entry (timed out of the wait, or moved on).
   Call* WaiterLocked(uint64_t id, size_t shard) REQUIRES(mu_);
@@ -299,26 +309,23 @@ class ShardRouter : public CostBackend {
   double FleetMedianEwmaLocked() const REQUIRES(mu_);
   void TimerLoop() EXCLUDES(mu_);
   // Fails every expired queued or in-flight attempt and requeues its call.
-  void ExpireLocked(double now_ms, std::vector<Launch>* launches)
-      REQUIRES(mu_);
+  void ExpireLocked(double now_ms, Work* work) REQUIRES(mu_);
   // Abandons `call`'s current attempt at its deadline and requeues it.
-  void AbandonLocked(Call* call, const char* waited_for,
-                     std::vector<Launch>* launches) REQUIRES(mu_);
+  void AbandonLocked(Call* call, const char* waited_for, Work* work)
+      REQUIRES(mu_);
   double NextDeadlineLocked() const REQUIRES(mu_);
-  void RunLaunches(std::vector<Launch> launches) EXCLUDES(mu_);
+  // Runs retired calls' `done`, then the launches, on this thread.
+  void RunWork(Work work) EXCLUDES(mu_);
 
   server::Server* primary_ = nullptr;
   ShardRouterOptions options_;
 
   mutable Mutex mu_;
-  // Callers wait here for their call to finish.
-  CondVar cv_;
   // The timer waits here for the next deadline.
   CondVar timer_cv_;
   std::vector<Shard> shards_ GUARDED_BY(mu_);
-  // Live WhatIfCost invocations by id; values point at caller stack frames,
-  // valid exactly while registered.
-  std::map<uint64_t, Call*> live_ GUARDED_BY(mu_);
+  // Calls submitted and not yet retired, by id.
+  std::map<uint64_t, std::unique_ptr<Call>> live_ GUARDED_BY(mu_);
   uint64_t next_call_id_ GUARDED_BY(mu_) = 1;
   bool stop_ GUARDED_BY(mu_) = false;
   // The deadline the timer sleeps toward (infinity while idle).

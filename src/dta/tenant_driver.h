@@ -125,12 +125,14 @@ class AdmittedBackend : public CostBackend {
                   int tenant)
       : inner_(inner), admission_(admission), tenant_(tenant) {}
 
-  Result<server::Server::WhatIfResult> WhatIfCost(
-      const WhatIfCall& call) override {
+  // The admission is held from Submit until the call completes.
+  void Submit(const WhatIfCall& call, Done done) override {
     admission_->Acquire(tenant_);
-    auto r = inner_->WhatIfCost(call);
-    admission_->Release(tenant_);
-    return r;
+    inner_->Submit(call, [this, done = std::move(done)](
+                             Result<server::Server::WhatIfResult> r) {
+      admission_->Release(tenant_);
+      done(std::move(r));
+    });
   }
 
   server::Server* primary() const override { return inner_->primary(); }

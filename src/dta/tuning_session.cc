@@ -644,7 +644,8 @@ Status TuningSession::BuildCandidatePool(Run* run) {
 
   // ---- Candidate selection: per-statement Greedy(m,k) (§2.2). Each
   // statement's search is independent (it only prices that statement), so
-  // statements fan out across the pool; the pool/benefit merge below runs
+  // statements fan out across the pool, and each search prices a round's
+  // subsets as one batch of lookups; the pool/benefit merge below runs
   // serially in statement order, keeping the outcome identical to the
   // serial loop.
   std::map<std::string, double> candidate_benefit;  // weighted savings
@@ -665,14 +666,35 @@ Status TuningSession::BuildCandidatePool(Run* run) {
           if (deadline_reached()) return;
           run->Timed([&] {
             const std::vector<Candidate>& cands = per_statement[i];
-            auto eval = [&, i](const std::vector<size_t>& subset)
-                -> Result<double> {
-              std::vector<const Candidate*> chosen;
-              for (size_t ci : subset) chosen.push_back(&cands[ci]);
-              auto config = BuildConfiguration(run->base, chosen, false);
-              if (!config.ok()) return config.status();
-              return costs.StatementCost(i, *config);
-            };
+            // Builds every feasible subset's configuration, then prices
+            // them all in one batch: its lookups claim cold pairs in the
+            // order a one-at-a-time loop would.
+            auto evaluate =
+                [&, i](const std::vector<std::vector<size_t>>& subsets) {
+                  std::vector<Evaluation> out(subsets.size());
+                  if (deadline_reached()) return out;
+                  std::vector<catalog::Configuration> configs;
+                  configs.reserve(subsets.size());  // lookups point in
+                  std::vector<CostService::Lookup> lookups;
+                  std::vector<size_t> subset_of;
+                  for (size_t s = 0; s < subsets.size(); ++s) {
+                    out[s].ran = true;
+                    std::vector<const Candidate*> chosen;
+                    for (size_t ci : subsets[s]) chosen.push_back(&cands[ci]);
+                    auto config = BuildConfiguration(run->base, chosen, false);
+                    if (!config.ok()) continue;  // infeasible
+                    configs.push_back(std::move(config).value());
+                    lookups.push_back({i, &configs.back()});
+                    subset_of.push_back(s);
+                  }
+                  const auto priced = costs.StatementCosts(lookups);
+                  for (size_t l = 0; l < priced.size(); ++l) {
+                    Evaluation& e = out[subset_of[l]];
+                    e.ok = priced[l].ok();
+                    if (e.ok) e.cost = *priced[l];
+                  }
+                  return out;
+                };
             auto empty_cost = costs.StatementCost(i, run->base);
             if (!empty_cost.ok()) {
               selections[i].status = empty_cost.status();
@@ -680,7 +702,7 @@ Status TuningSession::BuildCandidatePool(Run* run) {
             }
             selections[i].picked = GreedySearch(
                 cands.size(), options_.candidate_selection_m,
-                options_.candidate_selection_k, *empty_cost, eval,
+                options_.candidate_selection_k, *empty_cost, evaluate,
                 deadline_reached);
             selections[i].empty_cost = *empty_cost;
             selections[i].ran = true;
@@ -786,7 +808,7 @@ Status TuningSession::BuildCandidatePool(Run* run) {
                                 return quarantined.count(c.name) != 0;
                               }),
                pool.end());
-    result.quarantined_candidates = before - pool.size();
+    progress.quarantined_candidates = before - pool.size();
   }
 
   progress.phase = kCheckpointPoolReady;
@@ -853,6 +875,7 @@ Status TuningSession::Finish(Run* run) {
   result.stats_created = run->progress.stats_created;
   result.stats_creation_ms = run->progress.stats_creation_ms;
   result.candidates_generated = run->progress.candidates_generated;
+  result.quarantined_candidates = run->progress.quarantined_candidates;
   result.created_stats = run->progress.created_stats;
   // The costing summary counts what the search and the totals above priced;
   // the per-statement rows below only re-read the cache.

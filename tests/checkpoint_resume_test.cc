@@ -213,6 +213,42 @@ TEST(CheckpointResumeTest, KillAtEveryCheckpointResumesBitIdentically) {
   }
 }
 
+// A quarantined pool candidate is counted once, when the pool is filtered;
+// a session resumed past that point reports the count its record carries.
+TEST(CheckpointResumeTest, ResumePastPoolReadyKeepsQuarantineCount) {
+  const std::string path = CheckpointPath("quarantine");
+  auto probe = RunTune(BaseOptions());
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  // A recommended index the search chose from the pool (the primary key
+  // is part of the base, not a candidate).
+  const Configuration& recommended = probe->recommendation;
+  std::string chosen;
+  for (size_t i = 0; i < recommended.indexes().size(); ++i) {
+    if (recommended.indexes()[i].constraint_enforcing) continue;
+    chosen = recommended.index_names()[i];
+    break;
+  }
+  ASSERT_FALSE(chosen.empty());
+
+  TuningOptions opts = BaseOptions();
+  opts.quarantined_structures = {chosen};
+  auto uninterrupted = RunTune(opts);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+  EXPECT_EQ(uninterrupted->quarantined_candidates, 1u);
+
+  opts.checkpoint_path = path;
+  auto killed = RunTune(opts, [](int ordinal) {
+    return ordinal == 2 ? Status::Aborted("simulated crash") : Status::Ok();
+  });
+  ASSERT_FALSE(killed.ok());
+  opts.resume_path = path;
+  auto resumed = RunTune(opts);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->resumed);
+  EXPECT_EQ(resumed->quarantined_candidates, 1u);
+  ExpectIdenticalOutcome(*uninterrupted, *resumed, "quarantine resume");
+}
+
 TEST(CheckpointResumeTest, ResumeUnderInjectedFaultsKeepsDegradedState) {
   const std::string path = CheckpointPath("faulty");
 

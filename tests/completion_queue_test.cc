@@ -230,6 +230,42 @@ class CompletionQueueTest : public ::testing::Test {
   std::unique_ptr<ShardRouter> router_;
 };
 
+// Results of calls one thread submitted without waiting, in submission
+// order, gathered as their completions land (on any thread).
+class Answers {
+ public:
+  explicit Answers(size_t n) : results_(n, Status::Internal("unset")) {}
+
+  Done For(size_t i) EXCLUDES(mu_) {
+    return [this, i](Result<WhatIfResult> r) {
+      MutexLock lock(mu_);
+      results_[i] = std::move(r);
+      ++landed_;
+      cv_.NotifyAll();
+    };
+  }
+
+  // Waits up to `timeout_ms` for every answer.
+  bool WaitAll(double timeout_ms = 10000) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (landed_ < results_.size()) {
+      if (!cv_.WaitForMs(mu_, timeout_ms)) return landed_ == results_.size();
+    }
+    return true;
+  }
+
+  std::vector<Result<WhatIfResult>> results() const EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return results_;
+  }
+
+ private:
+  mutable Mutex mu_;
+  CondVar cv_;
+  std::vector<Result<WhatIfResult>> results_ GUARDED_BY(mu_);
+  size_t landed_ GUARDED_BY(mu_) = 0;
+};
+
 // Six concurrent calls on a two-credit shard: two run, four wait in the
 // shard's FIFO, and every completion hands its credit to the next waiter.
 TEST_F(CompletionQueueTest, InflightNeverExceedsTheWindow) {
@@ -383,6 +419,89 @@ TEST_F(CompletionQueueTest, LateResponseIsDiscardedButReturnsItsCredit) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->cost, static_cast<double>(next_key));
   EXPECT_EQ(router.inflight_peak(0), 1u);
+}
+
+// One caller thread submits a whole batch before waiting on any of it: the
+// shard answers nothing until every call of the batch is on its wire, so a
+// caller that waited per call would stall at its first. The submitter runs
+// on its own thread and the test waits with a deadline, so that regression
+// fails instead of hanging.
+TEST_F(CompletionQueueTest, OneCallerKeepsAWholeBatchInFlight) {
+  constexpr size_t kCalls = 6;
+  Channels channels;
+  FakeChannel* shard = AddShard<FakeChannel>(&channels, "s0");
+  ShardRouterOptions options;
+  options.max_inflight_per_shard = kCalls;
+  ShardRouter& router = MakeRouter(std::move(channels), options);
+
+  std::vector<WhatIfCall> calls;
+  for (size_t i = 0; i < kCalls; ++i) calls.push_back(CallWithKey(i + 1));
+  Answers answers(kCalls);
+  std::thread submitter([&] {
+    for (size_t i = 0; i < kCalls; ++i) router.Submit(calls[i], answers.For(i));
+  });
+  EXPECT_TRUE(shard->WaitForPending(kCalls));
+  // Answered only now; after a failure above, this also frees a caller
+  // stuck on its first call.
+  while (!answers.WaitAll(/*timeout_ms=*/1)) {
+    if (shard->WaitForPending(1, /*timeout_ms=*/100)) shard->AnswerOldest();
+  }
+  submitter.join();
+
+  const auto results = answers.results();
+  for (size_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(results[i]->cost, static_cast<double>(i + 1));
+  }
+  EXPECT_EQ(shard->peak(), kCalls);
+  EXPECT_EQ(router.inflight_peak(0), kCalls);
+  EXPECT_EQ(router.calls(0), kCalls);
+  EXPECT_EQ(router.successes(), kCalls);
+}
+
+// A shard dies in the middle of one caller's batch: the attempts it still
+// held fail, move on to the other shard, and every call of the batch is
+// answered there; no attempt is lost or counted twice.
+TEST_F(CompletionQueueTest, ShardKilledMidBatchStillAnswersEveryCall) {
+  constexpr size_t kCalls = 16;
+  Channels channels;
+  FakeChannel* s0 = AddShard<FakeChannel>(&channels, "s0");
+  FakeChannel* s1 = AddShard<FakeChannel>(&channels, "s1");
+  ShardRouterOptions options;
+  options.max_inflight_per_shard = kCalls;
+  ShardRouter& router = MakeRouter(std::move(channels), options);
+
+  std::vector<WhatIfCall> calls;
+  for (size_t i = 0; i < kCalls; ++i) calls.push_back(CallWithKey(i + 1));
+  Answers answers(kCalls);
+  std::thread submitter([&] {
+    for (size_t i = 0; i < kCalls; ++i) router.Submit(calls[i], answers.For(i));
+  });
+  submitter.join();  // Submit never waits for an answer
+  ASSERT_EQ(s0->pending() + s1->pending(), kCalls);
+  const size_t on_s0 = s0->pending();
+  ASSERT_GT(on_s0, 1u);  // rendezvous spreads the batch over both shards
+
+  // Shard 0 answers half of what it holds, then dies: the rest fail, the
+  // way a connection-loss sweep fails them.
+  for (size_t i = 0; i < on_s0 / 2; ++i) s0->AnswerOldest();
+  const size_t killed = s0->pending();
+  while (s0->pending() > 0) {
+    s0->FailOldest(Status::Unavailable("shard s0: connection lost"));
+  }
+  while (s1->pending() > 0) s1->AnswerOldest();
+  ASSERT_TRUE(answers.WaitAll());
+
+  const auto results = answers.results();
+  for (size_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(results[i]->cost, static_cast<double>(i + 1));
+  }
+  EXPECT_EQ(router.successes(), kCalls);
+  EXPECT_EQ(router.failovers(), killed);
+  EXPECT_EQ(router.exhausted(), 0u);
+  EXPECT_EQ(router.calls(0) + router.calls(1),
+            router.successes() + router.failovers() + router.exhausted());
 }
 
 // A call every shard refuses walks its ranking twice — pass 0 skips the

@@ -425,13 +425,13 @@ class SelectiveFaultBackend : public CostBackend {
   SelectiveFaultBackend(server::Server* server, Predicate fail_when)
       : server_(server), fail_when_(std::move(fail_when)) {}
 
-  Result<server::Server::WhatIfResult> WhatIfCost(
-      const WhatIfCall& call) override {
+  void Submit(const WhatIfCall& call, Done done) override {
     if (fail_when_(*call.config)) {
-      return Status::Internal("injected permanent fault");
+      done(Status::Internal("injected permanent fault"));
+      return;
     }
-    return server_->WhatIfCost(*call.stmt, *call.config,
-                               call.simulate_hardware, call.call_key);
+    done(server_->WhatIfCost(*call.stmt, *call.config, call.simulate_hardware,
+                             call.call_key));
   }
 
   server::Server* primary() const override { return server_; }

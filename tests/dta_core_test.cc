@@ -34,7 +34,7 @@ TEST(GreedyTest, FindsSingleBestCandidate) {
     for (size_t i : s) cost -= (i == 2 ? 50 : 10);
     return cost;
   };
-  GreedyResult r = GreedySearch(5, 1, 1, 100, eval);
+  GreedyResult r = GreedySearch(5, 1, 1, 100, EvaluateEach(eval));
   ASSERT_EQ(r.chosen.size(), 1u);
   EXPECT_EQ(r.chosen[0], 2u);
   EXPECT_DOUBLE_EQ(r.cost, 50);
@@ -49,7 +49,7 @@ TEST(GreedyTest, GreedyExtendsWhileImproving) {
     }
     return cost;
   };
-  GreedyResult r = GreedySearch(6, 1, 10, 100, eval);
+  GreedyResult r = GreedySearch(6, 1, 10, 100, EvaluateEach(eval));
   EXPECT_EQ(r.chosen.size(), 3u);
   EXPECT_DOUBLE_EQ(r.cost, 100 - 20 - 15 - 10);
 }
@@ -58,7 +58,7 @@ TEST(GreedyTest, RespectsK) {
   auto eval = [](const std::vector<size_t>& s) -> Result<double> {
     return 100 - static_cast<double>(s.size());
   };
-  GreedyResult r = GreedySearch(10, 1, 4, 100, eval);
+  GreedyResult r = GreedySearch(10, 1, 4, 100, EvaluateEach(eval));
   EXPECT_EQ(r.chosen.size(), 4u);
 }
 
@@ -71,9 +71,9 @@ TEST(GreedyTest, MEqualsTwoFindsInteractingPair) {
     if (has1 || has3) return 110.0;
     return 100.0;
   };
-  GreedyResult greedy_only = GreedySearch(5, 1, 5, 100, eval);
+  GreedyResult greedy_only = GreedySearch(5, 1, 5, 100, EvaluateEach(eval));
   EXPECT_TRUE(greedy_only.chosen.empty());  // m=1 cannot find the pair
-  GreedyResult with_m2 = GreedySearch(5, 2, 5, 100, eval);
+  GreedyResult with_m2 = GreedySearch(5, 2, 5, 100, EvaluateEach(eval));
   EXPECT_EQ(with_m2.chosen.size(), 2u);
   EXPECT_DOUBLE_EQ(with_m2.cost, 40.0);
 }
@@ -85,7 +85,7 @@ TEST(GreedyTest, SkipsInfeasibleSubsets) {
     }
     return 100 - 10 * static_cast<double>(s.size());
   };
-  GreedyResult r = GreedySearch(3, 1, 3, 100, eval);
+  GreedyResult r = GreedySearch(3, 1, 3, 100, EvaluateEach(eval));
   EXPECT_EQ(std::find(r.chosen.begin(), r.chosen.end(), 0u),
             r.chosen.end());
   EXPECT_EQ(r.chosen.size(), 2u);
@@ -98,7 +98,8 @@ TEST(GreedyTest, StopsOnRequest) {
     return 100.0 - calls;
   };
   auto stop = [&]() { return calls >= 3; };
-  GreedyResult r = GreedySearch(100, 1, 100, 100, eval, stop);
+  GreedyResult r = GreedySearch(100, 1, 100, 100,
+                                EvaluateEach(eval, nullptr, stop), stop);
   EXPECT_LE(r.evaluations, 4u);
 }
 

@@ -268,8 +268,9 @@ TEST(CostServiceStressTest, ConcurrentStatementCostIsConsistent) {
   EXPECT_EQ(service.missing_stats(), expected_missing);
 }
 
-// Same hammering through ParallelFor and WorkloadCost in the test-server
-// scenario, exercising the simulated-hardware optimizer path.
+// Same hammering through WorkloadCost batches racing on the pool's threads
+// in the test-server scenario, exercising the simulated-hardware optimizer
+// path: every batch claims, shares or waits on the same cold pairs.
 TEST(CostServiceStressTest, ParallelWorkloadCostMatchesSerial) {
   auto prod = MakeProduction();
   auto test = server::Server::FromMetadataScript(
@@ -291,14 +292,16 @@ TEST(CostServiceStressTest, ParallelWorkloadCostMatchesSerial) {
 
   ThreadPool pool(7);
   CostService parallel((*test).get(), &prod->hardware(), &w);
-  for (int round = 0; round < 3; ++round) {
-    auto c1 = parallel.WorkloadCost(Configuration(), &pool);
-    auto c2 = parallel.WorkloadCost(config, &pool);
-    ASSERT_TRUE(c1.ok()) << c1.status().ToString();
-    ASSERT_TRUE(c2.ok()) << c2.status().ToString();
-    EXPECT_EQ(*c1, *serial_current);
-    EXPECT_EQ(*c2, *serial_config);
+  constexpr size_t kBatches = 24;
+  std::vector<Result<double>> totals(kBatches, Status::Internal("unset"));
+  ParallelFor(&pool, kBatches, [&](size_t b) {
+    totals[b] = parallel.WorkloadCost(b % 2 == 0 ? Configuration() : config);
+  });
+  for (size_t b = 0; b < kBatches; ++b) {
+    ASSERT_TRUE(totals[b].ok()) << totals[b].status().ToString();
+    EXPECT_EQ(*totals[b], b % 2 == 0 ? *serial_current : *serial_config);
   }
+  EXPECT_EQ(parallel.whatif_calls(), serial.whatif_calls());
   EXPECT_EQ(parallel.missing_stats(), serial.missing_stats());
 }
 
@@ -344,11 +347,11 @@ TEST(ParallelGreedyTest, PoolSearchMatchesSerialSearch) {
   };
 
   for (int m : {1, 2}) {
-    GreedyResult serial =
-        GreedySearch(kCandidates, m, 6, 1000, eval, nullptr, 1e-4);
+    GreedyResult serial = GreedySearch(kCandidates, m, 6, 1000,
+                                       EvaluateEach(eval), nullptr, 1e-4);
     ThreadPool pool(4);
-    GreedyResult parallel = GreedySearch(kCandidates, m, 6, 1000, eval,
-                                         nullptr, 1e-4, &pool);
+    GreedyResult parallel = GreedySearch(
+        kCandidates, m, 6, 1000, EvaluateEach(eval, &pool), nullptr, 1e-4);
     EXPECT_EQ(serial.chosen, parallel.chosen) << "m=" << m;
     EXPECT_EQ(serial.cost, parallel.cost) << "m=" << m;
     EXPECT_EQ(serial.evaluations, parallel.evaluations) << "m=" << m;
