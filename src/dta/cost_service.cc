@@ -95,29 +95,18 @@ void CostCache::TakeNew(const EntryVisitor& fn) {
   }
 }
 
-CostService::CostService(server::Server* server,
-                         const optimizer::HardwareParams* simulate_hardware,
-                         const workload::Workload* workload, Config config)
-    : owned_backend_(std::make_unique<SingleServerBackend>(server)),
-      backend_(owned_backend_.get()),
-      simulate_hardware_(simulate_hardware),
-      workload_(workload),
-      config_(std::move(config)) {
-  Init(nullptr);
-}
-
-CostService::CostService(CostBackend* backend,
+CostService::CostService(server::Server* primary,
                          const optimizer::HardwareParams* simulate_hardware,
                          const workload::Workload* workload, Config config,
-                         CostCache* cache)
-    : backend_(backend),
+                         rpc::ShardChannel* channel, CostCache* cache)
+    : primary_(primary),
+      owned_channel_(channel == nullptr
+                         ? std::make_unique<rpc::InprocChannel>(primary)
+                         : nullptr),
+      channel_(channel != nullptr ? channel : owned_channel_.get()),
       simulate_hardware_(simulate_hardware),
       workload_(workload),
       config_(std::move(config)) {
-  Init(cache);
-}
-
-void CostService::Init(CostCache* cache) {
   clock_ = config_.clock != nullptr ? config_.clock
                                     : MonotonicClock::Instance();
   if (config_.metrics != nullptr) {
@@ -168,26 +157,6 @@ void CostService::RecordAttempts(int attempts) {
   if (m_attempts_ != nullptr) {
     m_attempts_->Observe(static_cast<double>(attempts));
   }
-}
-
-Result<server::Server::WhatIfResult> CostBackend::WhatIfCost(
-    const WhatIfCall& call) {
-  struct Answer {
-    Mutex mu;
-    CondVar cv;
-    std::optional<Result<server::Server::WhatIfResult>> result GUARDED_BY(mu);
-  };
-  Answer answer;
-  Submit(call, [&answer](Result<server::Server::WhatIfResult> r) {
-    // Notified under the lock: once the caller sees the answer, the
-    // completion no longer touches `answer`.
-    MutexLock lock(answer.mu);
-    answer.result = std::move(r);
-    answer.cv.NotifyAll();
-  });
-  MutexLock lock(answer.mu);
-  while (!answer.result.has_value()) answer.cv.Wait(answer.mu);
-  return std::move(*answer.result);
 }
 
 WhatIfCall CostService::MakeCall(size_t index,
@@ -264,7 +233,7 @@ Result<CostService::Entry> CostService::SettleCall(
     }
     retries_.fetch_add(1, std::memory_order_relaxed);
     if (m_retries_ != nullptr) m_retries_->Increment();
-    r = backend_->WhatIfCost(call);
+    r = channel_->Call(call);
   }
 
   if (!config_.degrade_on_failure) return last;
@@ -279,23 +248,23 @@ Result<CostService::Entry> CostService::SettleCall(
   }
   const optimizer::HardwareParams& hw =
       simulate_hardware_ != nullptr ? *simulate_hardware_
-                                    : backend_->primary()->hardware();
+                                    : primary_->hardware();
   double cost = optimizer::HeuristicStatementCost(
-      ws.stmt, backend_->primary()->catalog(), optimizer::CostModel(hw));
+      ws.stmt, primary_->catalog(), optimizer::CostModel(hw));
   return Entry{cost, true};
 }
 
 // ---------------------------------------------------------------- batches
 
 // One StatementCosts call, on the calling thread's stack. Every member is
-// the calling thread's alone except `landed_`, which backend completions
+// the calling thread's alone except `landed_`, which channel completions
 // append to from any thread.
 class CostService::Batch {
  public:
   Batch(CostService* service, const Lookup* lookups, Result<double>* out,
         size_t n)
       : service_(*service), lookups_(lookups), out_(out), n_(n) {}
-  // Backend completions hold its address.
+  // Channel completions hold its address.
   Batch(const Batch&) = delete;
   Batch& operator=(const Batch&) = delete;
 
@@ -378,7 +347,7 @@ class CostService::Batch {
              RelevantSet relevant);
   void AtomLanded(Pair* derived, size_t atom, const Result<Entry>& entry);
   void FinishDerivation(Pair* derived);
-  // Hands the pair's real call to the backend. An in-process backend
+  // Hands the pair's real call to the channel. An in-process channel
   // answers inside Submit, and the answer is settled before this returns,
   // so such a batch prices in the one-at-a-time loop's order.
   void SubmitCall(Pair* pair, const catalog::Configuration& config);
@@ -618,7 +587,7 @@ void CostService::Batch::SubmitCall(Pair* pair,
                                     const catalog::Configuration& config) {
   pair->call = service_.MakeCall(pair->statement, config, pair->claim->first);
   ++outstanding_;
-  service_.backend_->Submit(
+  service_.channel_->Submit(
       pair->call, [this, pair](Result<server::Server::WhatIfResult> r) {
         Land(pair, std::move(r));
       });

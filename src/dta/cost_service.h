@@ -1,6 +1,10 @@
 // Cached, fault-tolerant what-if costing of a workload against a tuning
 // server.
 //
+// Every what-if call crosses one rpc::ShardChannel (dta/rpc/channel.h): an
+// in-process server's, a ShardRouter fleet's, or a tenant's admission over
+// either. The caching, dedup and retry layers here do not know which.
+//
 // DTA makes thousands of what-if calls during search; most configurations
 // differ from previously priced ones only in structures irrelevant to a
 // given statement. The cost cache keys each statement's cached cost by its
@@ -19,9 +23,9 @@
 //
 // Batches: StatementCosts prices a list of lookups as one batch. It claims
 // each cold pair in the order a one-at-a-time loop would (a lookup's pair,
-// then the atoms of its decomposition), hands each real call to the backend
+// then the atoms of its decomposition), hands each real call to the channel
 // without waiting for it, and finishes atoms, real answers and derived
-// answers as they land. An in-process backend answers inside its Submit, so
+// answers as they land. An in-process channel answers inside its Submit, so
 // an in-process batch does the one-at-a-time loop's work in its order; a
 // socket fleet keeps the whole batch on the wire. A batch publishes every
 // pair it prices with a real call before it waits on a pair another thread
@@ -53,11 +57,12 @@
 
 #include "catalog/physical_design.h"
 #include "common/clock.h"
-#include "dta/derived_cost.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "dta/derived_cost.h"
+#include "dta/rpc/channel.h"
 #include "dta/tuning_options.h"
 #include "optimizer/hardware.h"
 #include "server/server.h"
@@ -69,75 +74,6 @@ namespace dta::tuner {
 // Calls that took N attempts land in bucket N - 1; the last bucket also
 // absorbs anything beyond the histogram size.
 inline constexpr size_t kRetryHistogramBuckets = 8;
-
-// One logical what-if call as it crosses the backend seam. In-process
-// backends cost `*stmt` directly; a socket transport sends `*text` (the
-// statement's original SQL, which the worker parses with the same parser)
-// so the AST never needs a wire encoding. All pointers are borrowed and
-// must outlive the call.
-struct WhatIfCall {
-  const sql::Statement* stmt = nullptr;
-  // Original SQL text of the statement; null only on internal call sites
-  // that are guaranteed to stay in-process (tests driving a router
-  // directly). The socket transport keys its connection-local statement
-  // ids on it and sends it to a worker once per connection (rpc/wire.h).
-  const std::string* text = nullptr;
-  // The socket transport names each structure by an id keyed on its
-  // stored name, so equal names must mean interchangeable structures.
-  const catalog::Configuration* config = nullptr;
-  const optimizer::HardwareParams* simulate_hardware = nullptr;
-  // Identifies the logical call (hash of statement text + relevant
-  // fingerprint, never 0): fault injectors key their deterministic
-  // decisions on it and routers hash it for shard placement.
-  uint64_t call_key = 0;
-};
-
-// Where what-if calls physically execute. CostService is written against
-// this seam, so pricing can run on one server (SingleServerBackend below),
-// fan out across a fleet of in-process test-server replicas, or cross
-// sockets to cost_server worker processes (ShardRouter, dta/shard_router.h)
-// without the caching, dedup, or retry layers knowing the difference.
-// Backends must be deterministic — the same (statement, configuration) call
-// returns the same cost wherever it executes — which is what keeps
-// recommendations bit-identical across backend topologies.
-class CostBackend {
- public:
-  using Done = std::function<void(Result<server::Server::WhatIfResult>)>;
-
-  virtual ~CostBackend() = default;
-
-  // Starts `call` without waiting for its answer. `done` runs exactly once:
-  // inside Submit for an in-process backend, or later on a completion
-  // thread. `call` and everything it points to must stay valid until `done`
-  // has run. `done` only hands the answer over: it may run under the
-  // backend's dispatch, so it must neither block nor submit. Must be safe
-  // for concurrent calls.
-  virtual void Submit(const WhatIfCall& call, Done done) = 0;
-
-  // A batch of one: Submit, then wait for the answer.
-  Result<server::Server::WhatIfResult> WhatIfCost(const WhatIfCall& call);
-
-  // The server whose catalog and hardware stand in for the backend's shared
-  // state: heuristic degradation, plan reports, and catalog resolution all
-  // read from it. Every replica behind a backend is a clone of it.
-  virtual server::Server* primary() const = 0;
-};
-
-// Default backend: every call prices on one server, inside Submit.
-class SingleServerBackend : public CostBackend {
- public:
-  explicit SingleServerBackend(server::Server* server) : server_(server) {}
-
-  void Submit(const WhatIfCall& call, Done done) override {
-    done(server_->WhatIfCost(*call.stmt, *call.config, call.simulate_hardware,
-                             call.call_key));
-  }
-
-  server::Server* primary() const override { return server_; }
-
- private:
-  server::Server* server_;
-};
 
 // Priced what-if costs keyed by (statement id, relevant fingerprint), one
 // shard per id. A one-shot session prices into a private cache; the
@@ -248,25 +184,24 @@ class CostService {
     DerivedCostOptions derived;
   };
 
-  // `server` performs the what-if calls (the test server in §5.3 mode).
-  // When `simulate_hardware` is set, its parameters are simulated in every
-  // call (the production server's hardware). The workload must outlive the
-  // service.
-  CostService(server::Server* server,
-              const optimizer::HardwareParams* simulate_hardware,
-              const workload::Workload* workload, Config config);
-  CostService(server::Server* server,
-              const optimizer::HardwareParams* simulate_hardware,
-              const workload::Workload* workload)
-      : CostService(server, simulate_hardware, workload, Config()) {}
-  // Pluggable-backend form: what-if calls go wherever `backend` routes them
-  // (e.g. a ShardRouter fleet). The backend must outlive the service. When
-  // `cache` is set, the service prices into that borrowed cache instead of
-  // a private one; it must outlive the service.
-  CostService(CostBackend* backend,
+  // `primary` is the tuning server (the test server in §5.3 mode): its
+  // catalog and hardware serve heuristic degradation, plan reports and
+  // catalog resolution, and every server behind `channel` is a clone of
+  // it. What-if calls go through `channel` (e.g. a ShardRouter fleet), or
+  // through an owned InprocChannel over `primary` when it is null. When
+  // `simulate_hardware` is set, its parameters are simulated in every call
+  // (the production server's hardware). When `cache` is set, the service
+  // prices into that borrowed cache instead of a private one. The
+  // workload, channel and cache must outlive the service.
+  CostService(server::Server* primary,
               const optimizer::HardwareParams* simulate_hardware,
               const workload::Workload* workload, Config config,
+              rpc::ShardChannel* channel = nullptr,
               CostCache* cache = nullptr);
+  CostService(server::Server* primary,
+              const optimizer::HardwareParams* simulate_hardware,
+              const workload::Workload* workload)
+      : CostService(primary, simulate_hardware, workload, Config()) {}
 
   // One cost lookup: statement `statement` under `*config`, which must stay
   // valid until the StatementCosts call pricing it returns.
@@ -310,9 +245,9 @@ class CostService {
 
   // Lookups that found the (statement, fingerprint) pair already being
   // priced by another thread and blocked for its result. Scheduling
-  // dependent (always 0 when serial), so it is surfaced here and in
-  // TuningResult but deliberately NOT registered as a metric — the metrics
-  // export stays identical at any thread count.
+  // dependent (always 0 when serial), so it is surfaced here but
+  // deliberately NOT registered as a metric — the metrics export stays
+  // identical at any thread count.
   size_t dedup_waits() const {
     return dedup_waits_.load(std::memory_order_relaxed);
   }
@@ -379,7 +314,7 @@ class CostService {
   // The cache this service prices into (its own, or the borrowed one).
   CostCache& cache() { return *cache_; }
 
-  server::Server* server() { return backend_->primary(); }
+  server::Server* server() { return primary_; }
 
  private:
   using Entry = CostCache::Entry;
@@ -398,12 +333,10 @@ class CostService {
       EXCLUDES(missing_mu_, degraded_mu_);
   void RecordAttempts(int attempts);
   void CountFallback();
-  void Init(CostCache* cache);
 
-  // Declared before backend_ so the Server* constructors can point backend_
-  // at the owned wrapper in the member-init list.
-  std::unique_ptr<SingleServerBackend> owned_backend_;
-  CostBackend* backend_;
+  server::Server* primary_;
+  std::unique_ptr<rpc::InprocChannel> owned_channel_;  // unless one is given
+  rpc::ShardChannel* channel_;
   const optimizer::HardwareParams* simulate_hardware_;
   const workload::Workload* workload_;
   Config config_;
@@ -431,7 +364,7 @@ class CostService {
   std::atomic<size_t> calls_saved_{0};
   std::atomic<size_t> errors_exceeded_{0};
   std::array<std::atomic<size_t>, kRetryHistogramBuckets> attempt_histogram_{};
-  // A batch with nothing left to do but wait for the backend parks here,
+  // A batch with nothing left to do but wait for the channel parks here,
   // on its own mutex; a completion notifies under that mutex.
   CondVar landed_cv_;
 

@@ -51,8 +51,8 @@ Status Handshake(int fd) {
 // which could never finish, nor another's, which may be waiting on it.
 thread_local bool sweeping = false;
 
-// Maps a decoded what-if response back into the Result the in-process
-// backend would have produced.
+// Maps a decoded what-if response back into the Result an in-process
+// channel would have produced.
 Result<server::Server::WhatIfResult> ResponseToResult(
     const WhatIfResponseMsg& msg) {
   if (msg.code != StatusCode::kOk) return Status(msg.code, msg.message);
@@ -364,27 +364,6 @@ void SocketChannel::Submit(const tuner::WhatIfCall& call, Done done) {
                 }
                 done(ResponseToResult(*response));
               });
-}
-
-Result<server::Server::WhatIfResult> SocketChannel::Call(
-    const tuner::WhatIfCall& call) {
-  struct Waiter {
-    Mutex mu;
-    CondVar cv;
-    bool ready GUARDED_BY(mu) = false;
-    Result<server::Server::WhatIfResult> result GUARDED_BY(mu) =
-        Status::Internal("unset");
-  };
-  auto waiter = std::make_shared<Waiter>();
-  Submit(call, [waiter](Result<server::Server::WhatIfResult> r) {
-    MutexLock lock(waiter->mu);
-    waiter->result = std::move(r);
-    waiter->ready = true;
-    waiter->cv.NotifyAll();
-  });
-  MutexLock lock(waiter->mu);
-  while (!waiter->ready) waiter->cv.Wait(waiter->mu);
-  return waiter->result;
 }
 
 Status SocketChannel::CreateStatistics(const stats::StatsKey& key) {

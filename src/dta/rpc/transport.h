@@ -80,9 +80,6 @@ class SocketChannel : public ShardChannel {
 
   void Submit(const tuner::WhatIfCall& call, Done done) override;
 
-  // Submit + wait; convenience for callers outside the ShardRouter.
-  Result<server::Server::WhatIfResult> Call(const tuner::WhatIfCall& call);
-
   // Synchronous admin RPC: build one statistic on the worker (no-op there
   // if it already exists). Fails with Unavailable when the worker is down.
   Status CreateStatistics(const stats::StatsKey& key);

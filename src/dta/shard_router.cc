@@ -74,7 +74,7 @@ std::string ShardFaultSpec::ToString() const {
 // One submitted call. Owned by `live_` from Submit until it retires
 // (finished, with no launch still inside a channel's Submit); every
 // mutation happens under mu_, and only `done` runs after retirement.
-struct ShardRouter::Call {
+struct ShardRouter::Routed {
   enum class State { kIdle, kWaitingCredit, kInflight, kFinished };
 
   uint64_t id = 0;
@@ -99,11 +99,9 @@ struct ShardRouter::Call {
 };
 
 ShardRouter::ShardRouter(
-    server::Server* primary,
     std::vector<std::unique_ptr<rpc::ShardChannel>> channels,
     ShardRouterOptions options)
-    : primary_(primary), options_(options), channels_(std::move(channels)) {
-  DTA_CHECK(primary_ != nullptr, "ShardRouter needs a primary server");
+    : options_(options), channels_(std::move(channels)) {
   DTA_CHECK(!channels_.empty(), "ShardRouter needs at least one shard");
   // Clamp rather than abort: a zero probe_interval or window means "the
   // most aggressive legal setting", not a crash. The clamped values are
@@ -179,8 +177,8 @@ std::vector<size_t> ShardRouter::RankShards(uint64_t key) const {
 }
 
 void ShardRouter::Submit(const WhatIfCall& what_if, Done done) {
-  auto owned = std::make_unique<Call>();
-  Call* call = owned.get();
+  auto owned = std::make_unique<Routed>();
+  Routed* call = owned.get();
   call->what_if = &what_if;
   call->done = std::move(done);
   call->ranking = RankShards(what_if.call_key);
@@ -196,7 +194,7 @@ void ShardRouter::Submit(const WhatIfCall& what_if, Done done) {
   RunWork(std::move(work));
 }
 
-void ShardRouter::AdvanceLocked(Call* call, Status failure, Work* work) {
+void ShardRouter::AdvanceLocked(Routed* call, Status failure, Work* work) {
   if (!failure.ok()) call->last_error = std::move(failure);
   size_t shard = NextShardLocked(call);
   if (shard == shard_count() && call->pass == 0) {
@@ -216,7 +214,7 @@ void ShardRouter::AdvanceLocked(Call* call, Status failure, Work* work) {
   StartAttemptLocked(call, shard, work);
 }
 
-size_t ShardRouter::NextShardLocked(Call* call) {
+size_t ShardRouter::NextShardLocked(Routed* call) {
   while (call->cursor < call->ranking.size()) {
     const size_t shard = call->ranking[call->cursor++];
     if (call->tried[shard]) continue;
@@ -237,7 +235,7 @@ bool ShardRouter::AdmitLocked(Shard& shard) {
   return false;
 }
 
-void ShardRouter::StartAttemptLocked(Call* call, size_t shard, Work* work) {
+void ShardRouter::StartAttemptLocked(Routed* call, size_t shard, Work* work) {
   Shard& s = shards_[shard];
   call->tried[shard] = true;
   call->shard = shard;
@@ -257,19 +255,19 @@ void ShardRouter::StartAttemptLocked(Call* call, size_t shard, Work* work) {
   }
   // Shard window saturated: wait for a returning credit, bounded by the
   // same attempt timeout so a hung shard strands credits, not callers.
-  call->state = Call::State::kWaitingCredit;
+  call->state = Routed::State::kWaitingCredit;
   call->deadline_ms = MonotonicNowMs() + options_.attempt_timeout_ms;
   s.waiting.push_back(call->id);
   ArmDeadlineLocked(call->deadline_ms);
 }
 
-void ShardRouter::DispatchLocked(Call* call, size_t shard, Work* work) {
+void ShardRouter::DispatchLocked(Routed* call, size_t shard, Work* work) {
   Shard& s = shards_[shard];
   --s.credits;
   s.inflight_peak = std::max(
       s.inflight_peak,
       static_cast<size_t>(options_.max_inflight_per_shard - s.credits));
-  call->state = Call::State::kInflight;
+  call->state = Routed::State::kInflight;
   ++call->generation;
   ++call->launching;
   call->deadline_ms = MonotonicNowMs() + options_.attempt_timeout_ms;
@@ -278,15 +276,15 @@ void ShardRouter::DispatchLocked(Call* call, size_t shard, Work* work) {
   ArmDeadlineLocked(call->deadline_ms);
 }
 
-void ShardRouter::FinishLocked(Call* call,
+void ShardRouter::FinishLocked(Routed* call,
                                Result<server::Server::WhatIfResult> result,
                                Work* work) {
   call->result = std::move(result);
-  call->state = Call::State::kFinished;
+  call->state = Routed::State::kFinished;
   if (call->launching == 0) RetireLocked(call, work);
 }
 
-void ShardRouter::RetireLocked(Call* call, Work* work) {
+void ShardRouter::RetireLocked(Routed* call, Work* work) {
   // Every attempt but the last moved the call on to another shard.
   if (call->attempts > 1) {
     failovers_ += call->attempts - 1;
@@ -323,9 +321,9 @@ void ShardRouter::OnCompletion(const Launch& launch, double latency_ms,
     if (m_latency_ != nullptr) m_latency_->Observe(latency_ms);
     ReleaseCreditLocked(launch.shard, &work);
     auto it = live_.find(launch.call_id);
-    Call* call = it == live_.end() ? nullptr : it->second.get();
+    Routed* call = it == live_.end() ? nullptr : it->second.get();
     if (call == nullptr || call->generation != launch.generation ||
-        call->state != Call::State::kInflight) {
+        call->state != Routed::State::kInflight) {
       // The attempt was abandoned at its deadline, which already recorded
       // its outcome; returning the credit above was this response's only
       // job.
@@ -349,19 +347,19 @@ void ShardRouter::ReleaseCreditLocked(size_t shard, Work* work) {
     const uint64_t id = s.waiting.front();
     s.waiting.pop_front();
     // Stale entries are skipped, not dispatched.
-    if (Call* waiter = WaiterLocked(id, shard)) {
+    if (Routed* waiter = WaiterLocked(id, shard)) {
       DispatchLocked(waiter, shard, work);
     }
   }
 }
 
-ShardRouter::Call* ShardRouter::WaiterLocked(uint64_t id, size_t shard) {
+ShardRouter::Routed* ShardRouter::WaiterLocked(uint64_t id, size_t shard) {
   auto it = live_.find(id);
   if (it == live_.end()) return nullptr;
-  Call* call = it->second.get();
+  Routed* call = it->second.get();
   // A call tries each shard once, so a call that left this shard's FIFO
   // never waits on it again.
-  if (call->state != Call::State::kWaitingCredit || call->shard != shard) {
+  if (call->state != Routed::State::kWaitingCredit || call->shard != shard) {
     return nullptr;
   }
   return call;
@@ -456,7 +454,7 @@ void ShardRouter::ExpireLocked(double now_ms, Work* work) {
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     std::deque<uint64_t>& waiting = shards_[shard].waiting;
     while (!waiting.empty()) {
-      Call* call = WaiterLocked(waiting.front(), shard);
+      Routed* call = WaiterLocked(waiting.front(), shard);
       if (call != nullptr && call->deadline_ms > now_ms) break;
       waiting.pop_front();  // expired, or a stale entry
       if (call != nullptr) AbandonLocked(call, "no credit", work);
@@ -465,19 +463,20 @@ void ShardRouter::ExpireLocked(double now_ms, Work* work) {
   // In-flight attempts: abandon (the credit stays with the shard; the late
   // response or loss sweep returns it) and requeue the call. Collected
   // first: a call that exhausts its ranking may retire out of live_.
-  std::vector<Call*> expired;
+  std::vector<Routed*> expired;
   for (const auto& [id, call] : live_) {
-    if (call->state == Call::State::kInflight && call->deadline_ms <= now_ms) {
+    if (call->state == Routed::State::kInflight &&
+        call->deadline_ms <= now_ms) {
       expired.push_back(call.get());
     }
   }
-  for (Call* call : expired) AbandonLocked(call, "no response", work);
+  for (Routed* call : expired) AbandonLocked(call, "no response", work);
 }
 
-void ShardRouter::AbandonLocked(Call* call, const char* waited_for,
+void ShardRouter::AbandonLocked(Routed* call, const char* waited_for,
                                 Work* work) {
   const size_t shard = call->shard;
-  call->state = Call::State::kIdle;
+  call->state = Routed::State::kIdle;
   if (m_timeouts_ != nullptr) m_timeouts_->Increment();
   RecordOutcomeLocked(shards_[shard], false);
   AdvanceLocked(call,
@@ -491,8 +490,8 @@ void ShardRouter::AbandonLocked(Call* call, const char* waited_for,
 double ShardRouter::NextDeadlineLocked() const {
   double next = kNoDeadline;
   for (const auto& [id, call] : live_) {
-    if (call->state == Call::State::kWaitingCredit ||
-        call->state == Call::State::kInflight) {
+    if (call->state == Routed::State::kWaitingCredit ||
+        call->state == Routed::State::kInflight) {
       next = std::min(next, call->deadline_ms);
     }
   }
@@ -537,8 +536,8 @@ void ShardRouter::RunWork(Work work) {
     Work retired;
     {
       MutexLock lock(mu_);
-      Call* call = live_.at(launch.call_id).get();
-      if (--call->launching == 0 && call->state == Call::State::kFinished) {
+      Routed* call = live_.at(launch.call_id).get();
+      if (--call->launching == 0 && call->state == Routed::State::kFinished) {
         RetireLocked(call, &retired);
       }
     }

@@ -1,13 +1,13 @@
-// Sharded what-if costing backend (distributed costing) and the one
-// dispatcher every shard fleet prices through.
+// Sharded what-if costing (distributed costing): a channel over shard
+// channels, and the one dispatcher every shard fleet prices through.
 //
 // The paper (§6) runs tuning against a *test server* so the what-if load
 // never hits production; this router scales that mode out: what-if calls
 // fan across N shards — the tuning server plus N - 1 deep replicas
 // (Server::Clone) behind rpc::InprocChannel, or cost_server workers behind
 // rpc::SocketChannel — while the layers above (CostService caching,
-// in-flight dedup, retry/degradation) stay unchanged behind the CostBackend
-// seam.
+// in-flight dedup, retry/degradation) stay unchanged: the router is itself
+// an rpc::ShardChannel, the interface they price through.
 //
 // Routing: rendezvous (highest-random-weight) hashing on the logical call
 // key. Every shard scores each key with a pure hash; a call routes to its
@@ -94,7 +94,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "dta/cost_service.h"
 #include "dta/rpc/channel.h"
 #include "server/server.h"
 
@@ -154,14 +153,12 @@ struct ShardRouterOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
-class ShardRouter : public CostBackend {
+class ShardRouter : public rpc::ShardChannel {
  public:
-  // `channels` are the shards, in shard-index order. `primary` is the local
-  // tuning server — it serves catalog access, heuristic degradation, and
-  // reports; an in-process fleet also puts it behind channel 0, a socket
-  // fleet routes no what-if call to it. It must outlive the router.
-  ShardRouter(server::Server* primary,
-              std::vector<std::unique_ptr<rpc::ShardChannel>> channels,
+  // `channels` are the shards, in shard-index order: an in-process fleet
+  // puts the tuning server behind channel 0, a socket fleet routes no
+  // what-if call to it.
+  ShardRouter(std::vector<std::unique_ptr<rpc::ShardChannel>> channels,
               ShardRouterOptions options);
   ~ShardRouter() override;
 
@@ -176,15 +173,14 @@ class ShardRouter : public CostBackend {
   // thread. It never runs while an attempt of the call is still inside a
   // channel's Submit, so `call`'s borrowed pointers need only outlive
   // `done`. Thread-safe; any number of concurrent callers and calls.
-  // WhatIfCost (CostBackend) is a batch of one over it.
   void Submit(const WhatIfCall& call, Done done) override EXCLUDES(mu_);
 
-  server::Server* primary() const override { return primary_; }
+  const std::string& name() const override { return name_; }
 
   // Brings every shard up to `stat`, a statistic the tuning server holds:
   // shards must price with identical information or the determinism
   // argument above breaks. Fails when some shard cannot be brought up.
-  Status MirrorStatistics(const stats::Statistics& stat);
+  Status MirrorStatistics(const stats::Statistics& stat) override;
 
   // Rendezvous ranking of all shards for `key`, best first. Pure function
   // of (key, shard index) — exposed for tests and deterministic by design.
@@ -225,7 +221,7 @@ class ShardRouter : public CostBackend {
   void RecordLatencyForTest(size_t shard, double latency_ms) EXCLUDES(mu_);
 
  private:
-  struct Call;  // one submitted call's state machine
+  struct Routed;  // one submitted call's state machine
 
   struct Shard {
     int credits = 0;
@@ -263,28 +259,28 @@ class ShardRouter : public CostBackend {
   // retired calls whose `done` is due.
   struct Work {
     std::vector<Launch> launches;
-    std::vector<std::unique_ptr<Call>> retired;
+    std::vector<std::unique_ptr<Routed>> retired;
   };
 
   // Starts the next attempt for `call`, or finishes it when both passes
   // are exhausted. Appends any ready-to-go dispatch to `work`.
-  void AdvanceLocked(Call* call, Status failure, Work* work) REQUIRES(mu_);
+  void AdvanceLocked(Routed* call, Status failure, Work* work) REQUIRES(mu_);
   // Next untried shard of the current pass, walking the ranking once per
   // pass; shard_count() when the pass has nothing left.
-  size_t NextShardLocked(Call* call) REQUIRES(mu_);
+  size_t NextShardLocked(Routed* call) REQUIRES(mu_);
   // Whether pass 0 may try `shard`: true when healthy and not slow, or
   // when a demoted shard is due a recovery probe.
   bool AdmitLocked(Shard& shard) REQUIRES(mu_);
   // Begins an attempt on `shard`: dispatches if a credit is free, else
   // queues on the shard FIFO with a deadline.
-  void StartAttemptLocked(Call* call, size_t shard, Work* work)
+  void StartAttemptLocked(Routed* call, size_t shard, Work* work)
       REQUIRES(mu_);
-  void DispatchLocked(Call* call, size_t shard, Work* work) REQUIRES(mu_);
-  void FinishLocked(Call* call, Result<server::Server::WhatIfResult> result,
+  void DispatchLocked(Routed* call, size_t shard, Work* work) REQUIRES(mu_);
+  void FinishLocked(Routed* call, Result<server::Server::WhatIfResult> result,
                     Work* work) REQUIRES(mu_);
   // Counts a finished call with no attempt left inside Submit, and moves
   // it out of live_ into `work` for its `done`.
-  void RetireLocked(Call* call, Work* work) REQUIRES(mu_);
+  void RetireLocked(Routed* call, Work* work) REQUIRES(mu_);
   // Wakes the timer when `deadline_ms` is earlier than the one it sleeps
   // toward.
   void ArmDeadlineLocked(double deadline_ms) REQUIRES(mu_);
@@ -297,7 +293,7 @@ class ShardRouter : public CostBackend {
   void ReleaseCreditLocked(size_t shard, Work* work) REQUIRES(mu_);
   // The live call `id` if it is still waiting for a credit on `shard`;
   // null for a stale FIFO entry (timed out of the wait, or moved on).
-  Call* WaiterLocked(uint64_t id, size_t shard) REQUIRES(mu_);
+  Routed* WaiterLocked(uint64_t id, size_t shard) REQUIRES(mu_);
   // Records an attempt's outcome (exactly once per attempt: its
   // completion or its deadline) and updates the shard's health.
   void RecordOutcomeLocked(Shard& shard, bool ok) REQUIRES(mu_);
@@ -311,13 +307,13 @@ class ShardRouter : public CostBackend {
   // Fails every expired queued or in-flight attempt and requeues its call.
   void ExpireLocked(double now_ms, Work* work) REQUIRES(mu_);
   // Abandons `call`'s current attempt at its deadline and requeues it.
-  void AbandonLocked(Call* call, const char* waited_for, Work* work)
+  void AbandonLocked(Routed* call, const char* waited_for, Work* work)
       REQUIRES(mu_);
   double NextDeadlineLocked() const REQUIRES(mu_);
   // Runs retired calls' `done`, then the launches, on this thread.
   void RunWork(Work work) EXCLUDES(mu_);
 
-  server::Server* primary_ = nullptr;
+  const std::string name_ = "router";
   ShardRouterOptions options_;
 
   mutable Mutex mu_;
@@ -325,7 +321,7 @@ class ShardRouter : public CostBackend {
   CondVar timer_cv_;
   std::vector<Shard> shards_ GUARDED_BY(mu_);
   // Calls submitted and not yet retired, by id.
-  std::map<uint64_t, std::unique_ptr<Call>> live_ GUARDED_BY(mu_);
+  std::map<uint64_t, std::unique_ptr<Routed>> live_ GUARDED_BY(mu_);
   uint64_t next_call_id_ GUARDED_BY(mu_) = 1;
   bool stop_ GUARDED_BY(mu_) = false;
   // The deadline the timer sleeps toward (infinity while idle).

@@ -10,7 +10,8 @@
 //   * admission control: an AdmissionController bounds the combined
 //     concurrent what-if calls across tenants (and per tenant), dispatching
 //     waiting tenants weighted-fair so one greedy workload cannot starve
-//     the rest;
+//     the rest; each session's what-if channel is wrapped in an
+//     AdmittedChannel that takes the admission;
 //   * per-tenant metrics namespaces: every session profiles into a private
 //     MetricsRegistry, merged serially after the tenant threads join into
 //     the shared registry under "tenant.<name>." — so the merged export is
@@ -39,7 +40,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "dta/cost_service.h"
+#include "dta/rpc/channel.h"
 #include "dta/stream/continuous.h"
 #include "dta/tuning_session.h"
 #include "server/server.h"
@@ -49,7 +50,7 @@ namespace dta::tuner {
 
 // Bounds concurrent what-if calls across tenants. Each tenant registers
 // once; every real what-if call its session makes passes through
-// Acquire/Release (via AdmittedBackend below). When more calls contend than
+// Acquire/Release (via AdmittedChannel below). When more calls contend than
 // `total_capacity` admits, waiting tenants are dispatched weighted-fair:
 // the eligible waiter with the smallest virtual time (admitted calls /
 // weight) goes first, so a tenant with twice the weight gets twice the
@@ -114,16 +115,19 @@ class AdmissionController {
   size_t waits_ GUARDED_BY(mu_) = 0;
 };
 
-// CostBackend decorator: every call a tenant's CostService makes to the
-// real backend (single server or shard router) first passes admission.
-// Admission only delays the call — the inner backend still decides where it
-// runs and what it returns — so wrapping preserves the backend determinism
-// contract verbatim.
-class AdmittedBackend : public CostBackend {
+// Channel decorator: every what-if call a tenant's CostService makes
+// through the inner channel (single server or shard router) first passes
+// admission. Admission only delays the call — the inner channel still
+// decides where it runs and what it returns — so wrapping preserves the
+// channel determinism contract verbatim. Statistics mirroring is not a
+// what-if call and passes straight through, as does the name.
+class AdmittedChannel : public rpc::ShardChannel {
  public:
-  AdmittedBackend(CostBackend* inner, AdmissionController* admission,
+  AdmittedChannel(rpc::ShardChannel* inner, AdmissionController* admission,
                   int tenant)
       : inner_(inner), admission_(admission), tenant_(tenant) {}
+
+  const std::string& name() const override { return inner_->name(); }
 
   // The admission is held from Submit until the call completes.
   void Submit(const WhatIfCall& call, Done done) override {
@@ -135,10 +139,12 @@ class AdmittedBackend : public CostBackend {
     });
   }
 
-  server::Server* primary() const override { return inner_->primary(); }
+  Status MirrorStatistics(const stats::Statistics& stat) override {
+    return inner_->MirrorStatistics(stat);
+  }
 
  private:
-  CostBackend* inner_;
+  rpc::ShardChannel* inner_;
   AdmissionController* admission_;
   int tenant_;
 };

@@ -81,9 +81,12 @@ struct TuningSession::Run {
   // 0 is the tuning server's.
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   std::vector<std::unique_ptr<server::Server>> replicas;  // shards 1..N-1
-  SingleServerBackend single;
+  rpc::InprocChannel single;
   std::unique_ptr<ShardRouter> router;  // null when shards == 1
-  std::unique_ptr<AdmittedBackend> admitted;
+  std::unique_ptr<AdmittedChannel> admitted;
+  // The one channel every what-if call and statistics mirror crosses: the
+  // router or the single server's, under the tenant's admission if any.
+  rpc::ShardChannel* channel = &single;
   std::unique_ptr<CostService> costs;
 
   // ---- Tune's progress: everything a checkpoint record carries, written
@@ -256,18 +259,17 @@ Result<std::unique_ptr<TuningSession::Run>> TuningSession::NewRun(
       channels.push_back(std::make_unique<rpc::InprocChannel>(shard));
     }
   }
-  CostBackend* backend = &run->single;
   if (!channels.empty()) {
-    run->router = std::make_unique<ShardRouter>(
-        tuning_server, std::move(channels), router_options);
-    backend = run->router.get();
+    run->router =
+        std::make_unique<ShardRouter>(std::move(channels), router_options);
+    run->channel = run->router.get();
   }
   // Multi-tenant admission: every real what-if call first passes the
   // fleet's shared admission controller.
   if (tenant_.admission != nullptr) {
-    run->admitted = std::make_unique<AdmittedBackend>(
-        backend, tenant_.admission, tenant_.tenant_id);
-    backend = run->admitted.get();
+    run->admitted = std::make_unique<AdmittedChannel>(
+        run->channel, tenant_.admission, tenant_.tenant_id);
+    run->channel = run->admitted.get();
   }
 
   // The cost service retries transient what-if failures under the session's
@@ -286,7 +288,8 @@ Result<std::unique_ptr<TuningSession::Run>> TuningSession::NewRun(
     };
   }
   run->costs = std::make_unique<CostService>(
-      backend, simulate, &workload, std::move(cost_config), cache_);
+      tuning_server, simulate, &workload, std::move(cost_config), run->channel,
+      cache_);
   return run;
 }
 
@@ -316,7 +319,7 @@ Status TuningSession::UseTestServer(server::Server* test) {
 }
 
 Status TuningSession::CreateAndImportStats(
-    const std::vector<stats::StatsKey>& keys, ShardRouter* fleet,
+    const std::vector<stats::StatsKey>& keys, rpc::ShardChannel& channel,
     SessionCheckpoint* progress) {
   for (const auto& key : keys) {
     if (production_->HasStatistics(key)) {
@@ -342,9 +345,9 @@ Status TuningSession::CreateAndImportStats(
       test_->ImportStatistics(*s);
     }
     // Shard replicas mirror the tuning server's statistics: every shard
-    // must price with identical information or the backend's bit-identity
+    // must price with identical information or the channel's bit-identity
     // contract breaks.
-    if (fleet != nullptr) DTA_RETURN_IF_ERROR(fleet->MirrorStatistics(*s));
+    DTA_RETURN_IF_ERROR(channel.MirrorStatistics(*s));
   }
   return Status::Ok();
 }
@@ -450,8 +453,8 @@ Status TuningSession::Start(Run* run) {
   // already counted) BEFORE restoring its cost cache: its costs were priced
   // under them, and with them present no statistics request below creates
   // one, so none clears the restored cache.
-  DTA_RETURN_IF_ERROR(CreateAndImportStats(progress.created_stats,
-                                           run->router.get(), nullptr));
+  DTA_RETURN_IF_ERROR(
+      CreateAndImportStats(progress.created_stats, *run->channel, nullptr));
   for (const CostLine& line : progress.cache) {
     run->costs->cache().Restore(line.id, line.fingerprint, line.entry);
   }
@@ -558,7 +561,7 @@ Status TuningSession::BuildCandidatePool(Run* run) {
     // A statistic built on demand also counts as requested.
     const size_t created_before = run->progress.stats_created;
     DTA_RETURN_IF_ERROR(
-        CreateAndImportStats({key}, run->router.get(), &run->progress));
+        CreateAndImportStats({key}, *run->channel, &run->progress));
     run->progress.stats_requested +=
         run->progress.stats_created - created_before;
     const stats::Statistics* s = ts->stats_manager().Find(key);
@@ -585,7 +588,7 @@ Status TuningSession::BuildCandidatePool(Run* run) {
     progress.stats_requested += plan.naive_count;
     const size_t created_before = progress.stats_created;
     DTA_RETURN_IF_ERROR(
-        CreateAndImportStats(plan.to_create, run->router.get(), &progress));
+        CreateAndImportStats(plan.to_create, *run->channel, &progress));
     if (progress.stats_created != created_before) {
       costs.ClearCache();
       run->cache_cleared = true;
@@ -883,7 +886,6 @@ Status TuningSession::Finish(Run* run) {
   run->Summarize(&result.report);
   result.whatif_calls = result.report.whatif_calls;
   result.whatif_cache_hits = result.report.whatif_cache_hits;
-  result.whatif_dedup_waits = costs.dedup_waits();
   result.derived_answers = result.report.derived_answers;
   result.derivation_fallbacks = result.report.derivation_fallbacks;
   result.whatif_calls_saved = result.report.whatif_calls_saved;
@@ -911,8 +913,6 @@ Status TuningSession::Finish(Run* run) {
     result.shard_slow_demotions = router->slow_demotions();
     for (size_t i = 0; i < router->shard_count(); ++i) {
       result.shard_calls.push_back(router->calls(i));
-      result.shard_queue_peak =
-          std::max(result.shard_queue_peak, router->queue_peak(i));
     }
   }
 

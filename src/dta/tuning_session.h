@@ -38,7 +38,6 @@
 namespace dta::tuner {
 
 class AdmissionController;
-class ShardRouter;
 struct SessionCheckpoint;
 
 // Identity a session carries when it runs as one tenant of a multi-tenant
@@ -83,11 +82,9 @@ struct TuningResult {
   // True when this run restored a checkpoint and skipped completed phases.
   bool resumed = false;
 
-  // Observability accounting: cache efficacy of the what-if cost service,
-  // cross-thread pricing deduplication (scheduling dependent — surfaced
-  // here, never exported as a metric), and checkpoint I/O cost.
+  // Observability accounting: cache efficacy of the what-if cost service
+  // and checkpoint I/O cost.
   size_t whatif_cache_hits = 0;
-  size_t whatif_dedup_waits = 0;
   size_t checkpoint_writes = 0;
   size_t checkpoint_bytes = 0;  // record bytes the checkpoint log wrote
   double checkpoint_ms = 0;
@@ -113,7 +110,6 @@ struct TuningResult {
   size_t shard_successes = 0;
   size_t shard_failovers = 0;   // failed attempts rescued by another shard
   size_t shard_exhausted = 0;   // calls that failed on every shard
-  size_t shard_queue_peak = 0;  // deepest per-shard (in-flight + waiting)
   // Times the fail-slow detector demoted a shard to probe-only routing
   // (0 unless shard_slow_threshold was set). Timing dependent, like the
   // failover counter: surfaced in the report, never in gated exports.
@@ -254,11 +250,12 @@ class TuningSession {
   Status WriteCheckpoint(Run* run);
 
   // Creates statistics on the production server and brings the test
-  // server (in test-server mode) and every shard of `fleet` (null without
-  // one) up to each of them, so every shard prices with identical
-  // information. A non-null `progress` counts and logs each one created.
+  // server (in test-server mode) and every server behind `channel` up to
+  // each of them, so every shard prices with identical information. A
+  // non-null `progress` counts and logs each one created.
   Status CreateAndImportStats(const std::vector<stats::StatsKey>& keys,
-                              ShardRouter* fleet, SessionCheckpoint* progress);
+                              rpc::ShardChannel& channel,
+                              SessionCheckpoint* progress);
   // Base configuration: constraint-enforcing indexes of the current design
   // plus the user-specified configuration.
   Result<catalog::Configuration> BaseConfiguration() const;

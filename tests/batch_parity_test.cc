@@ -4,8 +4,9 @@
 // degradations, and the same simulated optimizer time on every server.
 // Both ways run over one TPC-H candidate-selection round (one statement,
 // every subset of at most two of its candidates) and one enumeration round
-// (every statement under each candidate of a pool), in process and over two
-// socket CostWorkers, clean and under injected faults.
+// (every statement under each candidate of a pool), in process, over two
+// socket CostWorkers and through an in-process channel that answers out of
+// order, clean and under injected faults.
 
 #include <gtest/gtest.h>
 
@@ -13,13 +14,16 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/fault_injector.h"
+#include "common/mutex.h"
 #include "common/strings.h"
 #include "dta/candidates.h"
 #include "dta/column_groups.h"
@@ -117,9 +121,82 @@ std::string Describe(const Result<double>& r) {
   return StrFormat("%a", *r);
 }
 
-// Where the lookups are priced, and under which fault spec.
+// An in-process channel whose own thread answers the pending calls newest
+// first. Before each answer it waits for more submissions, but only until
+// none has arrived for kHoldMs: a bounded hold, so a caller blocked on one
+// call is answered late, never stranded.
+class OutOfOrderChannel : public rpc::ShardChannel {
+ public:
+  explicit OutOfOrderChannel(server::Server* server)
+      : server_(server), answerer_([this] { AnswerLoop(); }) {}
+  OutOfOrderChannel(const OutOfOrderChannel&) = delete;
+  OutOfOrderChannel& operator=(const OutOfOrderChannel&) = delete;
+  ~OutOfOrderChannel() override {
+    {
+      MutexLock lock(mu_);
+      stop_ = true;
+      cv_.NotifyAll();
+    }
+    answerer_.join();
+  }
+
+  const std::string& name() const override { return server_->name(); }
+
+  void Submit(const WhatIfCall& call, Done done) override EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    pending_.emplace_back(&call, std::move(done));
+    cv_.NotifyAll();
+  }
+
+  Status MirrorStatistics(const stats::Statistics&) override {
+    return Status::Ok();
+  }
+
+  // Answers given while an older call was still pending.
+  size_t reordered() const EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return reordered_;
+  }
+
+ private:
+  static constexpr double kHoldMs = 1;
+
+  void AnswerLoop() EXCLUDES(mu_) {
+    for (;;) {
+      std::pair<const WhatIfCall*, Done> newest;
+      {
+        MutexLock lock(mu_);
+        while (pending_.empty() && !stop_) cv_.Wait(mu_);
+        if (pending_.empty()) return;
+        for (size_t seen = 0; seen != pending_.size();) {
+          seen = pending_.size();
+          cv_.WaitForMs(mu_, kHoldMs);
+        }
+        if (pending_.size() > 1) ++reordered_;
+        newest = std::move(pending_.back());
+        pending_.pop_back();
+      }
+      const WhatIfCall& call = *newest.first;
+      auto answer = server_->WhatIfCost(*call.stmt, *call.config,
+                                        call.simulate_hardware, call.call_key);
+      newest.second(std::move(answer));
+    }
+  }
+
+  server::Server* server_;
+  mutable Mutex mu_;
+  CondVar cv_;
+  std::vector<std::pair<const WhatIfCall*, Done>> pending_ GUARDED_BY(mu_);
+  size_t reordered_ GUARDED_BY(mu_) = 0;
+  bool stop_ GUARDED_BY(mu_) = false;
+  std::thread answerer_;  // last: it reads the members above
+};
+
+// Where the lookups are priced, and under which fault spec. One byte, as
+// the bool it replaced: gtest prints a Fleet's bytes into each test name.
+enum class Transport : uint8_t { kInproc, kSocket, kOutOfOrder };
 struct Fleet {
-  bool socket = false;
+  Transport transport = Transport::kInproc;
   std::string fault_spec;  // on every pricing server; empty: none
 };
 
@@ -132,7 +209,8 @@ Outcome Price(const Fleet& fleet, const std::vector<Round>& rounds,
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   std::vector<std::unique_ptr<rpc::CostWorker>> workers;
   std::vector<std::string> paths;
-  std::unique_ptr<ShardRouter> router;
+  std::unique_ptr<rpc::ShardChannel> channel;  // null: the service's own
+  OutOfOrderChannel* out_of_order = nullptr;
   auto inject = [&](server::Server* server) {
     if (fleet.fault_spec.empty()) return;
     auto spec = FaultSpec::Parse(fleet.fault_spec);
@@ -140,9 +218,7 @@ Outcome Price(const Fleet& fleet, const std::vector<Round>& rounds,
     injectors.push_back(std::make_unique<FaultInjector>(*spec));
     server->set_fault_injector(injectors.back().get());
   };
-  std::unique_ptr<SingleServerBackend> single;
-  CostBackend* backend = nullptr;
-  if (fleet.socket) {
+  if (fleet.transport == Transport::kSocket) {
     static std::atomic<int> counter{0};
     std::vector<std::unique_ptr<rpc::ShardChannel>> channels;
     for (int i = 0; i < 2; ++i) {
@@ -158,22 +234,23 @@ Outcome Price(const Fleet& fleet, const std::vector<Round>& rounds,
                                 static_cast<int>(::getpid()),
                                 counter.fetch_add(1)));
       EXPECT_TRUE(workers.back()->Listen(paths.back()).ok());
-      auto channel = rpc::SocketChannel::Connect(StrFormat("worker%d", i),
-                                                 paths.back(), {});
-      EXPECT_TRUE(channel.ok()) << channel.status().ToString();
-      channels.push_back(std::move(channel).value());
+      auto socket = rpc::SocketChannel::Connect(StrFormat("worker%d", i),
+                                                paths.back(), {});
+      EXPECT_TRUE(socket.ok()) << socket.status().ToString();
+      channels.push_back(std::move(socket).value());
     }
     // Health never demotes a shard, so each call's route is its ranking
     // alone and injected outcomes do not depend on the order of calls.
     ShardRouterOptions options;
     options.unhealthy_after = 1 << 30;
-    router = std::make_unique<ShardRouter>(prod.get(), std::move(channels),
-                                           options);
-    backend = router.get();
+    channel = std::make_unique<ShardRouter>(std::move(channels), options);
   } else {
     inject(prod.get());
-    single = std::make_unique<SingleServerBackend>(prod.get());
-    backend = single.get();
+    if (fleet.transport == Transport::kOutOfOrder) {
+      auto reversing = std::make_unique<OutOfOrderChannel>(prod.get());
+      out_of_order = reversing.get();
+      channel = std::move(reversing);
+    }
   }
 
   CostService::Config config;
@@ -182,7 +259,7 @@ Outcome Price(const Fleet& fleet, const std::vector<Round>& rounds,
   config.retry.max_backoff_ms = 0.05;
   Outcome out;
   {
-    CostService service(backend, nullptr, &w, config);
+    CostService service(prod.get(), nullptr, &w, config, channel.get());
     for (const Round& round : rounds) {
       std::vector<CostService::Lookup> lookups;
       for (size_t c = 0; c < round.configs.size(); ++c) {
@@ -210,7 +287,11 @@ Outcome Price(const Fleet& fleet, const std::vector<Round>& rounds,
     out.degraded = service.degraded_statements();
     out.missing = service.missing_stats();
   }
-  router.reset();  // closes the channels
+  // A batch keeps many calls pending, so some are answered out of order.
+  if (out_of_order != nullptr && batched) {
+    EXPECT_GT(out_of_order->reordered(), 0u);
+  }
+  channel.reset();  // closes the router's channels or stops the answerer
   for (auto& worker : workers) worker->Shutdown();
   for (const std::string& path : paths) ::unlink(path.c_str());
   out.overhead_ms = prod->overhead_ms();
@@ -272,24 +353,31 @@ TEST_P(BatchParityTest, BatchPricesWhatOneAtATimePrices) {
   }
 }
 
+std::string FleetName(const ::testing::TestParamInfo<Fleet>& info) {
+  static const char* const kTransports[] = {"Inproc", "Socket", "OutOfOrder"};
+  std::string name = kTransports[static_cast<int>(info.param.transport)];
+  if (info.param.fault_spec.find("permanent") != std::string::npos) {
+    name += "Permanent";
+  } else if (info.param.fault_spec.find("transient") != std::string::npos) {
+    name += "Transient";
+  } else {
+    name += "Clean";
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Fleets, BatchParityTest,
-    ::testing::Values(Fleet{false, ""}, Fleet{false, "seed=17,permanent=0.3"},
-                      Fleet{false, "seed=5,transient=0.4"},
-                      Fleet{true, ""}, Fleet{true, "seed=17,permanent=0.3"},
-                      Fleet{true, "seed=5,transient=0.4"}),
-    [](const ::testing::TestParamInfo<Fleet>& info) {
-      std::string name = info.param.socket ? "Socket" : "Inproc";
-      if (info.param.fault_spec.find("permanent") != std::string::npos) {
-        name += "Permanent";
-      } else if (info.param.fault_spec.find("transient") !=
-                 std::string::npos) {
-        name += "Transient";
-      } else {
-        name += "Clean";
-      }
-      return name;
-    });
+    ::testing::Values(Fleet{Transport::kInproc, ""},
+                      Fleet{Transport::kInproc, "seed=17,permanent=0.3"},
+                      Fleet{Transport::kInproc, "seed=5,transient=0.4"},
+                      Fleet{Transport::kSocket, ""},
+                      Fleet{Transport::kSocket, "seed=17,permanent=0.3"},
+                      Fleet{Transport::kSocket, "seed=5,transient=0.4"},
+                      Fleet{Transport::kOutOfOrder, ""},
+                      Fleet{Transport::kOutOfOrder, "seed=17,permanent=0.3"},
+                      Fleet{Transport::kOutOfOrder, "seed=5,transient=0.4"}),
+    FleetName);
 
 }  // namespace
 }  // namespace dta::tuner

@@ -221,12 +221,10 @@ uint64_t KeyRanked(const ShardRouter& router, const std::vector<size_t>& order,
 class CompletionQueueTest : public ::testing::Test {
  protected:
   ShardRouter& MakeRouter(Channels channels, ShardRouterOptions options) {
-    router_ = std::make_unique<ShardRouter>(&primary_, std::move(channels),
-                                            options);
+    router_ = std::make_unique<ShardRouter>(std::move(channels), options);
     return *router_;
   }
 
-  server::Server primary_{"primary", optimizer::HardwareParams()};
   std::unique_ptr<ShardRouter> router_;
 };
 
@@ -281,7 +279,7 @@ TEST_F(CompletionQueueTest, InflightNeverExceedsTheWindow) {
   std::vector<std::thread> callers;
   for (size_t i = 0; i < kCalls; ++i) {
     callers.emplace_back(
-        [&, i] { results[i] = router.WhatIfCost(CallWithKey(i + 1)); });
+        [&, i] { results[i] = router.Call(CallWithKey(i + 1)); });
   }
   EXPECT_TRUE(shard->WaitForPending(2));
   while (router.queue_peak(0) < kCalls) std::this_thread::yield();
@@ -322,15 +320,13 @@ TEST_F(CompletionQueueTest, CreditWaitExpiryRequeuesOnTheNextShard) {
   // The holder takes shard 0's only credit and never hears back there; its
   // in-flight deadline moves it on to shard 1, and its credit stays out.
   Result<WhatIfResult> held = Status::Internal("unset");
-  std::thread holder(
-      [&] { held = router.WhatIfCost(CallWithKey(holder_key)); });
+  std::thread holder([&] { held = router.Call(CallWithKey(holder_key)); });
   EXPECT_TRUE(s0->WaitForPending(1));
 
   // The waiter queues for that credit, times out of the wait, and is
   // answered by shard 1 too.
   Result<WhatIfResult> waited = Status::Internal("unset");
-  std::thread waiter(
-      [&] { waited = router.WhatIfCost(CallWithKey(waiter_key)); });
+  std::thread waiter([&] { waited = router.Call(CallWithKey(waiter_key)); });
   // Shard 1's one credit serves both requeues in turn, in whichever order
   // their deadlines fired.
   for (int answered = 0; answered < 2; ++answered) {
@@ -380,7 +376,7 @@ TEST_F(CompletionQueueTest, LateResponseIsDiscardedButReturnsItsCredit) {
   const uint64_t key = KeyRanked(router, {0, 1});
 
   Result<WhatIfResult> first = Status::Internal("unset");
-  std::thread caller([&] { first = router.WhatIfCost(CallWithKey(key)); });
+  std::thread caller([&] { first = router.Call(CallWithKey(key)); });
   // Shard 0 never answers in time; its deadline requeues the call.
   const bool requeued = s1->WaitForPending(1);
   EXPECT_TRUE(requeued);
@@ -406,8 +402,7 @@ TEST_F(CompletionQueueTest, LateResponseIsDiscardedButReturnsItsCredit) {
   // rather than waiting out a deadline in its FIFO.
   const uint64_t next_key = KeyRanked(router, {0, 1}, key);
   Result<WhatIfResult> second = Status::Internal("unset");
-  std::thread next(
-      [&] { second = router.WhatIfCost(CallWithKey(next_key)); });
+  std::thread next([&] { second = router.Call(CallWithKey(next_key)); });
   const bool dispatched = s0->WaitForPending(1);
   EXPECT_TRUE(dispatched);
   if (dispatched) {
@@ -519,14 +514,14 @@ TEST_F(CompletionQueueTest, CallFailingEverywhereReturnsTheLastError) {
   const uint64_t key = KeyRanked(router, {1, 2, 0});
 
   // Shard 1 fails its first call and is demoted; shard 2 answers it.
-  auto answered = router.WhatIfCost(CallWithKey(key));
+  auto answered = router.Call(CallWithKey(key));
   ASSERT_TRUE(answered.ok()) << answered.status().ToString();
   EXPECT_EQ(answered->cost, 2);
   EXPECT_FALSE(router.healthy(1));
 
   s0->set_result(Status::Unavailable("s0 down"));
   s2->set_result(Status::Internal("s2 broken"));
-  auto r = router.WhatIfCost(CallWithKey(key));
+  auto r = router.Call(CallWithKey(key));
   ASSERT_FALSE(r.ok());
   // Shard 1 was tried last: pass 0 went 2, 0 and pass 1 took 1.
   EXPECT_EQ(r.status().message(), "s1 down");
@@ -555,12 +550,11 @@ TEST_F(CompletionQueueTest, ServingAChainOfWaitersKeepsTheStackFlat) {
   std::vector<Result<WhatIfResult>> results(kCalls,
                                             Status::Internal("unset"));
   std::vector<std::thread> callers;
-  callers.emplace_back(
-      [&] { results[0] = router.WhatIfCost(CallWithKey(1)); });
+  callers.emplace_back([&] { results[0] = router.Call(CallWithKey(1)); });
   shard->WaitUntilEntered(1);
   for (uint64_t key = 2; key <= kCalls; ++key) {
     callers.emplace_back([&, key] {
-      results[key - 1] = router.WhatIfCost(CallWithKey(key));
+      results[key - 1] = router.Call(CallWithKey(key));
     });
   }
   while (router.queue_peak(0) < kCalls) std::this_thread::yield();
@@ -592,14 +586,13 @@ TEST_F(CompletionQueueTest, CallerOutwaitsItsAbandonedInprocAttempt) {
   const uint64_t waiter_key = KeyRanked(router, {0, 1}, holder_key);
 
   Result<WhatIfResult> held = Status::Internal("unset");
-  std::thread holder(
-      [&] { held = router.WhatIfCost(CallWithKey(holder_key)); });
+  std::thread holder([&] { held = router.Call(CallWithKey(holder_key)); });
   s0->WaitUntilEntered(holder_key);
 
   std::atomic<bool> waiter_returned{false};
   Result<WhatIfResult> waited = Status::Internal("unset");
   std::thread waiter([&] {
-    waited = router.WhatIfCost(CallWithKey(waiter_key));
+    waited = router.Call(CallWithKey(waiter_key));
     waiter_returned = true;
   });
   while (router.queue_peak(0) < 2) std::this_thread::yield();
@@ -629,7 +622,7 @@ TEST_F(CompletionQueueTest, RouterTeardownWithAnAttemptPendingIsSafe) {
   options.attempt_timeout_ms = 20;
   ShardRouter& router = MakeRouter(std::move(channels), options);
 
-  auto r = router.WhatIfCost(CallWithKey(KeyRanked(router, {0, 1})));
+  auto r = router.Call(CallWithKey(KeyRanked(router, {0, 1})));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->cost, 3);
   EXPECT_EQ(hung->pending(), 1u);

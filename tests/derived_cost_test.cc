@@ -417,13 +417,15 @@ TEST(DerivedCostServiceTest, DmlFallsBackToRealCalls) {
   EXPECT_EQ(derived.derivation_fallbacks(), 1u);
 }
 
-// A backend that fails permanently whenever the priced configuration
+// A channel that fails permanently whenever the priced configuration
 // matches a predicate — lets a test degrade exactly one atom.
-class SelectiveFaultBackend : public CostBackend {
+class SelectiveFaultChannel : public rpc::ShardChannel {
  public:
   using Predicate = std::function<bool(const catalog::Configuration&)>;
-  SelectiveFaultBackend(server::Server* server, Predicate fail_when)
+  SelectiveFaultChannel(server::Server* server, Predicate fail_when)
       : server_(server), fail_when_(std::move(fail_when)) {}
+
+  const std::string& name() const override { return server_->name(); }
 
   void Submit(const WhatIfCall& call, Done done) override {
     if (fail_when_(*call.config)) {
@@ -434,7 +436,9 @@ class SelectiveFaultBackend : public CostBackend {
                              call.call_key));
   }
 
-  server::Server* primary() const override { return server_; }
+  Status MirrorStatistics(const stats::Statistics&) override {
+    return Status::Ok();
+  }
 
  private:
   server::Server* server_;
@@ -463,13 +467,13 @@ TEST(DerivedCostServiceTest, DegradedAtomForcesFallback) {
     }
     return has_ocust && variables == 1;
   };
-  SelectiveFaultBackend backend(prod.get(), only_ocust);
+  SelectiveFaultChannel channel(prod.get(), only_ocust);
 
   CostService::Config config;
   config.derived.enabled = true;
   config.retry.max_attempts = 1;
   config.retry.initial_backoff_ms = 0;
-  CostService derived(&backend, nullptr, &w, config);
+  CostService derived(prod.get(), nullptr, &w, config, &channel);
   CostService plain(prod.get(), nullptr, &w);
 
   Configuration two;

@@ -245,8 +245,8 @@ TEST(CostServiceTest, IdBoundToAnotherTextIsRefused) {
   auto prod = MakeProduction();
   workload::Workload w = SelectWorkload();
   ASSERT_TRUE(cache.Bind(w.statements()[0].id, "SELECT 1 FROM orders").ok());
-  SingleServerBackend backend(prod.get());
-  CostService costs(&backend, nullptr, &w, CostService::Config(), &cache);
+  CostService costs(prod.get(), nullptr, &w, CostService::Config(), nullptr,
+                    &cache);
   auto refused = costs.StatementCost(0, Configuration());
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kAlreadyExists);

@@ -163,7 +163,7 @@ TEST(ShardRouterTest, RendezvousRankingIsDeterministicAndComplete) {
   // Ranking is a pure function of (key, shard index); the servers are never
   // called, so one server can stand in for all shards.
   std::vector<server::Server*> servers(6, prod.get());
-  ShardRouter router(prod.get(), InprocFleet(servers), ShardRouterOptions());
+  ShardRouter router(InprocFleet(servers), ShardRouterOptions());
 
   Random rng(99);
   for (int i = 0; i < 200; ++i) {
@@ -185,8 +185,8 @@ TEST(ShardRouterTest, RankingIsStableUnderShardRemoval) {
   auto prod = MakeProduction();
   std::vector<server::Server*> five(5, prod.get());
   std::vector<server::Server*> four(4, prod.get());
-  ShardRouter router5(prod.get(), InprocFleet(five), ShardRouterOptions());
-  ShardRouter router4(prod.get(), InprocFleet(four), ShardRouterOptions());
+  ShardRouter router5(InprocFleet(five), ShardRouterOptions());
+  ShardRouter router4(InprocFleet(four), ShardRouterOptions());
 
   Random rng(7);
   int rehomed = 0;
@@ -212,7 +212,7 @@ TEST(ShardRouterTest, RankingIsStableUnderShardRemoval) {
 TEST(ShardRouterTest, KeysSpreadAcrossShards) {
   auto prod = MakeProduction();
   std::vector<server::Server*> servers(4, prod.get());
-  ShardRouter router(prod.get(), InprocFleet(servers), ShardRouterOptions());
+  ShardRouter router(InprocFleet(servers), ShardRouterOptions());
   std::vector<int> owned(4, 0);
   Random rng(3);
   for (int i = 0; i < 400; ++i) {
@@ -237,9 +237,9 @@ TEST(ShardRouterTest, BoundedInflightWindowHoldsUnderHammering) {
 
   ShardRouterOptions options;
   options.max_inflight_per_shard = 2;
-  ShardRouter router(prod.get(), InprocFleet({prod.get(), replica->get()}),
-                     options);
-  CostService service(&router, nullptr, &w, CostService::Config());
+  ShardRouter router(InprocFleet({prod.get(), replica->get()}), options);
+  CostService service(prod.get(), nullptr, &w, CostService::Config(),
+                      &router);
 
   CostService reference(prod.get(), nullptr, &w);
   std::vector<Configuration> configs;
@@ -317,7 +317,7 @@ TEST(ShardRouterTest, OptionsAreClampedToSaneFloors) {
   raw.slow_min_samples = 0;
   raw.slow_floor_ms = -5;
   raw.clock = nullptr;
-  ShardRouter router(prod.get(), InprocFleet(servers), raw);
+  ShardRouter router(InprocFleet(servers), raw);
   EXPECT_EQ(router.options().max_inflight_per_shard, 1);
   EXPECT_EQ(router.options().unhealthy_after, 1);
   EXPECT_EQ(router.options().probe_interval, 1);
@@ -330,7 +330,7 @@ TEST(ShardRouterTest, OptionsAreClampedToSaneFloors) {
   fine.max_inflight_per_shard = 3;
   fine.unhealthy_after = 1;
   fine.probe_interval = 1;
-  ShardRouter router2(prod.get(), InprocFleet(servers), fine);
+  ShardRouter router2(InprocFleet(servers), fine);
   EXPECT_EQ(router2.options().max_inflight_per_shard, 3);
   EXPECT_EQ(router2.options().unhealthy_after, 1);
   EXPECT_EQ(router2.options().probe_interval, 1);
@@ -355,8 +355,7 @@ TEST(ShardRouterTest, TightestHealthSettingsStillRecover) {
   ShardRouterOptions options;
   options.unhealthy_after = 1;
   options.probe_interval = 1;
-  ShardRouter router(prod.get(), InprocFleet({prod.get(), replica->get()}),
-                     options);
+  ShardRouter router(InprocFleet({prod.get(), replica->get()}), options);
 
   const sql::Statement& stmt = w.statements()[0].stmt;
   const Configuration base_config;
@@ -365,7 +364,7 @@ TEST(ShardRouterTest, TightestHealthSettingsStillRecover) {
     call.stmt = &stmt;
     call.config = &base_config;
     call.call_key = key;
-    auto r = router.WhatIfCost(call);
+    auto r = router.Call(call);
     ASSERT_TRUE(r.ok()) << "key " << key << ": " << r.status().ToString();
   }
 
@@ -391,7 +390,7 @@ TEST(ShardRouterTest, SlownessDetectorDemotesAndRecovers) {
   options.slow_threshold = 4;
   options.slow_min_samples = 4;
   options.slow_floor_ms = 1.0;
-  ShardRouter router(prod.get(), InprocFleet(servers), options);
+  ShardRouter router(InprocFleet(servers), options);
 
   for (int i = 0; i < 8; ++i) {
     router.RecordLatencyForTest(0, 10);
@@ -430,7 +429,7 @@ TEST(ShardRouterTest, FleetOfOneIsNeverSlow) {
   ShardRouterOptions options;
   options.slow_threshold = 2;
   options.slow_min_samples = 2;
-  ShardRouter router(prod.get(), InprocFleet(one), options);
+  ShardRouter router(InprocFleet(one), options);
   for (int i = 0; i < 32; ++i) router.RecordLatencyForTest(0, 1000);
   EXPECT_FALSE(router.slow(0));
   EXPECT_EQ(router.slow_demotions(), 0u);
@@ -445,7 +444,7 @@ TEST(ShardRouterTest, SlowFloorIgnoresMicrosecondJitter) {
   options.slow_threshold = 2;
   options.slow_min_samples = 2;
   options.slow_floor_ms = 1.0;
-  ShardRouter router(prod.get(), InprocFleet(servers), options);
+  ShardRouter router(InprocFleet(servers), options);
   for (int i = 0; i < 4; ++i) {
     router.RecordLatencyForTest(0, 0.001);
     router.RecordLatencyForTest(1, 0.001);
@@ -463,7 +462,7 @@ TEST(ShardRouterTest, DetectorWaitsForMinimumSamples) {
   options.slow_threshold = 2;
   options.slow_min_samples = 8;
   options.slow_floor_ms = 1.0;
-  ShardRouter router(prod.get(), InprocFleet(servers), options);
+  ShardRouter router(InprocFleet(servers), options);
   for (int i = 0; i < 8; ++i) router.RecordLatencyForTest(0, 10);
   for (int i = 0; i < 7; ++i) router.RecordLatencyForTest(1, 1000);
   EXPECT_FALSE(router.slow(1));  // one sample short of a verdict

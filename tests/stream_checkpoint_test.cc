@@ -628,10 +628,9 @@ TEST(StreamCheckpointTest, CostServiceStressOnSharedCache) {
   };
 
   CostCache cache;
-  SingleServerBackend backend(prod.get());
   {
-    CostService session(&backend, nullptr, &*first, CostService::Config(),
-                        &cache);
+    CostService session(prod.get(), nullptr, &*first, CostService::Config(),
+                        nullptr, &cache);
     EXPECT_EQ(session.seeded_entries(), 0u);
     EXPECT_EQ(hammer(session, *first), 0);
     EXPECT_EQ(session.whatif_calls(), calls_ab);
@@ -639,8 +638,8 @@ TEST(StreamCheckpointTest, CostServiceStressOnSharedCache) {
   const size_t after_first = cache.size();
   ASSERT_GT(after_first, 0u);
   {
-    CostService session(&backend, nullptr, &*second, CostService::Config(),
-                        &cache);
+    CostService session(prod.get(), nullptr, &*second, CostService::Config(),
+                        nullptr, &cache);
     EXPECT_EQ(session.seeded_entries(), after_first);
     EXPECT_EQ(hammer(session, *second), 0);
     EXPECT_EQ(session.whatif_calls(), calls_c);

@@ -227,6 +227,71 @@ dta::Status WriteFile(const std::string& path, const std::string& content) {
   return dta::Status::Ok();
 }
 
+// One run's observability: a registry, a tracer, and the clock both time
+// with. With --fake-clock the clock is frozen at zero, so every exported
+// duration is 0.000 and the document is byte-reproducible.
+struct Observability {
+  explicit Observability(bool fake_clock)
+      : clock(fake_clock ? &frozen : nullptr), tracer(clock) {}
+
+  // Writes the document to `path` (--metrics-json; nothing when empty) and
+  // announces it unless `quiet`. False, after saying why, when it cannot.
+  bool Write(const std::string& path, bool quiet) const {
+    if (path.empty()) return true;
+    const std::string doc = dta::ObservabilityJson(metrics, &tracer);
+    if (dta::Status s = WriteFile(path, doc); !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return false;
+    }
+    if (!quiet) {
+      std::printf("wrote %s (%zu bytes)\n", path.c_str(), doc.size());
+    }
+    return true;
+  }
+
+  dta::MetricsRegistry metrics;
+  dta::FakeClock frozen;
+  const dta::Clock* clock;  // null: the real monotonic clock
+  dta::Tracer tracer;
+};
+
+// The --tenants fleet: tenant i is named "t<i>" and tunes `server` itself
+// (i == 0) or its own clone, under the input's workload and options at
+// weight 1.
+struct TenantFleet {
+  std::vector<std::unique_ptr<dta::server::Server>> clones;
+  std::vector<dta::server::Server*> servers;
+  std::vector<dta::tuner::TenantSpec> specs;
+};
+
+// False, after saying why, when a clone fails.
+bool BuildTenantFleet(int64_t tenants, dta::server::Server* server,
+                      const dta::tuner::TuningInput& input,
+                      TenantFleet* fleet) {
+  for (int t = 0; t < tenants; ++t) {
+    const std::string name = "t" + std::to_string(t);
+    if (t == 0) {
+      fleet->servers.push_back(server);
+    } else {
+      auto clone = server->Clone(server->name() + "-" + name);
+      if (!clone.ok()) {
+        std::fprintf(stderr, "cannot clone server for tenant %s: %s\n",
+                     name.c_str(), clone.status().ToString().c_str());
+        return false;
+      }
+      fleet->servers.push_back(clone->get());
+      fleet->clones.push_back(std::move(clone).value());
+    }
+    dta::tuner::TenantSpec spec;
+    spec.name = name;
+    spec.workload = &input.workload;
+    spec.options = input.options;
+    spec.weight = 1;
+    fleet->specs.push_back(std::move(spec));
+  }
+  return true;
+}
+
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --metadata server.xml --input tuning.xml "
@@ -543,6 +608,8 @@ int main(int argc, char** argv) {
     }
     input->options.shard_fault_spec = shard_fault_spec;
   }
+  Observability obs(fake_clock);
+
   // ---- Continuous tuning service: ingest the capture stream, re-tune on
   // cadence, print one recommendation delta per round. The final
   // recommendation (as a Configuration XML document) goes to --output.
@@ -562,12 +629,6 @@ int main(int argc, char** argv) {
     // Default cadence when neither flag is given.
     if (retune_interval == 0 && retune_interval_ms <= 0) retune_interval = 32;
 
-    dta::MetricsRegistry metrics;
-    dta::FakeClock frozen_clock;
-    const dta::Clock* clock =
-        fake_clock ? static_cast<const dta::Clock*>(&frozen_clock) : nullptr;
-    dta::Tracer tracer(clock);
-
     // One service configuration for the single service and, per tenant, the
     // fleet (TenantDriver::RunContinuous sets each tenant's own fields).
     dta::tuner::stream::ContinuousTuner::Config config;
@@ -579,9 +640,9 @@ int main(int argc, char** argv) {
     config.decay = decay;
     config.quarantine_rounds = static_cast<uint64_t>(quarantine_rounds);
     config.checkpoint_path = stream_checkpoint_path;
-    config.metrics = metrics_path.empty() ? nullptr : &metrics;
-    config.tracer = metrics_path.empty() ? nullptr : &tracer;
-    config.clock = clock;
+    config.metrics = metrics_path.empty() ? nullptr : &obs.metrics;
+    config.tracer = metrics_path.empty() ? nullptr : &obs.tracer;
+    config.clock = obs.clock;
     if (!quiet) {
       config.delta_sink = [](const std::string& delta) {
         std::fputs(delta.c_str(), stdout);
@@ -597,16 +658,6 @@ int main(int argc, char** argv) {
       auto text = ReadFile(feedback_path);
       return text.ok() ? std::move(text).value() : std::string();
     };
-    auto write_metrics = [&]() -> dta::Status {
-      if (metrics_path.empty()) return dta::Status::Ok();
-      std::string doc = dta::ObservabilityJson(metrics, &tracer);
-      if (dta::Status s = WriteFile(metrics_path, doc); !s.ok()) return s;
-      if (!quiet) {
-        std::printf("wrote %s (%zu bytes)\n", metrics_path.c_str(),
-                    doc.size());
-      }
-      return dta::Status::Ok();
-    };
 
     // ---- Fleet mode: the whole capture through N tenants, each with its
     // own server clone and (when checkpointing) its own delta log.
@@ -616,35 +667,17 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", capture.status().ToString().c_str());
         return 1;
       }
-      std::vector<std::unique_ptr<dta::server::Server>> tenant_clones;
-      std::vector<dta::server::Server*> tenant_servers;
-      std::vector<dta::tuner::TenantSpec> specs;
-      for (int t = 0; t < tenants; ++t) {
-        const std::string name = "t" + std::to_string(t);
-        if (t == 0) {
-          tenant_servers.push_back(server->get());
-        } else {
-          auto clone = (*server)->Clone((*server)->name() + "-" + name);
-          if (!clone.ok()) {
-            std::fprintf(stderr, "cannot clone server for tenant %s: %s\n",
-                         name.c_str(), clone.status().ToString().c_str());
-            return 1;
-          }
-          tenant_servers.push_back(clone->get());
-          tenant_clones.push_back(std::move(clone).value());
-        }
-        dta::tuner::TenantSpec spec;
-        spec.name = name;
-        spec.options = input->options;
-        spec.weight = 1;
-        specs.push_back(std::move(spec));
+      TenantFleet tenant_fleet;
+      if (!BuildTenantFleet(tenants, server->get(), *input, &tenant_fleet)) {
+        return 1;
       }
       dta::tuner::TenantDriverOptions driver_options;
-      driver_options.metrics = metrics_path.empty() ? nullptr : &metrics;
-      driver_options.clock = clock;
+      driver_options.metrics = metrics_path.empty() ? nullptr : &obs.metrics;
+      driver_options.clock = obs.clock;
       dta::tuner::TenantDriver driver(driver_options);
-      auto outcomes = driver.RunContinuous(specs, tenant_servers, config,
-                                           *capture, read_feedback());
+      auto outcomes =
+          driver.RunContinuous(tenant_fleet.specs, tenant_fleet.servers,
+                               config, *capture, read_feedback());
       if (!outcomes.ok()) {
         std::fprintf(stderr, "continuous fleet failed: %s\n",
                      outcomes.status().ToString().c_str());
@@ -679,10 +712,7 @@ int main(int argc, char** argv) {
           }
         }
       }
-      if (dta::Status s = write_metrics(); !s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        return 1;
-      }
+      if (!obs.Write(metrics_path, quiet)) return 1;
       return rc;
     }
 
@@ -739,10 +769,7 @@ int main(int argc, char** argv) {
                     doc.size());
       }
     }
-    if (dta::Status s = write_metrics(); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
+    if (!obs.Write(metrics_path, quiet)) return 1;
     return 0;
   }
   if (!stream_path.empty() || !stream_checkpoint_path.empty() ||
@@ -843,50 +870,24 @@ int main(int argc, char** argv) {
 
   dta::tuner::TuningSession session(server->get(), input->options);
 
-  // Observability: always collect when an export was requested; the frozen
-  // clock zeroes every duration so the export is byte-reproducible.
-  dta::MetricsRegistry metrics;
-  dta::FakeClock frozen_clock;
-  const dta::Clock* clock =
-      fake_clock ? static_cast<const dta::Clock*>(&frozen_clock) : nullptr;
-  dta::Tracer tracer(clock);
+  // Observability: always collect when an export was requested.
   if (!metrics_path.empty()) {
-    session.SetObservability({&metrics, &tracer, clock});
+    session.SetObservability({&obs.metrics, &obs.tracer, obs.clock});
   }
 
   // ---- Multi-tenant mode: N independent tenants, each tuning its own copy
   // of the server under shared admission control. Tenant i's DTAXML
   // document goes to --output FILE as FILE.tenant<i>.
   if (tenants > 1) {
-    std::vector<std::unique_ptr<dta::server::Server>> tenant_clones;
-    std::vector<dta::server::Server*> tenant_servers;
-    std::vector<dta::tuner::TenantSpec> specs;
-    for (int t = 0; t < tenants; ++t) {
-      const std::string name = "t" + std::to_string(t);
-      if (t == 0) {
-        tenant_servers.push_back(server->get());
-      } else {
-        auto clone = (*server)->Clone((*server)->name() + "-" + name);
-        if (!clone.ok()) {
-          std::fprintf(stderr, "cannot clone server for tenant %s: %s\n",
-                       name.c_str(), clone.status().ToString().c_str());
-          return 1;
-        }
-        tenant_servers.push_back(clone->get());
-        tenant_clones.push_back(std::move(clone).value());
-      }
-      dta::tuner::TenantSpec spec;
-      spec.name = name;
-      spec.workload = &input->workload;
-      spec.options = input->options;
-      spec.weight = 1;
-      specs.push_back(std::move(spec));
+    TenantFleet tenant_fleet;
+    if (!BuildTenantFleet(tenants, server->get(), *input, &tenant_fleet)) {
+      return 1;
     }
     dta::tuner::TenantDriverOptions driver_options;
-    driver_options.metrics = metrics_path.empty() ? nullptr : &metrics;
-    driver_options.clock = clock;
+    driver_options.metrics = metrics_path.empty() ? nullptr : &obs.metrics;
+    driver_options.clock = obs.clock;
     dta::tuner::TenantDriver driver(driver_options);
-    auto outcomes = driver.Run(specs, tenant_servers);
+    auto outcomes = driver.Run(tenant_fleet.specs, tenant_fleet.servers);
     if (!outcomes.ok()) {
       std::fprintf(stderr, "multi-tenant run failed: %s\n",
                    outcomes.status().ToString().c_str());
@@ -924,17 +925,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (!metrics_path.empty()) {
-      std::string doc = dta::ObservabilityJson(metrics, &tracer);
-      if (dta::Status s = WriteFile(metrics_path, doc); !s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        return 1;
-      }
-      if (!quiet) {
-        std::printf("wrote %s (%zu bytes)\n", metrics_path.c_str(),
-                    doc.size());
-      }
-    }
+    if (!obs.Write(metrics_path, quiet)) return 1;
     return rc;
   }
 
@@ -972,16 +963,7 @@ int main(int argc, char** argv) {
         *input, result->recommendation, result->report);
   }
 
-  if (!metrics_path.empty()) {
-    std::string doc = dta::ObservabilityJson(metrics, &tracer);
-    if (dta::Status s = WriteFile(metrics_path, doc); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    if (!quiet) {
-      std::printf("wrote %s (%zu bytes)\n", metrics_path.c_str(), doc.size());
-    }
-  }
+  if (!obs.Write(metrics_path, quiet)) return 1;
 
   if (output_path.empty()) {
     if (quiet) std::printf("%s", output_doc.c_str());
